@@ -9,15 +9,13 @@ of a zero-variance column are reported as NaN markers rather than zeros.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .device import PqrstRecord
+from .device import PqrstRecord, load_csv
 
 __all__ = [
     "COLUMNS",
@@ -63,15 +61,8 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, text: str) -> "Dataset":
-        reader = csv.reader(io.StringIO(text))
-        rows = []
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            if row[0].strip().lower().replace(" ", "") == "recordno":
-                continue  # header
-            rows.append([float(v) for v in row[:7]])
-        return cls(rows)
+        """Parse a score CSV with `device.load_csv`, the device's own format."""
+        return cls.from_records(load_csv(text))
 
     def __len__(self) -> int:
         return len(self._data)
@@ -220,24 +211,18 @@ QUALITY_BANDS = (
 )
 
 
-def classify_quality(record, theta_excellent: float = THETA_EXCELLENT,
+def classify_quality(scores: Sequence[float], theta_excellent: float = THETA_EXCELLENT,
                      theta_acceptable: float = THETA_ACCEPTABLE) -> str:
-    """Band label from the mean of the five wave scores.
+    """Band label from the mean of the five wave scores (P, Q, R, S, T).
 
     Thresholds are boundary inclusive: a mean exactly at a threshold
     lands in the higher band.
     """
     if theta_acceptable >= theta_excellent:
         raise ValueError("thresholds must satisfy theta_acceptable < theta_excellent")
-    if hasattr(record, "scores"):
-        values = record.scores()
-    elif hasattr(record, "as_tuple"):
-        values = record.as_tuple()
-    else:
-        values = tuple(record)
-    if len(values) != 5:
+    if len(scores) != 5:
         raise ValueError("a record carries exactly five wave scores")
-    mean = sum(values) / 5.0
+    mean = sum(scores) / 5.0
     if mean >= theta_excellent:
         return "Excellent"
     if mean >= theta_acceptable:
@@ -249,8 +234,8 @@ def quality_distribution(dataset: Dataset, theta_excellent: float = THETA_EXCELL
                          theta_acceptable: float = THETA_ACCEPTABLE) -> dict:
     """Counts and percentages per band over the whole dataset."""
     counts = {"Excellent": 0, "Acceptable": 0, "Poor": 0}
-    for row in dataset.scores():
-        counts[classify_quality(tuple(row), theta_excellent, theta_acceptable)] += 1
+    for row in dataset.scores().tolist():
+        counts[classify_quality(row, theta_excellent, theta_acceptable)] += 1
     n = len(dataset)
     return {
         label: {"count": count, "pct": 100.0 * count / n if n else 0.0}

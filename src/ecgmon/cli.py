@@ -95,7 +95,6 @@ def _cmd_simulate_device(args) -> int:
     client = MqttClient(client_id=f"device-{args.patient}")
     client.connect(host or "127.0.0.1", int(port))
     agent = device.DeviceAgent(args.patient, args.age, client.publish,
-                               sample_rate=cfg.sample_rate,
                                next_record_no=args.record_no)
     try:
         if args.mode == "heartbeat":
@@ -104,8 +103,7 @@ def _cmd_simulate_device(args) -> int:
             reading = agent.measure_and_publish_heartbeat(synth.pulse_events(window_cfg))
             print(f"patient {args.patient} bpm {reading.bpm}")
         else:
-            samples = synth.synthesize(cfg, template)
-            outcome = agent.run_and_publish_session(samples)
+            outcome = agent.run_and_publish_session(synth.synthesize(cfg, template))
             scores = outcome.scores
             print(f"patient {args.patient} session status {outcome.status} "
                   f"overall {outcome.overall_score}")

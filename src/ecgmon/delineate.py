@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .synth import EcgSample
+from .synth import Recording
 
 __all__ = [
     "BeatAnnotation",
@@ -82,14 +82,6 @@ class WaveScores:
         return (self.p, self.q, self.r, self.s, self.t)
 
 
-def _codes_and_leadoff(samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(samples, np.ndarray):
-        return samples.astype(float), np.zeros(len(samples), dtype=bool)
-    codes = np.array([s.adc_code for s in samples], dtype=float)
-    lead_off = np.array([getattr(s, "lead_off", False) for s in samples], dtype=bool)
-    return codes, lead_off
-
-
 def _trailing_threshold(x: np.ndarray, window: int) -> np.ndarray:
     # mean + 2*std over the trailing `window` samples, truncated at the
     # start of the record; cumulative sums keep it O(n).
@@ -104,17 +96,18 @@ def _trailing_threshold(x: np.ndarray, window: int) -> np.ndarray:
     return mean + 2.0 * np.sqrt(var)
 
 
-def detect_r_peaks(samples: Sequence, sample_rate: int) -> list[int]:
-    """Indices of R peaks in the sample stream.
+def detect_r_peaks(recording: Recording) -> list[int]:
+    """Indices of R peaks in the recording.
 
     Lead-off samples are cut out before thresholding; returned indices
-    refer to positions in the original stream, and a beat whose analysis
+    refer to positions in the recording, and a beat whose analysis
     windows would overlap a removed region is dropped entirely.
     """
-    codes, lead_off = _codes_and_leadoff(samples)
-    n = len(codes)
+    sample_rate = recording.sample_rate
+    lead_off = recording.lead_off
+    n = len(recording)
     keep = np.flatnonzero(~lead_off)
-    x = codes[keep]
+    x = recording.codes[keep].astype(float)
     if len(x) < THRESHOLD_WINDOW_S * sample_rate:
         raise InsufficientDataError(
             f"need at least {THRESHOLD_WINDOW_S:g} s of signal, got {len(x) / sample_rate:g} s"
@@ -122,16 +115,19 @@ def detect_r_peaks(samples: Sequence, sample_rate: int) -> list[int]:
 
     thr = _trailing_threshold(x, int(THRESHOLD_WINDOW_S * sample_rate))
     refractory = int(round(REFRACTORY_MS / 1000.0 * sample_rate))
+    mid = x[1:-1]
+    candidates = np.flatnonzero((mid >= x[:-2]) & (mid > x[2:]) & (mid > thr[1:-1])) + 1
+    # Candidates closer than the refractory period merge into the larger.
+    # Each merge compares with the peak kept so far, so this stays a loop.
     peaks: list[int] = []
-    for i in range(1, len(x) - 1):
-        if x[i] >= x[i - 1] and x[i] > x[i + 1] and x[i] > thr[i]:
-            if peaks and i - peaks[-1] < refractory:
-                if x[i] > x[peaks[-1]]:
-                    peaks[-1] = i
-            else:
-                peaks.append(i)
+    for i in candidates.tolist():
+        if peaks and i - peaks[-1] < refractory:
+            if x[i] > x[peaks[-1]]:
+                peaks[-1] = i
+        else:
+            peaks.append(i)
 
-    out = [int(keep[i]) for i in peaks]
+    out = keep[peaks].tolist()
     if lead_off.any():
         span_lo = _ms_to_samples(P_WINDOW[0], sample_rate)
         span_hi = _ms_to_samples(T_WINDOW[1], sample_rate)
@@ -146,7 +142,7 @@ def _ms_to_samples(ms: int, sample_rate: int) -> int:
     return int(round(ms / 1000.0 * sample_rate))
 
 
-def annotate_beats(samples: Sequence, r_indices: Sequence[int], sample_rate: int) -> list[BeatAnnotation]:
+def annotate_beats(recording: Recording, r_indices: Sequence[int]) -> list[BeatAnnotation]:
     """Locate P, Q, S and T around each detected R and judge validity.
 
     Q and S are the window minima, P and T the window maxima.  The local
@@ -157,7 +153,8 @@ def annotate_beats(samples: Sequence, r_indices: Sequence[int], sample_rate: int
     extremum deviates from the baseline, in the expected direction, by
     more than the floor.
     """
-    codes, _ = _codes_and_leadoff(samples)
+    codes = recording.codes.astype(float)
+    sample_rate = recording.sample_rate
     n = len(codes)
     span_lo = _ms_to_samples(P_WINDOW[0], sample_rate)
     span_hi = _ms_to_samples(T_WINDOW[1], sample_rate)

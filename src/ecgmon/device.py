@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from . import delineate
 from .delineate import WaveScores, render_score
-from .synth import EcgSample
+from .synth import Recording
 
 __all__ = [
     "HeartbeatReading",
@@ -117,52 +117,47 @@ def overall_score(scores: WaveScores) -> float:
     return float(mean.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _chunks(samples: Iterable[EcgSample], sample_rate: int) -> Iterator[list[EcgSample]]:
-    chunk: list[EcgSample] = []
-    for s in samples:
-        chunk.append(s)
-        if len(chunk) >= sample_rate:  # roughly one second at a time
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
 def run_ecg_session(
-    sample_source: Iterable[EcgSample],
+    recording: Recording,
     patient_id: str,
     age: int,
     record_no: int = 1,
-    sample_rate: int = 250,
     publish: Optional[Publisher] = None,
 ) -> SessionOutcome:
     """Capture, delineate, score, and gate one ECG session.
 
-    Capture stops at 50 detected R peaks or at the 60 s timeout,
-    whichever comes first.  The record is published to the data topic
-    only when the overall score (mean of the five wave scores) is
+    The session scores a prefix of the recording, as a device that reads
+    one second of samples at a time would: capture stops at 50 detected R
+    peaks or at the 60 s timeout, whichever comes first, and the rest of
+    the recording is never read.  The record is published to the data
+    topic only when the overall score (mean of the five wave scores) is
     strictly above 80; otherwise the outcome is an Error and only a
     status event leaves the device.
     """
-    captured: list[EcgSample] = []
-    peaks: list[int] = []
-    for chunk in _chunks(sample_source, sample_rate):
-        captured.extend(chunk)
-        if captured[-1].timestamp >= SESSION_TIMEOUT_S:
+    # Capture grows one second at a time.  `peaks` holds the detection of
+    # the current prefix, or None when the stop check skipped it: at the
+    # timeout, or before the threshold has enough lead-on signal.
+    rate = recording.sample_rate
+    end, peaks = 0, None
+    while end < len(recording):
+        end, peaks = min(end + rate, len(recording)), None
+        if (end - 1) / rate >= SESSION_TIMEOUT_S:
             break
-        if len(captured) >= 2 * sample_rate:
-            peaks = delineate.detect_r_peaks(captured, sample_rate)
+        if (~recording.lead_off[:end]).sum() >= delineate.THRESHOLD_WINDOW_S * rate:
+            peaks = delineate.detect_r_peaks(recording[:end])
             if len(peaks) >= SESSION_TARGET_BEATS:
                 break
 
-    try:
-        peaks = delineate.detect_r_peaks(captured, sample_rate)
-    except delineate.InsufficientDataError as exc:
-        raise NoSignalError(str(exc)) from exc
+    captured = recording[:end]
+    if peaks is None:
+        try:
+            peaks = delineate.detect_r_peaks(captured)
+        except delineate.InsufficientDataError as exc:
+            raise NoSignalError(str(exc)) from exc
     if not peaks:
         raise NoSignalError("no R peaks detected before the session timeout")
 
-    annotations = delineate.annotate_beats(captured, peaks, sample_rate)
+    annotations = delineate.annotate_beats(captured, peaks)
     scores = delineate.score_waves(annotations)
     overall = overall_score(scores)
 
@@ -241,11 +236,10 @@ class DeviceAgent:
     """
 
     def __init__(self, patient_id: str, age: int, publish: Publisher,
-                 sample_rate: int = 250, next_record_no: int = 1):
+                 next_record_no: int = 1):
         self.patient_id = patient_id
         self.age = age
         self.publish = publish
-        self.sample_rate = sample_rate
         self.next_record_no = next_record_no
 
     def measure_and_publish_heartbeat(self, pulse_source: Iterable[float]) -> HeartbeatReading:
@@ -259,25 +253,24 @@ class DeviceAgent:
         self.publish(f"clinic/{self.patient_id}/heartbeat", json.dumps(payload).encode(), 1)
         return reading
 
-    def run_and_publish_session(self, sample_source: Iterable[EcgSample]) -> SessionOutcome:
+    def run_and_publish_session(self, recording: Recording) -> SessionOutcome:
         outcome = run_ecg_session(
-            sample_source,
+            recording,
             self.patient_id,
             self.age,
             record_no=self.next_record_no,
-            sample_rate=self.sample_rate,
             publish=self.publish,
         )
         if outcome.status == "Uploaded":
             self.next_record_no += 1
         return outcome
 
-    def publish_waveform(self, samples: list[EcgSample], seq: int = 0) -> None:
+    def publish_waveform(self, recording: Recording, seq: int = 0) -> None:
         payload = {
             "patient_id": self.patient_id,
             "seq": seq,
-            "sample_rate": self.sample_rate,
-            "samples": [s.adc_code for s in samples],
-            "lead_off": [s.lead_off for s in samples],
+            "sample_rate": recording.sample_rate,
+            "samples": recording.codes.tolist(),
+            "lead_off": recording.lead_off.tolist(),
         }
         self.publish(f"clinic/{self.patient_id}/ecg/waveform", json.dumps(payload).encode(), 1)

@@ -10,7 +10,7 @@ stream mimics the optical pulse counter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ __all__ = [
     "Wave",
     "BeatTemplate",
     "SynthConfig",
-    "EcgSample",
+    "Recording",
     "ConfigError",
     "DEFAULT_TEMPLATE",
     "quantize",
@@ -127,12 +127,25 @@ class SynthConfig:
                 raise ConfigError("lead_off_intervals: each entry must be [start, end) with 0 <= start <= end")
 
 
-class EcgSample(NamedTuple):
-    """One quantized reading: session-relative time, ADC code, lead-off flag."""
+@dataclass(frozen=True, eq=False)
+class Recording:
+    """A quantized capture held as columns.
 
-    timestamp: float
-    adc_code: int
-    lead_off: bool
+    Sample i was read i / sample_rate seconds into the session: `codes[i]`
+    is its ADC code (int64) and `lead_off[i]` (bool) marks an electrode that
+    was off.  Slicing gives a shorter recording over views of the columns.
+    Recordings compare by identity; compare their columns with numpy.
+    """
+
+    codes: np.ndarray
+    lead_off: np.ndarray
+    sample_rate: int
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: slice) -> "Recording":
+        return Recording(self.codes[index], self.lead_off[index], self.sample_rate)
 
 
 def quantize(voltage, adc_reference: float, adc_bits: int):
@@ -164,18 +177,18 @@ def _beat_centers(heart_rate: float, duration: float) -> list[float]:
     return centers
 
 
-def synthesize(config: SynthConfig, template: BeatTemplate = DEFAULT_TEMPLATE) -> list[EcgSample]:
+def synthesize(config: SynthConfig, template: BeatTemplate = DEFAULT_TEMPLATE) -> Recording:
     """Generate floor(sample_rate * duration) quantized ECG samples.
 
-    The analog signal is baseline + gain * sum of beat Gaussians plus
-    Gaussian noise; samples falling inside a lead-off interval are pinned
-    to the rail-high code and flagged.
+    Returns one Recording: `codes` (int64) and `lead_off` (bool) columns of
+    that length, and the config's `sample_rate`, so no consumer takes the
+    rate separately.  The analog signal is baseline + gain * sum of beat
+    Gaussians plus Gaussian noise; samples falling inside a lead-off
+    interval are pinned to the rail-high code and flagged.
     """
     config.validate()
     template.validate()
     n = int(math.floor(config.sample_rate * config.duration + 1e-9))
-    if n == 0:
-        return []
     t = np.arange(n) / config.sample_rate
     shape = np.zeros(n)
     for c in _beat_centers(config.heart_rate, config.duration):
@@ -195,7 +208,7 @@ def synthesize(config: SynthConfig, template: BeatTemplate = DEFAULT_TEMPLATE) -
     rail = (1 << config.adc_bits) - 1
     codes[lead_off] = rail
 
-    return [EcgSample(float(ts), int(code), bool(off)) for ts, code, off in zip(t, codes, lead_off)]
+    return Recording(codes, lead_off, config.sample_rate)
 
 
 def pulse_events(config: SynthConfig) -> list[float]:

@@ -74,6 +74,12 @@ def test_dataset_from_csv_matches_records(clinic):
     assert len(clinic) == 20
 
 
+def test_dataset_from_csv_rejects_extra_field():
+    text = "Record No,Age,P,Q,R,S,T\n1,21,91.6,100,100,100,90\n2,23,100,100,100,100,100,7\n"
+    with pytest.raises(ValueError, match="7 CSV fields"):
+        Dataset.from_csv(text)
+
+
 def test_dataset_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Dataset([(1, 21, 91.6, 100.0)])
@@ -267,11 +273,11 @@ def test_classify_quality_bands():
 
 def test_classify_quality_accepts_records_and_scores():
     rec = PqrstRecord(9, 43, 100.0, 80.0, 80.0, 80.0, 85.0)  # mean 85.0
-    assert classify_quality(rec) == "Acceptable"
+    assert classify_quality(rec.scores()) == "Acceptable"
     ws = WaveScores(100.0, 76.19, 76.19, 76.19, 94.54)       # mean 84.622
-    assert classify_quality(ws) == "Poor"
+    assert classify_quality(ws.as_tuple()) == "Poor"
     rec7 = PqrstRecord(7, 24, 90.0, 100.0, 100.0, 100.0, 90.0)  # mean 96.0
-    assert classify_quality(rec7) == "Excellent"
+    assert classify_quality(rec7.scores()) == "Excellent"
 
 
 def test_quality_distribution_clinic(clinic):

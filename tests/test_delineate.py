@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecgmon import delineate
 from ecgmon.delineate import (
     BeatAnnotation,
     InsufficientDataError,
@@ -12,7 +13,7 @@ from ecgmon.delineate import (
     render_score,
     score_waves,
 )
-from ecgmon.synth import DEFAULT_TEMPLATE, BeatTemplate, SynthConfig, Wave, synthesize
+from ecgmon.synth import DEFAULT_TEMPLATE, BeatTemplate, Recording, SynthConfig, Wave, synthesize
 
 
 def make_template(**amplitudes):
@@ -26,11 +27,17 @@ def make_template(**amplitudes):
     return BeatTemplate(**waves)
 
 
+def lead_on(codes, sample_rate=250):
+    """A recording of the given codes with the electrode on throughout."""
+    codes = np.asarray(codes)
+    return Recording(codes, np.zeros(len(codes), dtype=bool), sample_rate)
+
+
 # ------------------------------------------------------------ R detection
 
 def test_detect_clean_60bpm():
     samples = synthesize(SynthConfig(heart_rate=60.0, duration=10.0))
-    peaks = detect_r_peaks(samples, 250)
+    peaks = detect_r_peaks(samples)
     assert len(peaks) == 10
     # beats sit at (k + 1/2) s, i.e. sample 125, 375, ...
     assert all(abs(p - (125 + 250 * k)) <= 2 for k, p in enumerate(peaks))
@@ -38,7 +45,7 @@ def test_detect_clean_60bpm():
 
 def test_detect_spacing_72bpm():
     samples = synthesize(SynthConfig(heart_rate=72.0, duration=20.0))
-    peaks = detect_r_peaks(samples, 250)
+    peaks = detect_r_peaks(samples)
     diffs = np.diff(peaks)
     period = 250 * 60.0 / 72.0
     assert len(peaks) == 23
@@ -46,66 +53,148 @@ def test_detect_spacing_72bpm():
 
 
 def test_flat_line_has_no_peaks():
-    flat = np.full(1000, 337.0)  # 4 s of mid-rail
-    assert detect_r_peaks(flat, 250) == []
+    flat = lead_on(np.full(1000, 337))  # 4 s of mid-rail
+    assert detect_r_peaks(flat) == []
 
 
 def test_too_short_raises():
     samples = synthesize(SynthConfig(duration=1.5))
     with pytest.raises(InsufficientDataError):
-        detect_r_peaks(samples, 250)
+        detect_r_peaks(samples)
 
 
 def test_detect_affine_invariance():
-    samples = synthesize(SynthConfig(heart_rate=60.0, duration=10.0))
-    codes = np.array([s.adc_code for s in samples], dtype=float)
-    base = detect_r_peaks(codes, 250)
-    assert detect_r_peaks(2.0 * codes + 50.0, 250) == base
+    codes = synthesize(SynthConfig(heart_rate=60.0, duration=10.0)).codes
+    base = detect_r_peaks(lead_on(codes))
+    assert detect_r_peaks(lead_on(2 * codes + 50)) == base
 
 
 def test_detect_concatenation_additive():
-    a = synthesize(SynthConfig(heart_rate=60.0, duration=10.0))
-    codes = np.array([s.adc_code for s in a], dtype=float)
+    codes = synthesize(SynthConfig(heart_rate=60.0, duration=10.0)).codes
     doubled = np.concatenate([codes, codes])
-    n_single = len(detect_r_peaks(codes, 250))
-    n_double = len(detect_r_peaks(doubled, 250))
+    n_single = len(detect_r_peaks(lead_on(codes)))
+    n_double = len(detect_r_peaks(lead_on(doubled)))
     assert abs(n_double - 2 * n_single) <= 1
 
 
 def test_detect_noisy_signal():
     samples = synthesize(SynthConfig(heart_rate=72.0, duration=20.0, noise_std=20.0, seed=11))
-    peaks = detect_r_peaks(samples, 250)
+    peaks = detect_r_peaks(samples)
     assert 21 <= len(peaks) <= 25
 
 
 def test_refractory_suppresses_close_peaks():
     # two bumps 30 samples (120 ms) apart; only the taller may survive
-    x = np.full(1000, 100.0)
-    x[500] = 500.0
-    x[530] = 480.0
-    peaks = detect_r_peaks(x, 250)
+    x = np.full(1000, 100)
+    x[500] = 500
+    x[530] = 480
+    peaks = detect_r_peaks(lead_on(x))
     assert peaks == [500]
 
 
 def test_lead_off_samples_cannot_be_peaks():
     cfg = SynthConfig(heart_rate=60.0, duration=10.0, lead_off_intervals=((4.0, 5.0),))
     samples = synthesize(cfg)
-    peaks = detect_r_peaks(samples, 250)
-    clean = detect_r_peaks(synthesize(SynthConfig(heart_rate=60.0, duration=10.0)), 250)
+    peaks = detect_r_peaks(samples)
+    clean = detect_r_peaks(synthesize(SynthConfig(heart_rate=60.0, duration=10.0)))
     assert len(peaks) < len(clean)
     for p in peaks:
-        assert not samples[p].lead_off
+        assert not samples.lead_off[p]
         # the whole delineation span around each kept beat is lead-off free
-        for i in range(max(0, p - 60), min(len(samples), p + 101)):
-            assert not samples[i].lead_off
+        assert not samples.lead_off[max(0, p - 60):p + 101].any()
+
+
+# ------------------------------------------------ reference R detection
+
+def reference_detect_r_peaks(codes, lead_off, sample_rate):
+    """Per-sample R detection, kept as the reference `detect_r_peaks` must
+    match: the candidate test and the refractory merge in one loop."""
+    codes = np.asarray(codes, dtype=float)
+    n = len(codes)
+    keep = np.flatnonzero(~lead_off)
+    x = codes[keep]
+    if len(x) < delineate.THRESHOLD_WINDOW_S * sample_rate:
+        raise InsufficientDataError("too short")
+
+    thr = delineate._trailing_threshold(x, int(delineate.THRESHOLD_WINDOW_S * sample_rate))
+    refractory = int(round(delineate.REFRACTORY_MS / 1000.0 * sample_rate))
+    peaks: list[int] = []
+    for i in range(1, len(x) - 1):
+        if x[i] >= x[i - 1] and x[i] > x[i + 1] and x[i] > thr[i]:
+            if peaks and i - peaks[-1] < refractory:
+                if x[i] > x[peaks[-1]]:
+                    peaks[-1] = i
+            else:
+                peaks.append(i)
+
+    out = [int(keep[i]) for i in peaks]
+    if lead_off.any():
+        span_lo = delineate._ms_to_samples(delineate.P_WINDOW[0], sample_rate)
+        span_hi = delineate._ms_to_samples(delineate.T_WINDOW[1], sample_rate)
+        out = [
+            r for r in out
+            if not lead_off[max(0, r + span_lo):min(n, r + span_hi + 1)].any()
+        ]
+    return out
+
+
+def random_capture(rng, sample_rate):
+    """A seeded noisy capture, with a lead-off span in two of three."""
+    duration = float(rng.uniform(2.5, 20.0))
+    intervals = ()
+    if rng.integers(3):
+        start = float(rng.uniform(0.0, duration))
+        intervals = ((start, start + float(rng.uniform(0.1, 3.0))),)
+    return SynthConfig(
+        sample_rate=sample_rate,
+        heart_rate=float(rng.uniform(40.0, 180.0)),
+        duration=duration,
+        noise_std=float(rng.uniform(0.0, 80.0)),
+        lead_off_intervals=intervals,
+        seed=int(rng.integers(2**31)),
+    )
+
+
+@pytest.mark.parametrize("sample_rate", [100, 250, 500, 1000])
+def test_detect_matches_per_sample_reference(sample_rate):
+    rng = np.random.default_rng(sample_rate)
+    compared = 0
+    for _ in range(12):
+        rec = synthesize(random_capture(rng, sample_rate))
+        # the prefixes a session checks second by second, and the whole capture
+        for end in (*range(2 * sample_rate, len(rec), 3 * sample_rate), len(rec)):
+            head = rec[:end]
+            try:
+                want = reference_detect_r_peaks(head.codes, head.lead_off, sample_rate)
+            except InsufficientDataError:
+                with pytest.raises(InsufficientDataError):
+                    detect_r_peaks(head)
+                continue
+            assert detect_r_peaks(head) == want, (sample_rate, end)
+            compared += 1
+    assert compared >= 12
+
+
+def test_detect_matches_reference_on_plateaus_and_ties():
+    # flat-topped and equal-height peaks inside one refractory period
+    x = np.full(1500, 100)
+    x[500:503] = 400
+    x[540] = 400
+    x[900] = 300
+    x[930] = 300
+    x[1200] = 350
+    x[1201] = 350
+    rec = lead_on(x)
+    want = reference_detect_r_peaks(rec.codes, rec.lead_off, 250)
+    assert detect_r_peaks(rec) == want == [502, 900, 1201]
 
 
 # -------------------------------------------------------------- annotation
 
 def test_annotate_clean_beats_all_valid():
     samples = synthesize(SynthConfig(heart_rate=60.0, duration=10.0))
-    peaks = detect_r_peaks(samples, 250)
-    anns = annotate_beats(samples, peaks, 250)
+    peaks = detect_r_peaks(samples)
+    anns = annotate_beats(samples, peaks)
     assert len(anns) == len(peaks)
     for ann in anns:
         assert ann.r_valid and ann.p_valid and ann.q_valid and ann.s_valid and ann.t_valid
@@ -113,8 +202,8 @@ def test_annotate_clean_beats_all_valid():
 
 def test_annotate_fiducials_near_template_centers():
     samples = synthesize(SynthConfig(heart_rate=60.0, duration=10.0))
-    peaks = detect_r_peaks(samples, 250)
-    anns = annotate_beats(samples, peaks, 250)
+    peaks = detect_r_peaks(samples)
+    anns = annotate_beats(samples, peaks)
     # template centers in samples at 250 Hz: P -50, Q -10, S +10, T +62.5
     for ann in anns:
         assert abs(ann.p_index - (ann.r_index - 50)) <= 3
@@ -125,8 +214,8 @@ def test_annotate_fiducials_near_template_centers():
 
 def test_suppressed_p_goes_invalid():
     samples = synthesize(SynthConfig(heart_rate=60.0, duration=10.0), make_template(p=0.0))
-    peaks = detect_r_peaks(samples, 250)
-    anns = annotate_beats(samples, peaks, 250)
+    peaks = detect_r_peaks(samples)
+    anns = annotate_beats(samples, peaks)
     assert anns
     assert all(not a.p_valid for a in anns)
     assert all(a.q_valid and a.s_valid and a.t_valid for a in anns)
@@ -137,8 +226,8 @@ def test_only_r_template_all_waves_invalid():
         SynthConfig(heart_rate=60.0, duration=10.0),
         make_template(p=0.0, q=0.0, s=0.0, t=0.0),
     )
-    peaks = detect_r_peaks(samples, 250)
-    anns = annotate_beats(samples, peaks, 250)
+    peaks = detect_r_peaks(samples)
+    anns = annotate_beats(samples, peaks)
     assert anns
     for a in anns:
         assert a.r_valid
@@ -148,11 +237,10 @@ def test_only_r_template_all_waves_invalid():
 def test_window_off_record_is_invalid():
     # slice the record so the first beat's P window starts before sample 0
     samples = synthesize(SynthConfig(heart_rate=60.0, duration=10.0))
-    codes = np.array([s.adc_code for s in samples], dtype=float)
-    first_r = detect_r_peaks(codes, 250)[0]
-    cut = codes[first_r - 55:]  # only 55 samples of history, P needs 60
-    peaks = detect_r_peaks(cut, 250)
-    anns = annotate_beats(cut, peaks, 250)
+    first_r = detect_r_peaks(samples)[0]
+    cut = samples[first_r - 55:]  # only 55 samples of history, P needs 60
+    peaks = detect_r_peaks(cut)
+    anns = annotate_beats(cut, peaks)
     lead = [a for a in anns if a.r_index == 55]
     assert len(lead) == 1
     assert not lead[0].p_valid
@@ -226,16 +314,16 @@ def test_scores_empty_raises():
 def test_noise_free_defaults_score_100():
     for duration in (5.0, 5.8, 7.3, 10.0, 20.0):
         samples = synthesize(SynthConfig(duration=duration))
-        peaks = detect_r_peaks(samples, 250)
-        scores = score_waves(annotate_beats(samples, peaks, 250))
+        peaks = detect_r_peaks(samples)
+        scores = score_waves(annotate_beats(samples, peaks))
         assert scores.as_tuple() == (100.0,) * 5, duration
 
 
 def test_higher_sample_rate_still_clean():
     samples = synthesize(SynthConfig(sample_rate=1000, heart_rate=60.0, duration=10.0))
-    peaks = detect_r_peaks(samples, 1000)
+    peaks = detect_r_peaks(samples)
     assert len(peaks) == 10
-    scores = score_waves(annotate_beats(samples, peaks, 1000))
+    scores = score_waves(annotate_beats(samples, peaks))
     assert scores.as_tuple() == (100.0,) * 5
 
 

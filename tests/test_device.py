@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ecgmon import device
+from ecgmon import delineate, device
 from ecgmon.delineate import WaveScores
 from ecgmon.device import (
     DeviceAgent,
@@ -145,34 +145,54 @@ def test_session_error_publishes_status_event():
     assert doc["event"] == "session_rejected"
 
 
-def test_session_stops_at_fifty_beats():
+@pytest.fixture
+def scored_lengths(monkeypatch):
+    """Lengths of the recordings the session hands to annotation."""
+    lengths = []
+    annotate = delineate.annotate_beats
+
+    def spy(recording, r_indices):
+        lengths.append(len(recording))
+        return annotate(recording, r_indices)
+
+    monkeypatch.setattr(delineate, "annotate_beats", spy)
+    return lengths
+
+
+def test_session_stops_at_fifty_beats(scored_lengths):
     # 72 bpm for 70 s would be ~84 beats; capture must stop around beat 50,
-    # i.e. roughly 42 s in, leaving the rest of the source unread
-    consumed = []
-
-    def source():
-        for s in synthesize(SynthConfig(duration=70.0)):
-            consumed.append(s)
-            yield s
-
-    outcome = run_ecg_session(source(), "p1", age=30)
+    # i.e. roughly 42 s in, leaving the rest of the recording unread
+    outcome = run_ecg_session(synthesize(SynthConfig(duration=70.0)), "p1", age=30)
     assert outcome.status == "Uploaded"
     # beat 50 is centered at (49 + 1/2) * 60/72 = 41.25 s
-    assert 41.0 <= consumed[-1].timestamp <= 45.0
+    (length,) = scored_lengths
+    assert 41.0 <= (length - 1) / 250 <= 45.0
 
 
-def test_session_timeout_at_sixty_seconds():
+def test_session_timeout_at_sixty_seconds(scored_lengths):
     # 45 bpm yields fewer than 50 beats in 60 s, so the timeout fires
-    captured = []
-
-    def source():
-        for s in synthesize(SynthConfig(heart_rate=45.0, duration=90.0)):
-            captured.append(s)
-            yield s
-
-    outcome = run_ecg_session(source(), "p1", age=30)
+    outcome = run_ecg_session(synthesize(SynthConfig(heart_rate=45.0, duration=90.0)),
+                              "p1", age=30)
     assert outcome.status == "Uploaded"
-    assert captured[-1].timestamp <= 61.0
+    (length,) = scored_lengths
+    assert (length - 1) / 250 <= 61.0
+    # the one-second read that reaches t = 60 s is the last one
+    assert length == 61 * 250
+
+
+def test_session_lead_off_at_start_still_scores():
+    # the first 2 s hold under 2 s of lead-on signal, so the stop check
+    # waits for more capture instead of failing
+    rec = synthesize(SynthConfig(duration=10.0, lead_off_intervals=((0.5, 1.5),)))
+    outcome = run_ecg_session(rec, "p1", age=30)
+    assert outcome.status == "Uploaded"
+    assert outcome.overall_score == 100.0
+
+
+def test_session_mostly_lead_off_raises_no_signal():
+    rec = synthesize(SynthConfig(duration=10.0, lead_off_intervals=((0.0, 9.0),)))
+    with pytest.raises(NoSignalError):
+        run_ecg_session(rec, "p1", age=30)
 
 
 def test_session_flat_signal_raises():
@@ -272,10 +292,13 @@ def test_agent_heartbeat_topic_and_payload():
 def test_agent_waveform_payload():
     published = []
     agent = DeviceAgent("p1", 30, lambda t, p, q: published.append((t, json.loads(p))))
-    samples = synthesize(SynthConfig(duration=2.0))
-    agent.publish_waveform(samples, seq=4)
+    rec = synthesize(SynthConfig(sample_rate=500, duration=2.0,
+                                 lead_off_intervals=((1.0, 1.5),)))
+    agent.publish_waveform(rec, seq=4)
     topic, doc = published[0]
     assert topic == "clinic/p1/ecg/waveform"
     assert doc["seq"] == 4
-    assert doc["sample_rate"] == 250
-    assert len(doc["samples"]) == 500
+    assert doc["sample_rate"] == 500
+    assert doc["samples"] == rec.codes.tolist()
+    assert doc["lead_off"] == rec.lead_off.tolist()
+    assert sum(doc["lead_off"]) == 250

@@ -58,62 +58,81 @@ def test_quantize_step_size():
 # --------------------------------------------------------------- synthesize
 
 def test_sample_count_and_spacing():
-    samples = synthesize(SynthConfig(sample_rate=250, duration=10.0))
-    assert len(samples) == 2500
-    assert samples[0].timestamp == 0.0
-    dt = np.diff([s.timestamp for s in samples])
-    assert np.allclose(dt, 1.0 / 250)
+    rec = synthesize(SynthConfig(sample_rate=250, duration=10.0))
+    assert len(rec) == 2500
+    assert rec.sample_rate == 250
+    assert rec.codes.shape == rec.lead_off.shape == (2500,)
+    assert rec.codes.dtype == np.int64
+    assert rec.lead_off.dtype == np.bool_
 
 
 def test_zero_duration_is_empty():
-    assert synthesize(SynthConfig(duration=0.0)) == []
+    rec = synthesize(SynthConfig(duration=0.0))
+    assert len(rec) == 0
+    assert len(rec.lead_off) == 0
 
 
 def test_beat_count_default_config():
     # 72 bpm, 10 s: centers at (k + 1/2) * 60/72 while center + 0.45 <= 10,
     # which admits k = 0..10.
-    samples = synthesize(SynthConfig())
-    codes = np.array([s.adc_code for s in samples])
+    codes = synthesize(SynthConfig()).codes
     # R peaks are the only excursions near the top of the swing
     high = codes > codes.min() + 0.8 * (codes.max() - codes.min())
     n_runs = int(np.sum(np.diff(high.astype(int)) == 1) + (1 if high[0] else 0))
     assert n_runs == 11
 
 
+def same_recording(a, b):
+    return (np.array_equal(a.codes, b.codes) and np.array_equal(a.lead_off, b.lead_off)
+            and a.sample_rate == b.sample_rate)
+
+
 def test_noise_free_is_deterministic():
     a = synthesize(SynthConfig(seed=None))
     b = synthesize(SynthConfig(seed=None))
-    assert a == b
+    assert same_recording(a, b)
 
 
 def test_seeded_noise_is_deterministic():
     cfg = SynthConfig(noise_std=20.0, seed=42)
-    assert synthesize(cfg) == synthesize(cfg)
+    assert same_recording(synthesize(cfg), synthesize(cfg))
     other = SynthConfig(noise_std=20.0, seed=43)
-    assert synthesize(other) != synthesize(cfg)
+    assert not same_recording(synthesize(other), synthesize(cfg))
 
 
 def test_codes_stay_in_adc_range():
     cfg = SynthConfig(noise_std=80.0, seed=1, adc_bits=10)
-    codes = [s.adc_code for s in synthesize(cfg)]
-    assert min(codes) >= 0
-    assert max(codes) <= 1023
+    codes = synthesize(cfg).codes
+    assert codes.min() >= 0
+    assert codes.max() <= 1023
 
 
 def test_lead_off_pins_rail_high():
     cfg = SynthConfig(duration=4.0, lead_off_intervals=((1.0, 2.0),))
-    samples = synthesize(cfg)
-    inside = [s for s in samples if 1.0 <= s.timestamp < 2.0]
-    outside = [s for s in samples if not (1.0 <= s.timestamp < 2.0)]
-    assert inside and all(s.lead_off and s.adc_code == 1023 for s in inside)
-    assert all(not s.lead_off for s in outside)
+    rec = synthesize(cfg)
+    t = np.arange(len(rec)) / rec.sample_rate
+    inside = (t >= 1.0) & (t < 2.0)
+    assert inside.any()
+    assert rec.lead_off[inside].all() and (rec.codes[inside] == 1023).all()
+    assert not rec.lead_off[~inside].any()
 
 
 def test_lead_off_boundaries_half_open():
     cfg = SynthConfig(sample_rate=250, duration=4.0, lead_off_intervals=((1.0, 2.0),))
-    by_ts = {s.timestamp: s for s in synthesize(cfg)}
-    assert by_ts[1.0].lead_off
-    assert not by_ts[2.0].lead_off
+    rec = synthesize(cfg)
+    assert not rec.lead_off[249]   # 0.996 s
+    assert rec.lead_off[250]       # 1.0 s
+    assert rec.lead_off[499]       # 1.996 s
+    assert not rec.lead_off[500]   # 2.0 s
+
+
+def test_slice_is_a_shorter_recording():
+    cfg = SynthConfig(sample_rate=500, duration=4.0, lead_off_intervals=((1.0, 2.0),))
+    rec = synthesize(cfg)
+    head = rec[:800]
+    assert len(head) == 800 and head.sample_rate == 500
+    assert np.array_equal(head.codes, rec.codes[:800])
+    assert np.array_equal(head.lead_off, rec.lead_off[:800])
 
 
 def test_suppressed_wave_changes_nothing_else():
@@ -124,8 +143,8 @@ def test_suppressed_wave_changes_nothing_else():
         s=DEFAULT_TEMPLATE.s,
         t=DEFAULT_TEMPLATE.t,
     )
-    base = np.array([s.adc_code for s in synthesize(SynthConfig())])
-    nop = np.array([s.adc_code for s in synthesize(SynthConfig(), flat_p)])
+    base = synthesize(SynthConfig()).codes
+    nop = synthesize(SynthConfig(), flat_p).codes
     # the two only differ around the P windows, and there nop <= base
     assert (nop <= base).all()
     assert (nop < base).any()
