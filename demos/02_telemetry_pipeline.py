@@ -16,7 +16,8 @@ from ecgmon.cli import start_system
 from ecgmon.config import GatewayConfig
 from ecgmon.mqtt.client import MqttClient
 
-workdir = tempfile.mkdtemp(prefix="ecgmon-demo-")
+scratch = tempfile.TemporaryDirectory(prefix="ecgmon-demo-")
+workdir = scratch.name
 
 # Port 0 asks the OS for free ports, so the demo never collides with a
 # real deployment.
@@ -67,4 +68,5 @@ print(f"GET /stats                       -> {stats['count']} stored record(s), "
       f"mean R {stats['stats']['R']['mean']}")
 
 system.stop()
+scratch.cleanup()
 print("\npipeline shut down cleanly")

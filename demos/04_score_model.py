@@ -40,9 +40,10 @@ print(f"\n  mae {report.mae:.4f}   mse {report.mse:.4f}   accuracy {report.accur
 # The model file is plain text and survives a round trip at full
 # precision, so the gateway's prediction route serves exactly the
 # coefficients fitted here.
-path = os.path.join(tempfile.mkdtemp(), "score-model.txt")
-regression.save_model(model, path, metadata={"trained_on": "bundled capture"})
-reloaded = regression.load_model(path)
+with tempfile.TemporaryDirectory() as workdir:
+    path = os.path.join(workdir, "score-model.txt")
+    regression.save_model(model, path, metadata={"trained_on": "bundled capture"})
+    reloaded = regression.load_model(path)
 assert reloaded == model
 print(f"\nmodel round-trips through {os.path.basename(path)}")
 

@@ -32,7 +32,6 @@ class GatewayConfig:
     store_root: str = "./telemetry"
     theta_excellent: float = 96.0
     theta_acceptable: float = 85.0
-    gating_threshold: float = 80.0
     model_path: Optional[str] = None
     mqtt_username: Optional[str] = None
     mqtt_password: Optional[str] = None
@@ -84,7 +83,6 @@ def load_config(path=None, overrides: Optional[dict] = None) -> GatewayConfig:
         "store_root": str,
         "theta_excellent": float,
         "theta_acceptable": float,
-        "gating_threshold": float,
         "model_path": str,
         "mqtt_username": str,
         "mqtt_password": str,

@@ -27,6 +27,7 @@ __all__ = ["Gateway"]
 log = logging.getLogger("ecgmon.gateway")
 
 _PATIENT_ID = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
+MAX_BODY_BYTES = 1 << 20   # a valid ingest body is under 1 KB
 
 
 def _parse_rfc3339(text: str) -> int:
@@ -68,6 +69,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -199,8 +202,16 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            length = 0
-        raw = self.rfile.read(length) if length else b""
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the body stays unread, so the connection cannot carry another request
+            self.close_connection = True
+            if length < 0:
+                self._problem(400, "bad_length", "Content-Length must be a non-negative integer")
+            else:
+                self._problem(413, "body_too_large", f"body exceeds {MAX_BODY_BYTES} bytes")
+            return
+        raw = self.rfile.read(length)
         if not raw:
             self._problem(400, "empty_body", "request body is required")
             return

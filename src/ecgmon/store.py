@@ -3,13 +3,14 @@
 One log file per topic class and UTC day under the store root; every
 line is a self-contained JSON object whose trailing "crc" field is the
 CRC-32 of the line without it.  Appends are fsynced before returning,
-an in-memory offset index is rebuilt by scanning the logs on open, and
-a torn final line (a crash mid-append) is detected and truncated away
-without touching earlier documents.
+an in-memory offset index per (class, patient) is rebuilt by scanning
+the logs on open, and a torn final line (a crash mid-append) is detected
+and truncated away without touching earlier documents.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -58,14 +59,10 @@ class StoredDocument:
     message_id: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _IndexEntry:
     sequence: int
-    topic_class: str
-    topic: str
-    patient_id: str
     received_at: int
-    message_id: Optional[int]
     path: Path
     offset: int
     length: int
@@ -201,69 +198,48 @@ class RecordStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._index: list[_IndexEntry] = []
+        # (topic class, patient id) -> that patient's entries in sequence order
+        self._index: dict[tuple[str, str], list[_IndexEntry]] = {}
         self._dedup: dict[tuple[str, int], int] = {}
-        self._dedup_day = ""
-        self._next_seq = 1
-        self._write_handles: dict[Path, object] = {}
+        # topic class -> (path, handle) of the one day file it appends to
+        self._write_handles: dict[str, tuple[Path, object]] = {}
         self._closed = False
         self._rebuild()
 
     # ----------------------------------------------------------- open
 
     def _rebuild(self) -> None:
-        entries = []
-        today = _day_of(_now_ms())
+        """Index every log and set the next sequence and today's dedup keys."""
+        self._dedup_day = _day_of(_now_ms())
         for klass in TOPIC_CLASSES:
-            class_dir = self.root / klass
-            if not class_dir.is_dir():
-                continue
-            for path in sorted(class_dir.glob("*.log")):
-                entries.extend(self._scan_file(klass, path))
-        entries.sort(key=lambda e: e.sequence)
-        self._index = entries
-        self._next_seq = entries[-1].sequence + 1 if entries else 1
-        self._dedup_day = today
-        self._dedup = {
-            (e.topic, e.message_id): e.sequence
-            for e in entries
-            if e.message_id is not None and _day_of(e.received_at) == today
-        }
+            for path in sorted(self.root.glob(f"{klass}/*.log")):
+                self._scan_file(klass, path)
+        for entries in self._index.values():
+            # appends dated out of day order put later sequences in earlier files
+            entries.sort(key=lambda e: e.sequence)
+        self._next_seq = max((e[-1].sequence for e in self._index.values()), default=0) + 1
 
-    def _scan_file(self, klass: str, path: Path) -> list[_IndexEntry]:
-        entries = []
+    def _scan_file(self, klass: str, path: Path) -> None:
+        # a file holds the documents received on the day it is named after,
+        # so only today's file can hold keys a redelivery may still hit
+        today = path.stem == self._dedup_day
         with open(path, "rb") as fh:
             offset = 0
-            while True:
-                raw = fh.readline()
-                if not raw:
-                    break
+            for raw in fh:
                 record = _decode_line(raw) if raw.endswith(b"\n") else None
                 if record is None:
                     # Damage is tolerated only at the very end of the file
                     # (a torn final append); anything else is corruption.
                     if fh.read(1) == b"":
-                        self._truncate(path, offset)
+                        os.truncate(path, offset)
                         break
                     raise StoreError(f"corrupt log line mid-file in {path} at offset {offset}")
-                entries.append(_IndexEntry(
-                    sequence=record["seq"],
-                    topic_class=klass,
-                    topic=record["topic"],
-                    patient_id=record["patient_id"],
-                    received_at=record["received_at"],
-                    message_id=record.get("message_id"),
-                    path=path,
-                    offset=offset,
-                    length=len(raw),
-                ))
+                seq = record["seq"]
+                self._index.setdefault((klass, record["patient_id"]), []).append(
+                    _IndexEntry(seq, record["received_at"], path, offset, len(raw)))
+                if today and record.get("message_id") is not None:
+                    self._dedup[(record["topic"], record["message_id"])] = seq
                 offset += len(raw)
-        return entries
-
-    @staticmethod
-    def _truncate(path: Path, size: int) -> None:
-        with open(path, "r+b") as fh:
-            fh.truncate(size)
 
     # ----------------------------------------------------------- write
 
@@ -306,13 +282,8 @@ class RecordStore:
                 "payload": payload,
             }
             line = _encode_line(record)
-            path = self.root / klass / f"{day}.log"
             try:
-                fh = self._write_handles.get(path)
-                if fh is None:
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    fh = open(path, "ab")
-                    self._write_handles[path] = fh
+                path, fh = self._day_file(klass, day)
                 offset = fh.tell()
                 fh.write(line)
                 fh.flush()
@@ -321,68 +292,86 @@ class RecordStore:
                 raise StoreError(f"append failed: {exc}") from exc
 
             self._next_seq = seq + 1
-            self._index.append(_IndexEntry(seq, klass, topic, patient_id, ts,
-                                           message_id, path, offset, len(line)))
+            self._index.setdefault((klass, patient_id), []).append(
+                _IndexEntry(seq, ts, path, offset, len(line)))
             if message_id is not None:
                 self._dedup[(topic, message_id)] = seq
             return seq
 
+    def _day_file(self, klass: str, day: str) -> tuple[Path, object]:
+        """The class's append handle for one day; a new day closes the old one."""
+        current = self._write_handles.get(klass)
+        if current is not None and current[0].stem == day:
+            return current
+        if current is not None:
+            current[1].close()
+        path = self.root / klass / f"{day}.log"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.touch()
+        # A new file is lost with its directory entry, so the class directory
+        # and the root are synced before its first ack.  Syncing on every open
+        # also covers a file that an earlier open created and failed to sync.
+        for directory in (path.parent, self.root):
+            fd = os.open(directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        current = self._write_handles[klass] = (path, open(path, "ab"))
+        return current
+
     # ----------------------------------------------------------- read
 
-    def _entries(self, patient_id: Optional[str], topic: str,
-                 from_ts: float, to_ts: float) -> list[_IndexEntry]:
-        klass = topic if topic in TOPIC_CLASSES else parse_topic(topic)[1]
+    def _entries(self, patient_id: Optional[str], topic_class: str) -> list[_IndexEntry]:
+        """A copy of one patient's entries, or of the whole class's, by sequence."""
+        if topic_class not in TOPIC_CLASSES:
+            raise ValidationError("topic", f"unrecognized topic class {topic_class!r}")
         with self._lock:
-            snapshot = list(self._index)
-        return [
-            e for e in snapshot
-            if e.topic_class == klass
-            and (patient_id is None or e.patient_id == patient_id)
-            and from_ts <= e.received_at < to_ts
-        ]
+            if patient_id is not None:
+                return list(self._index.get((topic_class, patient_id), ()))
+            entries = [e for (klass, _), listed in self._index.items()
+                       if klass == topic_class for e in listed]
+        entries.sort(key=lambda e: e.sequence)
+        return entries
 
-    def read_range(self, patient_id: Optional[str], topic: str,
+    def read_range(self, patient_id: Optional[str], topic_class: str,
                    from_ts: float, to_ts: float) -> list[StoredDocument]:
         """Documents in the half-open window [from_ts, to_ts), sequence order.
 
-        `topic` may be a topic class name or a full telemetry topic; an
-        unknown patient simply yields an empty list.
+        An unknown patient simply yields an empty list.
         """
         if from_ts > to_ts:
             raise ValueError("from_ts must be <= to_ts")
-        return [self._load(e) for e in self._entries(patient_id, topic, from_ts, to_ts)]
+        return self._load([e for e in self._entries(patient_id, topic_class)
+                           if from_ts <= e.received_at < to_ts])
 
     def read_class(self, topic_class: str, patient_id: Optional[str] = None) -> list[StoredDocument]:
         """Every stored document of one class, oldest first."""
-        return [self._load(e) for e in self._entries(patient_id, topic_class,
-                                                     float("-inf"), float("inf"))]
+        return self._load(self._entries(patient_id, topic_class))
 
     def latest(self, patient_id: str, topic_class: str) -> Optional[StoredDocument]:
         """The most recently received document of a class for one patient."""
-        entries = self._entries(patient_id, topic_class, float("-inf"), float("inf"))
-        if not entries:
-            return None
-        best = max(entries, key=lambda e: (e.received_at, e.sequence))
-        return self._load(best)
+        best = max(self._entries(patient_id, topic_class),
+                   key=lambda e: (e.received_at, e.sequence), default=None)
+        return None if best is None else self._load([best])[0]
 
-    def _load(self, entry: _IndexEntry) -> StoredDocument:
+    def _load(self, entries: list[_IndexEntry]) -> list[StoredDocument]:
+        """Read entries back, opening each file once per run of entries in it."""
+        docs = []
         try:
-            with open(entry.path, "rb") as fh:
-                fh.seek(entry.offset)
-                raw = fh.read(entry.length)
+            for path, run in itertools.groupby(entries, key=lambda e: e.path):
+                with open(path, "rb") as fh:
+                    for entry in run:
+                        fh.seek(entry.offset)
+                        record = _decode_line(fh.read(entry.length))
+                        if record is None:
+                            raise StoreError(f"checksum failure in {path} at offset {entry.offset}")
+                        docs.append(StoredDocument(
+                            record["seq"], record["topic"], record["patient_id"],
+                            record["received_at"], record["payload"], record.get("message_id")))
         except OSError as exc:
             raise StoreError(f"read failed: {exc}") from exc
-        record = _decode_line(raw)
-        if record is None:
-            raise StoreError(f"checksum failure in {entry.path} at offset {entry.offset}")
-        return StoredDocument(
-            sequence=record["seq"],
-            topic=record["topic"],
-            patient_id=record["patient_id"],
-            received_at=record["received_at"],
-            payload=record["payload"],
-            message_id=record.get("message_id"),
-        )
+        return docs
 
     # ----------------------------------------------------------- export
 
@@ -406,7 +395,7 @@ class RecordStore:
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            for fh in self._write_handles.values():
+            for _, fh in self._write_handles.values():
                 try:
                     fh.close()
                 except OSError:

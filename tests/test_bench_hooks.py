@@ -1,0 +1,47 @@
+"""The benchmark's traced run wraps ecgmon functions by name; these checks
+fail fast when a rename in ecgmon leaves one of those names behind."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+from ecgmon import store as store_mod
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import tracing
+    return tracing
+
+
+def test_install_and_uninstall_restore_every_hook(tracing):
+    originals = {name: vars(store_mod.RecordStore)[name]
+                 for name in ("__init__", "append", "read_range", "read_class", "latest")}
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        assert store_mod.RecordStore.read_class is not originals["read_class"]
+    finally:
+        tracer.uninstall()
+    assert store_mod.os is os
+    assert "open" not in vars(store_mod)
+    assert {name: vars(store_mod.RecordStore)[name] for name in originals} == originals
+
+
+def test_traced_read_counts_one_open_per_day_file(tracing, tmp_path):
+    with store_mod.RecordStore(tmp_path) as store:
+        for n in range(4):
+            store.append("clinic/p1/heartbeat", "p1",
+                         {"patient_id": "p1", "bpm": 60 + n, "window_seconds": 20,
+                          "measured_at": "2026-01-05T10:00:00Z"},
+                         received_at=1_767_600_000_000 + (n // 2) * 86_400_000)
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert len(store.read_class("heartbeat")) == 4
+    reads = {s.sid for s in tracer.spans if s.name == "store.read_class"}
+    opens = [s for s in tracer.spans if s.name == "store.open_file" and s.parent in reads]
+    assert len(reads) == 1 and len(opens) == 2

@@ -318,6 +318,10 @@ def test_load_config_unknown_key(tmp_path):
     path.write_text("mystery = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="mystery"):
         load_config(path)
+    # the device's upload gate is fixed; the gateway has no such setting
+    path.write_text("gating_threshold = 80\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="gating_threshold"):
+        load_config(path)
 
 
 def test_load_config_equal_ports_rejected():

@@ -17,9 +17,12 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # the demos write their stores and models under tempfile
+    env["TMPDIR"] = str(tmpdir)  # the demos write their stores and models under tempfile
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr[-2000:]
+    assert list(tmpdir.iterdir()) == [], "the demo left temporary files behind"

@@ -4,12 +4,13 @@ and the ingest endpoint, each against a live server on a loopback port.
 
 import http.client
 import json
+import socket
 
 import pytest
 
 from ecgmon import analytics, regression, sample_data
 from ecgmon.config import GatewayConfig
-from ecgmon.gateway import Gateway
+from ecgmon.gateway import MAX_BODY_BYTES, Gateway
 from ecgmon.store import RecordStore
 
 # received_at used by the window tests: 2023-11-14T22:13:20Z exactly
@@ -200,6 +201,32 @@ def test_ingest_bad_kind_400(gw, kind):
     status, problem = request(gw, "POST", "/ingest", body=body)
     assert status == 400
     assert problem["code"] == "bad_kind"
+
+
+@pytest.mark.parametrize("length,status,code", [
+    ("-5", 400, "bad_length"),
+    ("twelve", 400, "bad_length"),
+    (str(MAX_BODY_BYTES + 1), 413, "body_too_large"),
+])
+def test_ingest_bad_content_length_answered_without_reading_body(gw, length, status, code):
+    # The client keeps the connection open and sends no body, so a handler
+    # that tried to read one would never answer.
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=1.0) as sock:
+        sock.sendall(f"POST /ingest HTTP/1.1\r\nHost: localhost\r\n"
+                     f"Connection: keep-alive\r\nContent-Length: {length}\r\n\r\n".encode())
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        problem = json.loads(resp.read())
+    assert resp.status == status
+    assert problem["code"] == code
+    # the unread body would desynchronize the connection, so it is closed
+    assert resp.getheader("Connection") == "close"
+
+
+def test_ingest_body_at_the_limit_is_read(gw):
+    status, body = request(gw, "POST", "/ingest", body=b" " * MAX_BODY_BYTES)
+    assert status == 400
+    assert body["code"] == "bad_json"
 
 
 def test_ingest_bad_payload_patient_id_400(gw):

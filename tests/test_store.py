@@ -2,12 +2,15 @@
 dedup, schema checks, range reads, and CSV export.
 """
 
+import builtins
 import json
+import os
+import stat
 import zlib
 
 import pytest
 
-from ecgmon import sample_data
+from ecgmon import sample_data, store as store_mod
 from ecgmon.store import (
     RecordStore,
     StoreError,
@@ -80,10 +83,14 @@ def test_read_range_half_open(store):
         store.read_range("p1", "heartbeat", 5, 4)
 
 
-def test_read_range_accepts_full_topic(store):
+def test_unknown_class_rejected(store):
     store.append("clinic/p1/heartbeat", "p1", heartbeat(), received_at=1000)
-    docs = store.read_range("p1", "clinic/p1/heartbeat", 0, 10_000)
-    assert len(docs) == 1
+    with pytest.raises(ValidationError):
+        store.read_class("bloodpressure")
+    with pytest.raises(ValidationError):
+        store.read_range("p1", "clinic/p1/heartbeat", 0, 10_000)
+    with pytest.raises(ValidationError):
+        store.latest("p1", "ecg")
 
 
 def test_read_unknown_patient_is_empty(store):
@@ -122,6 +129,118 @@ def test_log_file_layout(store, tmp_path):
     # trailing crc field covers everything before itself
     body = line[:line.rfind(',"crc":')] + "}"
     assert record["crc"] == zlib.crc32(body.encode())
+
+
+DAY_MS = 86_400_000
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file object the store module opens from now on."""
+    files = []
+
+    def spy(*args, **kwargs):
+        fh = builtins.open(*args, **kwargs)
+        files.append(fh)
+        return fh
+
+    monkeypatch.setattr(store_mod, "open", spy, raising=False)
+    return files
+
+
+def append_interleaved(store):
+    """Three patients' documents interleaved over three day files."""
+    for day in range(3):
+        for pid in ("p1", "p2", "p3"):
+            store.append(f"clinic/{pid}/ecg/pqrst", pid, pqrst(pid, record_no=day + 1),
+                         received_at=1_767_600_000_000 + day * DAY_MS)
+
+
+def test_read_class_opens_each_day_file_once(tmp_path, opened):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        append_interleaved(store)
+    with RecordStore(root) as store:
+        opened.clear()
+        docs = store.read_class("pqrst")
+        assert [d.sequence for d in docs] == list(range(1, 10))
+        assert [d.patient_id for d in docs] == ["p1", "p2", "p3"] * 3
+        assert len(opened) == 3
+        assert all(fh.closed for fh in opened)
+
+
+def test_patient_read_opens_only_its_files(store, opened):
+    append_interleaved(store)
+    for no in (1, 2, 3):
+        store.append("clinic/p9/ecg/pqrst", "p9", pqrst("p9", record_no=no),
+                     received_at=1_767_600_000_000 + DAY_MS + no)
+    opened.clear()
+    docs = store.read_class("pqrst", "p9")
+    assert [d.sequence for d in docs] == [10, 11, 12]
+    assert len(opened) == 1
+    opened.clear()
+    assert [d.sequence for d in store.read_range("p2", "pqrst", 0, 2**62)] == [2, 5, 8]
+    assert len(opened) == 3
+
+
+def test_reopen_keeps_sequence_order_for_days_appended_out_of_order(tmp_path):
+    root = tmp_path / "telemetry"
+    days = [2, 0, 2, 1, 0]
+    with RecordStore(root) as store:
+        for n, day in enumerate(days):
+            store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60 + n),
+                         received_at=1_767_600_000_000 + day * DAY_MS)
+    with RecordStore(root) as store:
+        assert [d.sequence for d in store.read_class("heartbeat", "p1")] == [1, 2, 3, 4, 5]
+        assert [d.sequence for d in store.read_class("heartbeat")] == [1, 2, 3, 4, 5]
+        assert store.latest("p1", "heartbeat").payload["bpm"] == 62
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat()) == 6
+
+
+def test_byte_flipped_after_open_fails_the_read(store, tmp_path):
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60))
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=61))
+    log = next((tmp_path / "telemetry" / "heartbeat").glob("*.log"))
+    raw = log.read_bytes()
+    log.write_bytes(raw[:20] + bytes([raw[20] ^ 0xFF]) + raw[21:])
+    with pytest.raises(StoreError, match="checksum"):
+        store.read_class("heartbeat")
+    with pytest.raises(StoreError, match="checksum"):
+        store.read_range("p1", "heartbeat", 0, 2**62)
+
+
+def test_one_write_handle_per_class_across_days(store, opened):
+    for day in range(40):
+        ts = 1_767_600_000_000 + day * DAY_MS
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(), received_at=ts)
+        store.append("clinic/p1/ecg/pqrst", "p1", pqrst(record_no=day + 1), received_at=ts)
+    assert len(opened) == 80
+    assert sum(not fh.closed for fh in opened) == 2
+    assert len(store.read_class("heartbeat")) == 40
+    store.close()
+    assert all(fh.closed for fh in opened)
+
+
+def test_new_day_file_syncs_its_directories(store, tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        info = os.fstat(fd)
+        synced.append(info.st_ino if stat.S_ISDIR(info.st_mode) else "file")
+        real_fsync(fd)
+
+    monkeypatch.setattr(store_mod.os, "fsync", spy)
+    root = tmp_path / "telemetry"
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(), received_at=1_767_600_000_000)
+    class_dir, root_dir = (root / "heartbeat").stat().st_ino, root.stat().st_ino
+    assert synced == [class_dir, root_dir, "file"]
+    synced.clear()
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=73), received_at=1_767_600_000_001)
+    assert synced == ["file"]
+    synced.clear()
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(), received_at=1_767_600_000_000 + DAY_MS)
+    assert synced == [class_dir, root_dir, "file"]
 
 
 # ------------------------------------------------------------------ dedup
