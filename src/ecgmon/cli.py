@@ -9,11 +9,10 @@ or a store directory.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -128,12 +127,8 @@ def _cmd_ingest_csv(args) -> int:
     store = _open_store(args)
     try:
         for r in records:
-            payload = {
-                "record_no": r.record_no, "age": r.age,
-                "p": r.p, "q": r.q, "r": r.r, "s": r.s, "t": r.t,
-                "patient_id": args.patient, "captured_at": r.captured_at,
-            }
-            store.append(f"clinic/{args.patient}/ecg/pqrst", args.patient, payload)
+            store.append(device.topic(args.patient, "pqrst"), args.patient,
+                         asdict(replace(r, patient_id=args.patient)))
     finally:
         store.close()
     print(f"ingested {len(records)} records for patient {args.patient}")

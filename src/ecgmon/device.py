@@ -10,7 +10,8 @@ and uploads the record only when the session scores above the gate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Iterable, Optional
@@ -26,6 +27,9 @@ __all__ = [
     "NoPulseError",
     "NoSignalError",
     "CSV_HEADER",
+    "TOPIC_SUFFIXES",
+    "topic",
+    "pqrst_row",
     "measure_heartbeat",
     "overall_score",
     "run_ecg_session",
@@ -42,6 +46,10 @@ SESSION_TIMEOUT_S = 60.0
 UPLOAD_GATE = 80.0
 
 CSV_HEADER = "Record No,Age,P,Q,R,S,T"
+
+# Topics are clinic/{patient_id}/{suffix}; the store derives its classes and parser from these.
+TOPIC_SUFFIXES = {"heartbeat": "heartbeat", "waveform": "ecg/waveform",
+                  "pqrst": "ecg/pqrst", "status": "status"}
 
 # publish callback: (topic, payload bytes, qos) -> None
 Publisher = Callable[[str, bytes, int], None]
@@ -80,6 +88,15 @@ class PqrstRecord:
     def scores(self) -> tuple[float, float, float, float, float]:
         return (self.p, self.q, self.r, self.s, self.t)
 
+    @classmethod
+    def from_payload(cls, payload: dict) -> "PqrstRecord":
+        """The record a validated pqrst document holds; other keys are ignored."""
+        return cls(*pqrst_row(payload), payload.get("patient_id", ""), payload.get("captured_at"))
+
+
+# A pqrst document's seven columns, in the order of analytics.COLUMNS.
+pqrst_row = operator.itemgetter("record_no", "age", "p", "q", "r", "s", "t")
+
 
 @dataclass(frozen=True)
 class SessionOutcome:
@@ -88,6 +105,11 @@ class SessionOutcome:
     scores: Optional[WaveScores]
     message: str
     record: Optional[PqrstRecord] = None
+
+
+def topic(patient_id: str, klass: str) -> str:
+    """The topic a device publishes documents of one class on."""
+    return f"clinic/{patient_id}/{TOPIC_SUFFIXES[klass]}"
 
 
 def _now_iso() -> str:
@@ -170,15 +192,7 @@ def run_ecg_session(
             captured_at=_now_iso(),
         )
         if publish is not None:
-            payload = {
-                "record_no": record.record_no,
-                "age": record.age,
-                "p": record.p, "q": record.q, "r": record.r,
-                "s": record.s, "t": record.t,
-                "patient_id": record.patient_id,
-                "captured_at": record.captured_at,
-            }
-            publish(f"clinic/{patient_id}/ecg/pqrst", json.dumps(payload).encode(), 1)
+            publish(topic(patient_id, "pqrst"), json.dumps(asdict(record)).encode(), 1)
         return SessionOutcome("Uploaded", overall, scores, "OK", record)
 
     if publish is not None:
@@ -189,7 +203,7 @@ def run_ecg_session(
             "overall_score": overall,
             "at": _now_iso(),
         }
-        publish(f"clinic/{patient_id}/status", json.dumps(event).encode(), 1)
+        publish(topic(patient_id, "status"), json.dumps(event).encode(), 1)
     return SessionOutcome("Error", overall, scores, "ERROR", None)
 
 
@@ -244,13 +258,7 @@ class DeviceAgent:
 
     def measure_and_publish_heartbeat(self, pulse_source: Iterable[float]) -> HeartbeatReading:
         reading = measure_heartbeat(pulse_source, self.patient_id)
-        payload = {
-            "patient_id": reading.patient_id,
-            "bpm": reading.bpm,
-            "window_seconds": reading.window_seconds,
-            "measured_at": reading.measured_at,
-        }
-        self.publish(f"clinic/{self.patient_id}/heartbeat", json.dumps(payload).encode(), 1)
+        self.publish(topic(self.patient_id, "heartbeat"), json.dumps(asdict(reading)).encode(), 1)
         return reading
 
     def run_and_publish_session(self, recording: Recording) -> SessionOutcome:
@@ -273,4 +281,4 @@ class DeviceAgent:
             "samples": recording.codes.tolist(),
             "lead_off": recording.lead_off.tolist(),
         }
-        self.publish(f"clinic/{self.patient_id}/ecg/waveform", json.dumps(payload).encode(), 1)
+        self.publish(topic(self.patient_id, "waveform"), json.dumps(payload).encode(), 1)

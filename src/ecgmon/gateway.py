@@ -11,22 +11,20 @@ from __future__ import annotations
 import json
 import logging
 import math
-import re
 import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from . import analytics, regression
+from . import analytics, device, regression
 from .config import GatewayConfig
-from .store import RecordStore, ValidationError
+from .store import PATIENT_ID, RecordStore, ValidationError
 
 __all__ = ["Gateway"]
 
 log = logging.getLogger("ecgmon.gateway")
 
-_PATIENT_ID = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 MAX_BODY_BYTES = 1 << 20   # a valid ingest body is under 1 KB
 
 
@@ -55,6 +53,9 @@ def _jsonable(value):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "ecgmon"
+    # headers and body go out in two writes; with Nagle's algorithm the body
+    # waits for the client's delayed ACK of the headers on a keep-alive connection
+    disable_nagle_algorithm = True
 
     # set by Gateway when building the server
     gateway: "Gateway"
@@ -111,9 +112,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._problem(500, "internal_error", str(exc))
 
     def _with_patient(self, patient_id: str, handler, *args) -> None:
-        if not _PATIENT_ID.match(patient_id):
-            self._problem(400, "bad_patient_id",
-                          "patient id must match [A-Za-z0-9_-]{1,64}")
+        if not PATIENT_ID.fullmatch(patient_id):
+            self._problem(400, "bad_patient_id", f"patient id must match {PATIENT_ID.pattern}")
             return
         handler(patient_id, *args)
 
@@ -150,11 +150,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not docs:
             self._problem(404, "empty_store", "no score records stored yet")
             return
-        dataset = analytics.Dataset(
-            [(d.payload["record_no"], d.payload["age"], d.payload["p"],
-              d.payload["q"], d.payload["r"], d.payload["s"], d.payload["t"])
-             for d in docs]
-        )
+        dataset = analytics.Dataset([device.pqrst_row(d.payload) for d in docs])
         summary = analytics.describe(dataset)
         # correlation is undefined on a single row; the field goes null
         correlation = None
@@ -186,16 +182,14 @@ class _Handler(BaseHTTPRequestHandler):
         if doc is None:
             self._problem(404, "no_records", f"no score records for {patient_id}")
             return
-        p = doc.payload
-        row = {"P": p["p"], "Q": p["q"], "R": p["r"], "S": p["s"], "T": p["t"],
-               "Age": p["age"], "RecordNo": p["record_no"]}
+        row = dict(zip(analytics.COLUMNS, device.pqrst_row(doc.payload)))
         predicted = regression.predict(model, row)
         self._send_json(200, {
             "patient_id": patient_id,
-            "record_no": p["record_no"],
-            "actual_r": p["r"],
+            "record_no": row["RecordNo"],
+            "actual_r": row["R"],
             "predicted_r": predicted,
-            "abs_error": abs(p["r"] - predicted),
+            "abs_error": abs(row["R"] - predicted),
         })
 
     def _post_ingest(self) -> None:
@@ -224,17 +218,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._problem(400, "bad_json", "body must be a JSON object")
             return
         kind = body.pop("kind", None)
-        suffix = {"heartbeat": "heartbeat", "pqrst": "ecg/pqrst"}.get(kind)
-        if suffix is None:
+        if kind not in ("heartbeat", "pqrst"):
             self._problem(400, "bad_kind", "kind must be 'heartbeat' or 'pqrst'")
             return
         patient_id = body.get("patient_id")
-        if not isinstance(patient_id, str) or not _PATIENT_ID.match(patient_id):
+        if not isinstance(patient_id, str) or not PATIENT_ID.fullmatch(patient_id):
             self._problem(400, "bad_patient_id", "payload patient_id is missing or invalid")
             return
-        topic = f"clinic/{patient_id}/{suffix}"
         try:
-            seq = self.gateway.store.append(topic, patient_id, body)
+            seq = self.gateway.store.append(device.topic(patient_id, kind), patient_id, body)
         except ValidationError as exc:
             status = 422 if exc.out_of_range else 400
             self._problem(status, "invalid_document", str(exc))

@@ -3,8 +3,8 @@
 QoS 1 publishes wait for the PUBACK and retransmit with the DUP flag
 after an ack timeout; if the connection drops, the client reconnects
 (clean session), replays its subscriptions, and retransmits everything
-still unacknowledged.  Duplicate deliveries caused by these retries are
-absorbed downstream by the store's (topic, message id) dedup key.
+still unacknowledged.  The store's dedup key (topic, message id, payload
+digest) absorbs the duplicate deliveries these retries cause.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class MqttClient:
         self.password = password
         self.ack_timeout = ack_timeout
         self.max_retries = max_retries
-        # Packet ids start at a random point so ids from a previous
-        # session of the same device do not collide in the store's
-        # same-day dedup window.
+        # Packet ids start at a random point, so a new session of the same
+        # device rarely reuses an id the store saw today; a reused id is
+        # only deduplicated when the payload repeats too.
         self._pid = random.randrange(1, 0x10000)
         self._sock: Optional[socket.socket] = None
         self._lock = threading.RLock()

@@ -10,9 +10,11 @@ and truncated away without touching earlier documents.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
+import re
 import threading
 import time
 import zlib
@@ -29,10 +31,14 @@ __all__ = [
     "StoreError",
     "ValidationError",
     "TOPIC_CLASSES",
+    "PATIENT_ID",
     "parse_topic",
 ]
 
-TOPIC_CLASSES = ("heartbeat", "waveform", "pqrst", "status")
+TOPIC_CLASSES = tuple(device.TOPIC_SUFFIXES)
+_CLASS_OF_SUFFIX = {suffix: klass for klass, suffix in device.TOPIC_SUFFIXES.items()}
+# A patient id is one safe path segment, in a topic and in a gateway URL alike.
+PATIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
 
 
 class StoreError(RuntimeError):
@@ -69,18 +75,18 @@ class _IndexEntry:
 
 
 def parse_topic(topic: str) -> tuple[str, str]:
-    """Map a telemetry topic to (patient_id, topic class).
+    """Map a telemetry topic, as `device.topic` builds it, to (patient_id, class).
 
-    The scheme is clinic/{patient_id}/{heartbeat|ecg/waveform|ecg/pqrst|status}.
+    A topic whose patient id does not match `PATIENT_ID` is rejected, so
+    every stored document can be read back through the gateway.
     """
-    parts = topic.split("/")
-    if len(parts) >= 3 and parts[0] == "clinic" and parts[1]:
-        tail = "/".join(parts[2:])
-        klass = {"heartbeat": "heartbeat", "ecg/waveform": "waveform",
-                 "ecg/pqrst": "pqrst", "status": "status"}.get(tail)
-        if klass is not None:
-            return parts[1], klass
-    raise ValidationError("topic", f"unrecognized topic {topic!r}")
+    patient_id, _, suffix = topic.partition("/")[2].partition("/")
+    klass = _CLASS_OF_SUFFIX.get(suffix)
+    if klass is None or device.topic(patient_id, klass) != topic:
+        raise ValidationError("topic", f"unrecognized topic {topic!r}")
+    if not PATIENT_ID.fullmatch(patient_id):
+        raise ValidationError("patient_id", f"{patient_id!r} must match {PATIENT_ID.pattern}")
+    return patient_id, klass
 
 
 # ------------------------------------------------------------- schemas
@@ -161,6 +167,13 @@ _VALIDATORS = {
 }
 
 
+def _dedup_key(topic: str, message_id: int, payload: dict) -> tuple[str, int, bytes]:
+    """A redelivery repeats the topic, the packet id and the payload; a new
+    message that reuses the packet id differs in the payload's digest."""
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return topic, message_id, hashlib.blake2b(body, digest_size=8).digest()
+
+
 def _now_ms() -> int:
     return time.time_ns() // 1_000_000
 
@@ -200,7 +213,7 @@ class RecordStore:
         self._lock = threading.Lock()
         # (topic class, patient id) -> that patient's entries in sequence order
         self._index: dict[tuple[str, str], list[_IndexEntry]] = {}
-        self._dedup: dict[tuple[str, int], int] = {}
+        self._dedup: dict[tuple[str, int, bytes], int] = {}
         # topic class -> (path, handle) of the one day file it appends to
         self._write_handles: dict[str, tuple[Path, object]] = {}
         self._closed = False
@@ -238,7 +251,8 @@ class RecordStore:
                 self._index.setdefault((klass, record["patient_id"]), []).append(
                     _IndexEntry(seq, record["received_at"], path, offset, len(raw)))
                 if today and record.get("message_id") is not None:
-                    self._dedup[(record["topic"], record["message_id"])] = seq
+                    key = _dedup_key(record["topic"], record["message_id"], record["payload"])
+                    self._dedup[key] = seq
                 offset += len(raw)
 
     # ----------------------------------------------------------- write
@@ -248,8 +262,8 @@ class RecordStore:
                received_at: Optional[int] = None) -> int:
         """Validate, persist, and index one document; returns its sequence.
 
-        A redelivery (same topic and message id within the current UTC
-        day) returns the original sequence without writing anything.
+        A redelivery (same topic, message id and payload within the current
+        UTC day) returns the original sequence without writing anything.
         """
         topic_pid, klass = parse_topic(topic)
         if topic_pid != patient_id:
@@ -258,6 +272,7 @@ class RecordStore:
         if payload_pid is not None and payload_pid != patient_id:
             raise ValidationError("patient_id", "payload patient_id does not match topic")
         _VALIDATORS[klass](payload)
+        key = None if message_id is None else _dedup_key(topic, message_id, payload)
 
         with self._lock:
             if self._closed:
@@ -267,10 +282,8 @@ class RecordStore:
             if day != self._dedup_day:
                 self._dedup = {}
                 self._dedup_day = day
-            if message_id is not None:
-                existing = self._dedup.get((topic, message_id))
-                if existing is not None:
-                    return existing
+            if key in self._dedup:
+                return self._dedup[key]
 
             seq = self._next_seq
             record = {
@@ -294,8 +307,8 @@ class RecordStore:
             self._next_seq = seq + 1
             self._index.setdefault((klass, patient_id), []).append(
                 _IndexEntry(seq, ts, path, offset, len(line)))
-            if message_id is not None:
-                self._dedup[(topic, message_id)] = seq
+            if key is not None:
+                self._dedup[key] = seq
             return seq
 
     def _day_file(self, klass: str, day: str) -> tuple[Path, object]:
@@ -377,18 +390,8 @@ class RecordStore:
 
     def export_csv(self, patient_id: Optional[str] = None) -> str:
         """All stored score records as CSV, ordered by record number."""
-        docs = self.read_class("pqrst", patient_id)
-        records = [
-            device.PqrstRecord(
-                record_no=d.payload["record_no"],
-                age=d.payload["age"],
-                p=d.payload["p"], q=d.payload["q"], r=d.payload["r"],
-                s=d.payload["s"], t=d.payload["t"],
-                patient_id=d.patient_id,
-                captured_at=d.payload.get("captured_at"),
-            )
-            for d in docs
-        ]
+        records = [device.PqrstRecord.from_payload(d.payload)
+                   for d in self.read_class("pqrst", patient_id)]
         records.sort(key=lambda r: r.record_no)
         return device.dump_csv(records)
 

@@ -274,6 +274,23 @@ def test_invalid_payload_is_acked_and_dropped(broker, tmp_path):
         store.close()
 
 
+def test_topic_with_bad_patient_id_is_acked_and_dropped(broker, tmp_path):
+    """The gateway could never read such a record back, so it is not stored."""
+    store = RecordStore(tmp_path / "telemetry")
+    sink = IngestionSink(store).start()
+    broker.sink = sink
+    try:
+        client = connected_client(broker)
+        doc = {"patient_id": "p.1", "bpm": 72, "window_seconds": 20,
+               "measured_at": "2026-01-01T00:00:00Z"}
+        client.publish("clinic/p.1/heartbeat", json.dumps(doc).encode(), qos=1)
+        assert store.read_class("heartbeat") == []
+        client.disconnect()
+    finally:
+        sink.stop()
+        store.close()
+
+
 def test_retransmit_after_sink_outage(broker, tmp_path):
     """A stalled sink delays the PUBACK; the publisher retries with DUP
     and the message lands exactly once when the sink comes back."""

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from ecgmon import analytics, cli, regression, sample_data, synth
+from ecgmon import analytics, cli, device, regression, sample_data, synth
 from ecgmon.config import GatewayConfig, load_config, load_synth_config, parse_kv
 from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
@@ -188,6 +188,25 @@ def test_ingest_then_export_round_trip(csv_path, tmp_path, capsys):
                    "--patient", "bulk", "--out", str(out_file)])
     assert rc == 0
     assert out_file.read_text(encoding="utf-8") == sample_data.sample_csv()
+
+
+PQRST_KEYS = ["record_no", "age", "p", "q", "r", "s", "t", "patient_id", "captured_at"]
+
+
+def test_pqrst_document_same_from_device_and_ingest_csv(csv_path, tmp_path):
+    published = []
+    device.run_ecg_session(synth.synthesize(synth.SynthConfig(duration=12.0)), "p9", age=41,
+                           publish=lambda topic, payload, qos: published.append(payload))
+    assert list(json.loads(published[0])) == PQRST_KEYS
+
+    root = tmp_path / "telemetry"
+    assert cli.main(["ingest-csv", "--csv", str(csv_path), "--store-root", str(root)]) == 0
+    with RecordStore(root) as store:
+        docs = store.read_class("pqrst")
+    assert [list(d.payload) for d in docs] == [PQRST_KEYS] * 20
+    assert docs[0].payload == {"record_no": 1, "age": 21, "p": 91.6, "q": 100.0,
+                               "r": 100.0, "s": 100.0, "t": 90.0,
+                               "patient_id": "bulk", "captured_at": None}
 
 
 def test_export_csv_to_stdout(csv_path, tmp_path, capsys):

@@ -5,6 +5,8 @@ and the ingest endpoint, each against a live server on a loopback port.
 import http.client
 import json
 import socket
+import statistics
+import time
 
 import pytest
 
@@ -105,6 +107,27 @@ def test_bad_patient_id_rejected(gw, pid):
     status, body = request(gw, "GET", f"/patients/{pid}/heartbeat/latest")
     assert status == 400
     assert body["code"] == "bad_patient_id"
+
+
+def test_keep_alive_gets_are_not_delayed(gw, store):
+    """Headers and body leave in two writes; without TCP_NODELAY the body
+    waits about 40 ms for the client's delayed ACK on every keep-alive GET."""
+    store.append("clinic/p1/heartbeat", "p1", {
+        "patient_id": "p1", "bpm": 72, "window_seconds": 20,
+        "measured_at": "2026-01-01T00:00:00Z"})
+    conn = http.client.HTTPConnection("127.0.0.1", gw.port, timeout=5)
+    elapsed = []
+    try:
+        for _ in range(20):
+            start = time.perf_counter()
+            conn.request("GET", "/patients/p1/heartbeat/latest")
+            resp = conn.getresponse()
+            resp.read()
+            elapsed.append(time.perf_counter() - start)
+            assert resp.status == 200
+    finally:
+        conn.close()
+    assert statistics.median(elapsed) < 0.020
 
 
 def test_post_to_unknown_route_404(gw):

@@ -1,14 +1,17 @@
 """Tests for the wire codec: varints, packet round-trips, malformed input."""
 
 import random
+import typing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecgmon.mqtt.codec import (
     MAX_REMAINING_LENGTH,
     Connack,
     Connect,
     Disconnect,
+    Packet,
     Pingreq,
     Pingresp,
     ProtocolError,
@@ -283,6 +286,25 @@ def test_subscribe_bad_filter_passes_codec():
     decoded, _ = decode_packet(encode_packet(packet))
     assert decoded == packet
     assert not valid_topic_filter("a/#/b")
+
+
+# A framed body with a correct remaining length reaches the per-type decoders;
+# raw bytes mostly stop at the fixed header.
+_FRAMED = st.builds(lambda header, body: bytes([header]) + encode_remaining_length(len(body)) + body,
+                    st.integers(0, 255), st.binary(max_size=48))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _FRAMED))
+def test_decode_arbitrary_bytes_returns_packet_none_or_protocol_error(data):
+    try:
+        decoded = decode_packet(data)
+    except ProtocolError:
+        return
+    if decoded is not None:
+        packet, consumed = decoded
+        assert isinstance(packet, typing.get_args(Packet))
+        assert 2 <= consumed <= len(data)
 
 
 # ---------------------------------------------------------- topic matching

@@ -6,11 +6,14 @@ import builtins
 import json
 import os
 import stat
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ecgmon import sample_data, store as store_mod
+from ecgmon import device, sample_data, store as store_mod
 from ecgmon.store import (
     RecordStore,
     StoreError,
@@ -54,10 +57,28 @@ def test_parse_topic():
     "hospital/p1/heartbeat",
     "clinic//heartbeat",
     "clinic/p1/ecg",
+    "clinic/p.1/heartbeat",
+    "clinic/sp ace/status",
+    "clinic/a/b/heartbeat",
+    "clinic/" + "x" * 65 + "/heartbeat",
+    "clinic/" + "x" * 300 + "/ecg/pqrst",
 ])
 def test_parse_topic_rejects_unknown(topic):
     with pytest.raises(ValidationError):
         parse_topic(topic)
+
+
+@pytest.mark.parametrize("klass", store_mod.TOPIC_CLASSES)
+def test_parse_topic_inverts_device_topic(klass):
+    pid = "Ab_9-" + "x" * 59
+    assert parse_topic(device.topic(pid, klass)) == (pid, klass)
+
+
+def test_append_rejects_patient_id_over_64_chars(store):
+    pid = "x" * 65
+    with pytest.raises(ValidationError, match="patient_id"):
+        store.append(f"clinic/{pid}/heartbeat", pid, heartbeat(pid))
+    assert store.read_class("heartbeat") == []
 
 
 # ----------------------------------------------------------- append / read
@@ -274,6 +295,22 @@ def test_dedup_survives_reopen(tmp_path):
         assert len(store.read_class("heartbeat")) == 1
 
 
+def test_same_id_different_payload_both_stored(tmp_path):
+    root = tmp_path / "telemetry"
+    first, second = pqrst(r=90.0), pqrst(r=95.0)
+    with RecordStore(root) as store:
+        s1 = store.append("clinic/p1/ecg/pqrst", "p1", first, message_id=7)
+        s2 = store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=7)
+        assert s1 != s2
+    with RecordStore(root) as store:
+        # after a reopen each payload still dedups only against itself
+        assert store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=7) == s2
+        assert store.append("clinic/p1/ecg/pqrst", "p1", first, message_id=7) == s1
+        s3 = store.append("clinic/p1/ecg/pqrst", "p1", pqrst(r=99.0), message_id=7)
+        assert s3 not in (s1, s2)
+        assert [d.payload["r"] for d in store.read_class("pqrst")] == [90.0, 95.0, 99.0]
+
+
 # ------------------------------------------------------------- validation
 
 def test_patient_topic_mismatch_rejected(store):
@@ -374,6 +411,35 @@ def test_torn_final_line_bad_crc_discarded(tmp_path):
     log.write_bytes(raw[:20] + bytes([raw[20] ^ 0xFF]) + raw[21:])
     with RecordStore(root) as store:
         assert store.read_class("heartbeat") == []
+
+
+def status(message, pid="p1"):
+    return {"patient_id": pid, "event": "note", "message": message}
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.text(max_size=30))
+def test_torn_tail_at_every_offset_keeps_earlier_documents(message):
+    """A crash can cut the last line anywhere; reopening keeps every
+    earlier document and the next append lands on a line of its own."""
+    earlier = [status("first"), status("second")]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "telemetry"
+        with RecordStore(root) as store:
+            for doc in earlier + [status(message)]:
+                store.append("clinic/p1/status", "p1", doc, received_at=1_767_600_000_000)
+        path = root / "status" / "2026-01-05.log"
+        data = path.read_bytes()
+        last_line = data.rindex(b"\n", 0, len(data) - 1) + 1
+        for cut in range(last_line, len(data)):
+            path.write_bytes(data[:cut])
+            with RecordStore(root) as store:
+                assert [d.payload for d in store.read_class("status")] == earlier
+                assert store.append("clinic/p1/status", "p1", status("after"),
+                                    received_at=1_767_600_000_000) == 3
+            with RecordStore(root) as store:
+                assert [d.payload["message"] for d in store.read_class("status")] == [
+                    "first", "second", "after"]
 
 
 def test_mid_file_corruption_raises(tmp_path):
