@@ -45,10 +45,15 @@ THETA_ACCEPTABLE = 85.0
 
 
 class Dataset:
-    """Ordered rows of (record_no, age, p, q, r, s, t) with column access."""
+    """Ordered rows of (record_no, age, p, q, r, s, t) with column access.
+
+    `rows` is an iterable of 7-value rows, or an (n, 7) array taken as a
+    whole with no per-row work.
+    """
 
     def __init__(self, rows: Iterable[Sequence[float]]):
-        data = np.array([tuple(r) for r in rows], dtype=float)
+        data = np.array(rows if isinstance(rows, np.ndarray) else [tuple(r) for r in rows],
+                        dtype=float)
         if data.ndim != 2 or (len(data) and data.shape[1] != len(COLUMNS)):
             raise ValueError(f"rows must have {len(COLUMNS)} values each")
         if len(data) and np.isnan(data).any():
@@ -211,6 +216,11 @@ QUALITY_BANDS = (
 )
 
 
+def _check_thresholds(theta_excellent: float, theta_acceptable: float) -> None:
+    if theta_acceptable >= theta_excellent:
+        raise ValueError("thresholds must satisfy theta_acceptable < theta_excellent")
+
+
 def classify_quality(scores: Sequence[float], theta_excellent: float = THETA_EXCELLENT,
                      theta_acceptable: float = THETA_ACCEPTABLE) -> str:
     """Band label from the mean of the five wave scores (P, Q, R, S, T).
@@ -218,8 +228,7 @@ def classify_quality(scores: Sequence[float], theta_excellent: float = THETA_EXC
     Thresholds are boundary inclusive: a mean exactly at a threshold
     lands in the higher band.
     """
-    if theta_acceptable >= theta_excellent:
-        raise ValueError("thresholds must satisfy theta_acceptable < theta_excellent")
+    _check_thresholds(theta_excellent, theta_acceptable)
     if len(scores) != 5:
         raise ValueError("a record carries exactly five wave scores")
     mean = sum(scores) / 5.0
@@ -232,11 +241,19 @@ def classify_quality(scores: Sequence[float], theta_excellent: float = THETA_EXC
 
 def quality_distribution(dataset: Dataset, theta_excellent: float = THETA_EXCELLENT,
                          theta_acceptable: float = THETA_ACCEPTABLE) -> dict:
-    """Counts and percentages per band over the whole dataset."""
-    counts = {"Excellent": 0, "Acceptable": 0, "Poor": 0}
-    for row in dataset.scores().tolist():
-        counts[classify_quality(row, theta_excellent, theta_acceptable)] += 1
+    """Counts and percentages per band over the whole dataset.
+
+    Each row's mean adds its scores in `classify_quality`'s order, so every
+    row lands in the same band as it would there, bit for bit.
+    """
+    _check_thresholds(theta_excellent, theta_acceptable)
+    p, q, r, s, t = dataset.scores().T
+    mean = ((((p + q) + r) + s) + t) / 5.0
+    excellent = mean >= theta_excellent
+    acceptable = ~excellent & (mean >= theta_acceptable)
     n = len(dataset)
+    counts = {"Excellent": int(excellent.sum()), "Acceptable": int(acceptable.sum())}
+    counts["Poor"] = n - counts["Excellent"] - counts["Acceptable"]
     return {
         label: {"count": count, "pct": 100.0 * count / n if n else 0.0}
         for label, count in counts.items()

@@ -146,11 +146,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, [self._document(d) for d in docs])
 
     def _get_stats(self) -> None:
-        docs = self.gateway.store.read_class("pqrst")
-        if not docs:
+        rows = self.gateway.store.pqrst_matrix()
+        if not len(rows):
             self._problem(404, "empty_store", "no score records stored yet")
             return
-        dataset = analytics.Dataset([device.pqrst_row(d.payload) for d in docs])
+        dataset = analytics.Dataset(rows)
         summary = analytics.describe(dataset)
         # correlation is undefined on a single row; the field goes null
         correlation = None
@@ -211,7 +211,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # also an integer literal over the interpreter's digit limit
             self._problem(400, "bad_json", f"body is not valid JSON: {exc}")
             return
         if not isinstance(body, dict):

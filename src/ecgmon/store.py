@@ -5,7 +5,9 @@ line is a self-contained JSON object whose trailing "crc" field is the
 CRC-32 of the line without it.  Appends are fsynced before returning,
 an in-memory offset index per (class, patient) is rebuilt by scanning
 the logs on open, and a torn final line (a crash mid-append) is detected
-and truncated away without touching earlier documents.
+and truncated away without touching earlier documents.  The numeric
+columns of every pqrst document are also kept in memory, as one float64
+matrix in sequence order, so dataset statistics need no log reads.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import json
 import os
 import re
+import sys
 import threading
 import time
 import zlib
@@ -23,7 +26,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from . import device
+import numpy as np
+
+from . import analytics, device
 
 __all__ = [
     "RecordStore",
@@ -39,6 +44,9 @@ TOPIC_CLASSES = tuple(device.TOPIC_SUFFIXES)
 _CLASS_OF_SUFFIX = {suffix: klass for klass, suffix in device.TOPIC_SUFFIXES.items()}
 # A patient id is one safe path segment, in a topic and in a gateway URL alike.
 PATIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
+# The largest integer a JSON number carries exactly (RFC 7493, section 2.2),
+# so every record number is also exact in the float64 pqrst matrix.
+MAX_RECORD_NO = 2**53 - 1
 
 
 class StoreError(RuntimeError):
@@ -65,7 +73,9 @@ class StoredDocument:
     message_id: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen dataclass sets each field through object.__setattr__,
+# which makes building the index on open about 4x slower per entry.
+@dataclass(slots=True)
 class _IndexEntry:
     sequence: int
     received_at: int
@@ -124,8 +134,9 @@ def _validate_heartbeat(payload: dict) -> None:
 
 def _validate_pqrst(payload: dict) -> None:
     record_no = _require(payload, "record_no", int)
-    if record_no < 1:
-        raise ValidationError("record_no", "must be a positive integer", out_of_range=True)
+    if not 1 <= record_no <= MAX_RECORD_NO:
+        raise ValidationError("record_no", f"must be an integer in [1, {MAX_RECORD_NO}]",
+                              out_of_range=True)
     age = _require(payload, "age", int)
     if not 1 <= age <= 120:
         raise ValidationError("age", f"value {age} outside [1, 120]", out_of_range=True)
@@ -224,15 +235,21 @@ class RecordStore:
     def _rebuild(self) -> None:
         """Index every log and set the next sequence and today's dedup keys."""
         self._dedup_day = _day_of(_now_ms())
+        seqs: list[int] = []        # of the pqrst documents, in scan order
+        rows: list[tuple] = []      # their `device.pqrst_row` values
         for klass in TOPIC_CLASSES:
             for path in sorted(self.root.glob(f"{klass}/*.log")):
-                self._scan_file(klass, path)
+                self._scan_file(klass, path, seqs, rows)
+        # appends dated out of day order put later sequences in earlier files
         for entries in self._index.values():
-            # appends dated out of day order put later sequences in earlier files
             entries.sort(key=lambda e: e.sequence)
+        # pqrst rows in sequence order: the first _rows rows of _matrix
+        matrix = np.array(rows, dtype=float).reshape(len(rows), len(analytics.COLUMNS))
+        self._matrix = matrix[np.argsort(np.array(seqs, dtype=np.int64))]
+        self._rows = len(rows)
         self._next_seq = max((e[-1].sequence for e in self._index.values()), default=0) + 1
 
-    def _scan_file(self, klass: str, path: Path) -> None:
+    def _scan_file(self, klass: str, path: Path, seqs: list, rows: list) -> None:
         # a file holds the documents received on the day it is named after,
         # so only today's file can hold keys a redelivery may still hit
         today = path.stem == self._dedup_day
@@ -250,6 +267,15 @@ class RecordStore:
                 seq = record["seq"]
                 self._index.setdefault((klass, record["patient_id"]), []).append(
                     _IndexEntry(seq, record["received_at"], path, offset, len(raw)))
+                if klass == "pqrst":
+                    row = device.pqrst_row(record["payload"])
+                    # the other columns were range-checked when written, but
+                    # record_no was unbounded before MAX_RECORD_NO
+                    if row[0] > sys.float_info.max:
+                        raise StoreError(f"record_no beyond float64 range in {path} "
+                                         f"at offset {offset}")
+                    rows.append(row)
+                    seqs.append(seq)
                 if today and record.get("message_id") is not None:
                     key = _dedup_key(record["topic"], record["message_id"], record["payload"])
                     self._dedup[key] = seq
@@ -273,6 +299,8 @@ class RecordStore:
             raise ValidationError("patient_id", "payload patient_id does not match topic")
         _VALIDATORS[klass](payload)
         key = None if message_id is None else _dedup_key(topic, message_id, payload)
+        # converted before the write, so no valid document can fail after its fsync
+        row = np.array(device.pqrst_row(payload), dtype=float) if klass == "pqrst" else None
 
         with self._lock:
             if self._closed:
@@ -298,18 +326,59 @@ class RecordStore:
             try:
                 path, fh = self._day_file(klass, day)
                 offset = fh.tell()
+            except OSError as exc:
+                raise StoreError(f"append failed: {exc}") from exc
+            try:
                 fh.write(line)
                 fh.flush()
                 os.fsync(fh.fileno())
             except OSError as exc:
+                self._discard_failed_write(klass, path, offset)
                 raise StoreError(f"append failed: {exc}") from exc
 
             self._next_seq = seq + 1
             self._index.setdefault((klass, patient_id), []).append(
                 _IndexEntry(seq, ts, path, offset, len(line)))
+            if row is not None:
+                self._add_row(row)
             if key is not None:
                 self._dedup[key] = seq
             return seq
+
+    def _discard_failed_write(self, klass: str, path: Path, offset: int) -> None:
+        """Cut the log back to where a failed append started.
+
+        The unacked message is retransmitted, so a line left behind would
+        come back as a duplicate on the next open.  The handle is dropped
+        (closing it may flush buffered bytes, which the cut removes) and
+        the next append reopens the file.  When the cut fails too, the
+        store closes, so nothing more is written or acked.
+        """
+        _, fh = self._write_handles.pop(klass)
+        try:
+            fh.close()
+        except OSError:
+            pass
+        try:
+            fd = os.open(path, os.O_WRONLY)
+            try:
+                os.ftruncate(fd, offset)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            self._close_locked()
+            raise StoreError(f"append failed and {path} could not be cut back to "
+                             f"offset {offset}: {exc}; store closed") from exc
+
+    def _add_row(self, row: np.ndarray) -> None:
+        """Append one pqrst row, doubling the matrix when it is full."""
+        if self._rows == len(self._matrix):
+            grown = np.empty((max(2 * self._rows, 1024), self._matrix.shape[1]))
+            grown[:self._rows] = self._matrix[:self._rows]
+            self._matrix = grown
+        self._matrix[self._rows] = row
+        self._rows += 1
 
     def _day_file(self, klass: str, day: str) -> tuple[Path, object]:
         """The class's append handle for one day; a new day closes the old one."""
@@ -317,7 +386,8 @@ class RecordStore:
         if current is not None and current[0].stem == day:
             return current
         if current is not None:
-            current[1].close()
+            # dropped first: if opening the new day fails, no closed handle is left
+            self._write_handles.pop(klass)[1].close()
         path = self.root / klass / f"{day}.log"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.touch()
@@ -368,6 +438,13 @@ class RecordStore:
                    key=lambda e: (e.received_at, e.sequence), default=None)
         return None if best is None else self._load([best])[0]
 
+    def pqrst_matrix(self) -> np.ndarray:
+        """An (n, 7) float64 copy of every pqrst document's `device.pqrst_row`,
+        in `analytics.COLUMNS` order, one row per document in sequence order
+        (the order of `read_class("pqrst")`)."""
+        with self._lock:
+            return self._matrix[:self._rows].copy()
+
     def _load(self, entries: list[_IndexEntry]) -> list[StoredDocument]:
         """Read entries back, opening each file once per run of entries in it."""
         docs = []
@@ -397,13 +474,17 @@ class RecordStore:
 
     def close(self) -> None:
         with self._lock:
-            self._closed = True
-            for _, fh in self._write_handles.values():
-                try:
-                    fh.close()
-                except OSError:
-                    pass
-            self._write_handles.clear()
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        """`close` for a caller that holds the lock."""
+        self._closed = True
+        for _, fh in self._write_handles.values():
+            try:
+                fh.close()
+            except OSError:
+                pass
+        self._write_handles.clear()
 
     def __enter__(self) -> "RecordStore":
         return self

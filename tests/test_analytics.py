@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ecgmon import analytics, sample_data
 from ecgmon.analytics import (
     COLUMNS,
+    THETA_ACCEPTABLE,
+    THETA_EXCELLENT,
     Dataset,
     classify_quality,
     correlation_matrix,
@@ -293,3 +296,72 @@ def test_quality_custom_thresholds(clinic):
     dist = quality_distribution(clinic, theta_excellent=101.0, theta_acceptable=0.0)
     assert dist["Excellent"]["count"] == 0
     assert dist["Acceptable"]["count"] == 20
+
+
+def test_quality_distribution_empty_and_bad_thresholds():
+    empty = Dataset(np.empty((0, 7)))
+    assert quality_distribution(empty) == {
+        label: {"count": 0, "pct": 0.0} for label in ("Excellent", "Acceptable", "Poor")}
+    with pytest.raises(ValueError, match="thresholds"):
+        quality_distribution(empty, theta_excellent=85.0, theta_acceptable=85.0)
+
+
+THRESHOLD_MEANS = [m for theta in (THETA_ACCEPTABLE, THETA_EXCELLENT)
+                   for m in (math.nextafter(theta, -math.inf), theta,
+                             math.nextafter(theta, math.inf))]
+
+
+def scores_with_mean(four, mean):
+    """Five scores whose mean, summed as `classify_quality` sums them, is
+    exactly `mean`: the fifth is stepped one ulp at a time onto it."""
+    t = 5.0 * mean - sum(four)
+    for _ in range(64):
+        got = sum(four + [t]) / 5.0
+        if got == mean:
+            return four + [t]
+        t = math.nextafter(t, math.inf if got < mean else -math.inf)
+    return None
+
+
+score = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+
+
+@st.composite
+def score_rows(draw):
+    if draw(st.booleans()):
+        mean = draw(st.sampled_from(THRESHOLD_MEANS))
+        near = st.floats(min_value=mean - 4.0, max_value=min(mean + 4.0, 100.0))
+        scores = scores_with_mean(draw(st.lists(near, min_size=4, max_size=4)), mean)
+        assume(scores is not None and 0.0 <= scores[4] <= 100.0)
+    else:
+        scores = draw(st.lists(score, min_size=5, max_size=5))
+    return (1, 40, *scores)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(score_rows(), min_size=1, max_size=40))
+def test_quality_distribution_matches_classify_quality_per_row(rows):
+    """The whole-dataset count bands every row as `classify_quality` does,
+    including means exactly on a threshold and one ulp either side."""
+    want = {"Excellent": 0, "Acceptable": 0, "Poor": 0}
+    for row in rows:
+        want[classify_quality(row[2:])] += 1
+    got = quality_distribution(Dataset(rows))
+    assert {label: entry["count"] for label, entry in got.items()} == want
+
+
+def test_threshold_means_are_reachable():
+    """The generator above really lands on each threshold mean."""
+    for mean in THRESHOLD_MEANS:
+        scores = scores_with_mean([90.0, 80.0, 95.5, 70.25], mean)
+        assert scores is not None and sum(scores) / 5.0 == mean
+        band = classify_quality(scores)
+        assert quality_distribution(Dataset([(1, 40, *scores)]))[band]["count"] == 1
+
+
+def test_dataset_from_array_equals_dataset_from_rows(clinic):
+    rows = clinic.rows
+    from_array = Dataset(rows)
+    rows[:] = 0.0                     # the dataset holds its own copy
+    assert np.array_equal(from_array.rows, clinic.rows)
+    assert np.array_equal(from_array.rows, Dataset(clinic.rows.tolist()).rows)

@@ -45,3 +45,14 @@ def test_traced_read_counts_one_open_per_day_file(tracing, tmp_path):
     reads = {s.sid for s in tracer.spans if s.name == "store.read_class"}
     opens = [s for s in tracer.spans if s.name == "store.open_file" and s.parent in reads]
     assert len(reads) == 1 and len(opens) == 2
+
+
+def test_dashboard_workload_passes_its_gate(tracing, tmp_path):
+    """A short dashboard-query run: every /stats answer matches the
+    reference statistics to 1e-9, and every read sees the writes acked
+    before it was sent."""
+    from perfbench import dashboard
+    outcome = dashboard.run(601, 1.0, tmp_path, records=500, heartbeats=200)
+    assert outcome.problems == []
+    assert outcome.failed == 0 and outcome.failures == []
+    assert outcome.named["stats_p50_ms"][2] > 0      # /stats was answered and checked

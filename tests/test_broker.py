@@ -2,13 +2,17 @@
 acknowledgement through the durable sink, keep-alive, and protocol abuse.
 """
 
+import errno
+import fcntl
 import json
+import os
 import socket
 import threading
 import time
 
 import pytest
 
+from ecgmon import store as store_mod
 from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt import codec
 from ecgmon.mqtt.broker import Broker
@@ -314,6 +318,74 @@ def test_retransmit_after_sink_outage(broker, tmp_path):
 
         docs = store.read_class("heartbeat", "p1")
         assert len(docs) == 1  # duplicates collapsed by (topic, packet id)
+        client.disconnect()
+    finally:
+        sink.stop()
+        store.close()
+
+
+def test_publish_unacked_while_fsync_fails_then_stored_once(broker, tmp_path, monkeypatch):
+    """A failed fsync leaves the message unacked; the retransmits made
+    while the fault lasts leave nothing behind, and the one made after it
+    clears is stored once, before and after a reopen."""
+    real_fsync = os.fsync
+    failing = threading.Event()
+    failing.set()
+
+    def flaky(fd):
+        # only the append handle fails; directory syncs and the cut that
+        # undoes a failed append use descriptors without O_APPEND
+        if failing.is_set() and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(store_mod.os, "fsync", flaky)
+    root = tmp_path / "telemetry"
+    store = RecordStore(root)
+    sink = IngestionSink(store).start()
+    broker.sink = sink
+    try:
+        client = connected_client(broker, ack_timeout=0.2, max_retries=50)
+        doc = {"record_no": 1, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0, "s": 96.0,
+               "t": 95.0, "patient_id": "p1"}
+        publisher = threading.Thread(
+            target=client.publish,
+            args=("clinic/p1/ecg/pqrst", json.dumps(doc).encode(), 1))
+        publisher.start()
+        time.sleep(1.0)       # several retransmits fail while the fault lasts
+        assert publisher.is_alive()
+        assert store.read_class("pqrst") == []
+        assert len(store.pqrst_matrix()) == 0
+        failing.clear()
+        publisher.join(timeout=10)
+        assert not publisher.is_alive()
+        assert [d.payload for d in store.read_class("pqrst")] == [doc]
+        client.disconnect()
+    finally:
+        sink.stop()
+        store.close()
+    with RecordStore(root) as reopened:
+        assert [(d.sequence, d.payload) for d in reopened.read_class("pqrst")] == [(1, doc)]
+        assert reopened.pqrst_matrix().tolist() == [[1.0, 30.0, 99.0, 98.0, 97.0, 96.0, 95.0]]
+
+
+@pytest.mark.parametrize("payload", [
+    b'{"record_no": 1' + b"0" * 400 + b', "age": 30, "p": 99, "q": 98, "r": 97, '
+    b'"s": 96, "t": 95, "patient_id": "p1"}',
+    b'{"record_no": 1' + b"0" * 5000 + b"}",
+], ids=["record_no_1e400", "int_over_digit_limit"])
+def test_oversized_number_is_acked_and_dropped(broker, tmp_path, payload):
+    store = RecordStore(tmp_path / "telemetry")
+    sink = IngestionSink(store).start()
+    broker.sink = sink
+    try:
+        client = connected_client(broker)
+        client.publish("clinic/p1/ecg/pqrst", payload, qos=1)
+        good = {"record_no": 2, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0, "s": 96.0,
+                "t": 95.0, "patient_id": "p1"}
+        client.publish("clinic/p1/ecg/pqrst", json.dumps(good).encode(), qos=1)
+        assert [d.payload for d in store.read_class("pqrst")] == [good]
+        assert store.pqrst_matrix()[:, 0].tolist() == [2.0]
         client.disconnect()
     finally:
         sink.stop()

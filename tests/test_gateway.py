@@ -2,6 +2,7 @@
 and the ingest endpoint, each against a live server on a loopback port.
 """
 
+import builtins
 import http.client
 import json
 import socket
@@ -10,9 +11,12 @@ import time
 
 import pytest
 
-from ecgmon import analytics, regression, sample_data
+from ecgmon import analytics, regression, sample_data, store as store_mod
 from ecgmon.config import GatewayConfig
 from ecgmon.gateway import MAX_BODY_BYTES, Gateway
+from ecgmon.ingest import IngestionSink
+from ecgmon.mqtt.broker import Broker
+from ecgmon.mqtt.client import MqttClient
 from ecgmon.store import RecordStore
 
 # received_at used by the window tests: 2023-11-14T22:13:20Z exactly
@@ -185,6 +189,29 @@ def test_ingest_score_out_of_range_422(gw):
     status, body = request(gw, "POST", "/ingest", body=pqrst_body(record, r=150))
     assert status == 422
     assert body["code"] == "invalid_document"
+
+
+def test_ingest_record_no_beyond_exact_json_integers_422(gw):
+    """A record number no float64 carries exactly is refused, so it can
+    never reach the stats matrix; /stats keeps answering."""
+    record = sample_data.sample_records()[0]
+    for record_no in (2**53, 10**400):
+        status, body = request(gw, "POST", "/ingest",
+                               body=pqrst_body(record, record_no=record_no))
+        assert status == 422
+        assert body["code"] == "invalid_document"
+    status, _ = request(gw, "POST", "/ingest", body=pqrst_body(record, record_no=2**53 - 1))
+    assert status == 201
+    status, body = request(gw, "GET", "/stats")
+    assert status == 200
+    assert body["stats"]["RecordNo"]["max"] == 2**53 - 1
+
+
+def test_ingest_integer_over_digit_limit_400(gw):
+    status, body = request(gw, "POST", "/ingest",
+                           body=b'{"kind": "pqrst", "record_no": 1' + b"0" * 5000 + b"}")
+    assert status == 400
+    assert body["code"] == "bad_json"
 
 
 def test_ingest_missing_field_400(gw):
@@ -377,6 +404,41 @@ def test_stats_correlation_matches_direct(gw, store):
     for i in range(len(analytics.COLUMNS)):
         for j in range(len(analytics.COLUMNS)):
             assert got[i][j] == pytest.approx(want[i][j], abs=1e-12)
+
+
+def test_stats_reads_no_log_file(gw, store, monkeypatch):
+    load_sample_records(store)
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(args)
+        return builtins.open(*args, **kwargs)
+
+    monkeypatch.setattr(store_mod, "open", spy, raising=False)
+    status, body = request(gw, "GET", "/stats")
+    assert status == 200
+    assert body["count"] == 20
+    assert opened == []
+
+
+def test_stats_counts_a_publish_acked_just_before(store):
+    sink = IngestionSink(store).start()
+    broker = Broker("127.0.0.1", 0, sink=sink).start()
+    gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+    client = MqttClient(client_id="stats-reader").connect("127.0.0.1", broker.port)
+    try:
+        for n, record in enumerate(sample_data.sample_records()[:5], start=1):
+            payload = {k: v for k, v in pqrst_body(record).items() if k != "kind"}
+            client.publish("clinic/p1/ecg/pqrst", json.dumps(payload).encode(), qos=1)
+            status, body = request(gateway, "GET", "/stats")
+            assert status == 200
+            assert body["count"] == n
+            assert body["stats"]["RecordNo"]["max"] == record.record_no
+    finally:
+        client.disconnect()
+        gateway.stop()
+        broker.stop()
+        sink.stop()
 
 
 def test_stats_single_record_has_null_correlation(gw, store):

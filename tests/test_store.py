@@ -3,13 +3,18 @@ dedup, schema checks, range reads, and CSV export.
 """
 
 import builtins
+import errno
+import fcntl
 import json
 import os
 import stat
+import sys
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -343,6 +348,8 @@ def test_wrong_type_rejected(store):
     (pqrst(age=200), "age"),
     (pqrst(p=150.0), "p"),
     (pqrst(t=-0.5), "t"),
+    (pqrst(record_no=2**53), "record_no"),
+    (pqrst(record_no=10**400), "record_no"),
 ])
 def test_out_of_range_flagged(store, doc, field):
     topic = "clinic/p1/heartbeat" if "bpm" in doc else "clinic/p1/ecg/pqrst"
@@ -459,6 +466,215 @@ def test_append_after_close_raises(tmp_path):
     store.close()
     with pytest.raises(StoreError):
         store.append("clinic/p1/heartbeat", "p1", heartbeat())
+
+
+def test_old_log_with_unconvertible_record_no_names_file_and_offset(tmp_path):
+    """A log written before record_no was bounded may hold a value no
+    float64 can carry; opening it is a store error, not an OverflowError."""
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        store.append("clinic/p1/ecg/pqrst", "p1", pqrst(), received_at=1_767_600_000_000)
+    log = root / "pqrst" / "2026-01-05.log"
+    offset = log.stat().st_size
+    record = {"seq": 2, "topic": "clinic/p1/ecg/pqrst", "patient_id": "p1",
+              "received_at": 1_767_600_000_000, "message_id": None,
+              "payload": pqrst(record_no=10**400)}
+    with open(log, "ab") as fh:
+        fh.write(store_mod._encode_line(record))
+    with pytest.raises(StoreError, match=f"{log}.* at offset {offset}$"):
+        RecordStore(root)
+
+
+# ------------------------------------------------------------ fsync faults
+
+def fail_append_fsync(monkeypatch, failures=1):
+    """Make the next `failures` fsyncs of an append handle raise EIO.
+
+    Only O_APPEND descriptors fail: the store fsyncs directories, and the
+    descriptor that cuts a failed append back, through other ones."""
+    real_fsync = os.fsync
+    left = [failures]
+
+    def flaky(fd):
+        if left[0] and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
+            left[0] -= 1
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(store_mod.os, "fsync", flaky)
+    return left
+
+
+def test_failed_fsync_then_retransmit_stores_one_document(tmp_path, monkeypatch):
+    root = tmp_path / "telemetry"
+    first, second = pqrst(record_no=1), pqrst(record_no=2, r=90.0)
+    with RecordStore(root) as store:
+        assert store.append("clinic/p1/ecg/pqrst", "p1", first, message_id=1) == 1
+        size = sum(f.stat().st_size for f in (root / "pqrst").glob("*.log"))
+        fail_append_fsync(monkeypatch)
+        with pytest.raises(StoreError, match="injected"):
+            store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2)
+        # the failed line was cut away, and nothing of it was indexed
+        assert sum(f.stat().st_size for f in (root / "pqrst").glob("*.log")) == size
+        assert [d.sequence for d in store.read_class("pqrst")] == [1]
+        assert len(store.pqrst_matrix()) == 1
+        assert store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2) == 2
+        docs = [(d.sequence, d.payload) for d in store.read_class("pqrst")]
+        matrix = store.pqrst_matrix()
+    assert docs == [(1, first), (2, second)]
+    with RecordStore(root) as store:
+        assert [(d.sequence, d.payload) for d in store.read_class("pqrst")] == docs
+        assert np.array_equal(store.pqrst_matrix(), matrix)
+        # the retransmit is still a redelivery after the reopen
+        assert store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2) == 2
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat()) == 3
+
+
+def test_failed_cut_after_failed_fsync_closes_the_store(tmp_path, monkeypatch):
+    store = RecordStore(tmp_path / "telemetry")
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60))
+    fail_append_fsync(monkeypatch)
+
+    def no_truncate(fd, length):
+        raise OSError(errno.EIO, "injected truncate failure")
+
+    monkeypatch.setattr(store_mod.os, "ftruncate", no_truncate)
+    with pytest.raises(StoreError, match="store closed"):
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=61))
+    with pytest.raises(StoreError, match="closed"):
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=62))
+    store.close()
+
+
+def test_failed_directory_fsync_on_a_day_change_leaves_no_closed_handle(store, monkeypatch):
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(), received_at=1_767_600_000_000)
+    real_fsync = os.fsync
+    left = [1]
+
+    def flaky(fd):
+        if left[0] and stat.S_ISDIR(os.fstat(fd).st_mode):
+            left[0] -= 1
+            raise OSError(errno.EIO, "injected directory fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(store_mod.os, "fsync", flaky)
+    with pytest.raises(StoreError, match="injected"):
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(),
+                     received_at=1_767_600_000_000 + DAY_MS)
+    # the previous day's handle was closed; it must not be handed out again
+    assert store.append("clinic/p1/heartbeat", "p1", heartbeat(),
+                        received_at=1_767_600_000_001) == 2
+    assert store.append("clinic/p1/heartbeat", "p1", heartbeat(),
+                        received_at=1_767_600_000_000 + DAY_MS) == 3
+
+
+# ------------------------------------------------------------ pqrst matrix
+
+def assert_matrix_matches_read_class(store):
+    want = np.array([device.pqrst_row(d.payload) for d in store.read_class("pqrst")],
+                    dtype=float).reshape(-1, 7)
+    got = store.pqrst_matrix()
+    assert got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def scored(pid, record_no):
+    rng = np.random.default_rng(record_no)
+    return pqrst(pid, record_no=record_no, age=20 + record_no % 70,
+                 **{w: round(float(rng.uniform(50, 100)), 2) for w in "pqrst"})
+
+
+def test_pqrst_matrix_matches_read_class_interleaved(store):
+    assert store.pqrst_matrix().shape == (0, 7)
+    record_no = 0
+    for day in range(3):
+        for pid in ("p1", "p2", "p3"):
+            ts = 1_767_600_000_000 + day * DAY_MS
+            record_no += 1
+            store.append(f"clinic/{pid}/ecg/pqrst", pid, scored(pid, record_no),
+                         received_at=ts)
+            store.append(f"clinic/{pid}/heartbeat", pid, heartbeat(pid), received_at=ts)
+            store.append(f"clinic/{pid}/status", pid, status("x", pid), received_at=ts)
+            assert_matrix_matches_read_class(store)
+    store.pqrst_matrix()[:] = 0.0            # a copy: the store's rows stay
+    assert_matrix_matches_read_class(store)
+
+
+def test_pqrst_matrix_matches_read_class_after_out_of_order_days_and_reopen(tmp_path):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for n, day in enumerate([2, 0, 2, 1, 0, 1]):
+            pid = ("p1", "p2")[n % 2]
+            store.append(f"clinic/{pid}/ecg/pqrst", pid, scored(pid, n + 1),
+                         received_at=1_767_600_000_000 + day * DAY_MS)
+        before = store.pqrst_matrix()
+        assert_matrix_matches_read_class(store)
+    with RecordStore(root) as store:
+        assert_matrix_matches_read_class(store)
+        assert np.array_equal(store.pqrst_matrix(), before)
+        assert list(store.pqrst_matrix()[:, 0]) == [1, 2, 3, 4, 5, 6]
+
+
+def test_pqrst_matrix_ignores_a_redelivery(store):
+    doc = scored("p1", 1)
+    store.append("clinic/p1/ecg/pqrst", "p1", doc, message_id=5)
+    store.append("clinic/p1/ecg/pqrst", "p1", doc, message_id=5)
+    assert len(store.pqrst_matrix()) == 1
+    assert_matrix_matches_read_class(store)
+
+
+def test_pqrst_matrix_grows_past_its_first_capacity(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: None)
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for n in range(1, 2600):
+            store.append("clinic/p1/ecg/pqrst", "p1", scored("p1", n),
+                         received_at=1_767_600_000_000 + n)
+        assert_matrix_matches_read_class(store)
+    with RecordStore(root) as store:
+        store.append("clinic/p1/ecg/pqrst", "p1", pqrst(record_no=2**53 - 1))
+        assert store.pqrst_matrix()[-1, 0] == 2**53 - 1
+        assert_matrix_matches_read_class(store)
+
+
+def test_pqrst_matrix_under_concurrent_appends_and_reads(store, monkeypatch):
+    """Writers on more threads than cores, readers copying the matrix
+    meanwhile: every copy is a prefix of the final matrix, and the final
+    matrix holds every append in sequence order."""
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: None)
+    writers, per_writer = 4, 300
+    snapshots = []
+    done = threading.Event()
+
+    def write(w):
+        for n in range(per_writer):
+            pid = f"w{w}"
+            store.append(f"clinic/{pid}/ecg/pqrst", pid, scored(pid, w * per_writer + n + 1))
+
+    def read():
+        while not done.is_set():
+            snapshots.append(store.pqrst_matrix())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        readers = [threading.Thread(target=read) for _ in range(2)]
+        for t in threads + readers:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + readers)
+    final = store.pqrst_matrix()
+    assert len(final) == writers * per_writer
+    assert_matrix_matches_read_class(store)
+    assert snapshots and all(np.array_equal(s, final[:len(s)]) for s in snapshots)
 
 
 # ------------------------------------------------------------------ export
