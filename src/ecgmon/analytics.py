@@ -48,13 +48,15 @@ class Dataset:
     """Ordered rows of (record_no, age, p, q, r, s, t) with column access.
 
     `rows` is an iterable of 7-value rows, or an (n, 7) array taken as a
-    whole with no per-row work.
+    whole with no per-row work.  No rows give an empty (0, 7) dataset.
     """
 
     def __init__(self, rows: Iterable[Sequence[float]]):
         data = np.array(rows if isinstance(rows, np.ndarray) else [tuple(r) for r in rows],
                         dtype=float)
-        if data.ndim != 2 or (len(data) and data.shape[1] != len(COLUMNS)):
+        if data.shape == (0,):
+            data = data.reshape(0, len(COLUMNS))
+        if data.ndim != 2 or data.shape[1] != len(COLUMNS):
             raise ValueError(f"rows must have {len(COLUMNS)} values each")
         if len(data) and np.isnan(data).any():
             raise ValueError("dataset must not contain missing values")
@@ -116,12 +118,16 @@ def quantile(values: Sequence[float], fraction: float) -> float:
     if not 0 <= fraction <= 1:
         raise ValueError("fraction must be within [0, 1]")
     x = np.sort(np.asarray(values, dtype=float))
-    n = len(x)
-    if n == 0:
+    if len(x) == 0:
         raise ValueError("quantile of an empty sequence")
-    h = fraction * (n - 1)
+    return _sorted_quantile(x, fraction)
+
+
+def _sorted_quantile(x: np.ndarray, fraction: float) -> float:
+    """`quantile` of a column that is already sorted and non-empty."""
+    h = fraction * (len(x) - 1)
     lo = int(math.floor(h))
-    hi = min(lo + 1, n - 1)
+    hi = min(lo + 1, len(x) - 1)
     return float(x[lo] + (h - lo) * (x[hi] - x[lo]))
 
 
@@ -140,14 +146,17 @@ def describe(dataset: Dataset) -> StatsSummary:
     out = {}
     for name in COLUMNS:
         x = dataset.column(name)
+        # one sort serves the quartiles; mean and std sum in row order,
+        # since summing the sorted copy would round differently
+        xs = np.sort(x)
         out[name] = ColumnStats(
             count=len(x),
             mean=float(x.sum()) / len(x),
             std=_sample_std(x),
             min=float(x.min()),
-            q25=quantile(x, 0.25),
-            q50=quantile(x, 0.50),
-            q75=quantile(x, 0.75),
+            q25=_sorted_quantile(xs, 0.25),
+            q50=_sorted_quantile(xs, 0.50),
+            q75=_sorted_quantile(xs, 0.75),
             max=float(x.max()),
         )
     return StatsSummary(out)

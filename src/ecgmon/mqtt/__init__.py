@@ -17,6 +17,4 @@ from .codec import (  # noqa: F401
     decode_remaining_length,
     encode_packet,
     decode_packet,
-    topic_matches,
-    valid_topic_filter,
 )

@@ -1,11 +1,13 @@
 """Threaded MQTT broker for the supported 3.1.1 subset.
 
-One reader thread per connection; writes to a connection are serialized
-behind a per-connection lock, so fan-out from many publishers interleaves
-at packet granularity while each publisher's own stream stays in order.
-QoS 1 publishes are acknowledged only after the attached ingestion sink
-has durably recorded the message; without a sink they are acknowledged
-after fan-out.
+The broker accepts publishes only: every PUBLISH is handed to the
+ingestion sink, and nothing is delivered to clients.  A SUBSCRIBE is
+answered with the Failure return code (0x80) for each of its filters.
+One reader thread per connection keeps each publisher's stream in order;
+writes to a connection are serialized behind a per-connection lock,
+because sink acks arrive from the sink's worker thread.  QoS 1 publishes
+are acknowledged only after the attached ingestion sink has durably
+recorded the message; without a sink they are acknowledged at once.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ log = logging.getLogger("ecgmon.mqtt.broker")
 MAX_PACKET_BYTES = 256 * 1024
 CONNACK_ACCEPTED = 0x00
 CONNACK_BAD_CREDENTIALS = 0x04
+SUBACK_FAILURE = 0x80
 
 
 class _Connection:
@@ -47,7 +50,6 @@ class _Connection:
         self.keep_alive = 0
         self.closed = threading.Event()
         self._write_lock = threading.Lock()
-        self._next_out_pid = 1
         self.thread = threading.Thread(target=self._run, daemon=True)
 
     def start(self) -> None:
@@ -60,12 +62,6 @@ class _Connection:
                 self.sock.sendall(data)
             except OSError:
                 self.close()
-
-    def next_packet_id(self) -> int:
-        with self._write_lock:
-            pid = self._next_out_pid
-            self._next_out_pid = pid % 0xFFFF + 1
-            return pid
 
     def close(self) -> None:
         if self.closed.is_set():
@@ -139,16 +135,15 @@ class _Connection:
 
     def _dispatch(self, packet) -> bool:
         if isinstance(packet, Publish):
-            self.broker._fan_out(packet)
             self.broker._ingest(self, packet)
             return True
         if isinstance(packet, Subscribe):
-            return self._handle_subscribe(packet)
+            # no delivery to clients: every filter is refused (3.1.1 §3.9.3)
+            self.send(Suback(packet.packet_id, (SUBACK_FAILURE,) * len(packet.topics)))
+            return True
         if isinstance(packet, Pingreq):
             self.send(Pingresp())
             return True
-        if isinstance(packet, Puback):
-            return True  # subscriber-side ack of a QoS 1 delivery; no retransmit state
         if isinstance(packet, Disconnect):
             return False
         if isinstance(packet, Connect):
@@ -157,20 +152,9 @@ class _Connection:
         log.warning("unexpected %s from client %s", type(packet).__name__, self.client_id)
         return False
 
-    def _handle_subscribe(self, packet: Subscribe) -> bool:
-        codes = []
-        for topic_filter, qos in packet.topics:
-            if codec.valid_topic_filter(topic_filter):
-                self.broker._subscribe(self, topic_filter, qos)
-                codes.append(qos)
-            else:
-                codes.append(0x80)
-        self.send(Suback(packet.packet_id, tuple(codes)))
-        return True
-
 
 class Broker:
-    """TCP listener plus subscription table and sink hand-off."""
+    """TCP listener plus client registry and sink hand-off."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 1883,
                  sink=None, username: Optional[str] = None,
@@ -186,7 +170,6 @@ class Broker:
         self._lock = threading.Lock()
         self._connections: list[_Connection] = []
         self._clients: dict[str, _Connection] = {}
-        self._subs: list[tuple[_Connection, str, int]] = []
 
     # --------------------------------------------------------- lifecycle
 
@@ -249,28 +232,8 @@ class Broker:
                 self._connections.remove(conn)
             if self._clients.get(conn.client_id) is conn:
                 del self._clients[conn.client_id]
-            self._subs = [s for s in self._subs if s[0] is not conn]
-
-    def _subscribe(self, conn: _Connection, topic_filter: str, qos: int) -> None:
-        with self._lock:
-            # replace an existing subscription with the same filter
-            self._subs = [s for s in self._subs
-                          if not (s[0] is conn and s[1] == topic_filter)]
-            self._subs.append((conn, topic_filter, qos))
 
     # --------------------------------------------------------- data path
-
-    def _fan_out(self, packet: Publish) -> None:
-        with self._lock:
-            targets = [(conn, qos) for conn, topic_filter, qos in self._subs
-                       if codec.topic_matches(topic_filter, packet.topic)]
-        for conn, granted_qos in targets:
-            out_qos = min(packet.qos, granted_qos)
-            if out_qos == 0:
-                conn.send(Publish(packet.topic, packet.payload, 0))
-            else:
-                conn.send(Publish(packet.topic, packet.payload, 1,
-                                  conn.next_packet_id()))
 
     def _ingest(self, conn: _Connection, packet: Publish) -> None:
         pid = packet.packet_id

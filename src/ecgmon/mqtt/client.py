@@ -1,10 +1,10 @@
-"""Blocking MQTT client used by device agents, tools and tests.
+"""Blocking, publish-only MQTT client used by device agents, tools and tests.
 
 QoS 1 publishes wait for the PUBACK and retransmit with the DUP flag
 after an ack timeout; if the connection drops, the client reconnects
-(clean session), replays its subscriptions, and retransmits everything
-still unacknowledged.  The store's dedup key (topic, message id, payload
-digest) absorbs the duplicate deliveries these retries cause.
+(clean session) and retransmits everything still unacknowledged.  The
+store's dedup key (topic, message id, payload digest) absorbs the
+duplicate deliveries these retries cause.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 import socket
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from . import codec
 from .codec import (
@@ -25,15 +25,11 @@ from .codec import (
     Pingresp,
     Puback,
     Publish,
-    Suback,
-    Subscribe,
 )
 
 __all__ = ["MqttClient", "MqttError"]
 
 log = logging.getLogger("ecgmon.mqtt.client")
-
-MessageCallback = Callable[[str, bytes, int, bool], None]
 
 
 class MqttError(RuntimeError):
@@ -63,10 +59,7 @@ class MqttClient:
         self._connack: Optional[Connack] = None
         self._connack_event = threading.Event()
         self._acks: dict[int, threading.Event] = {}
-        self._subacks: dict[int, threading.Event] = {}
-        self._suback_codes: dict[int, tuple[int, ...]] = {}
         self._pending: dict[int, Publish] = {}      # unacknowledged QoS 1 publishes
-        self._subscriptions: list[tuple[str, int, Optional[MessageCallback]]] = []
         self._host = ""
         self._port = 0
 
@@ -161,21 +154,6 @@ class MqttClient:
             self._pending.pop(pid, None)
         raise MqttError(f"no PUBACK for packet {pid} after {self.max_retries} attempts")
 
-    def subscribe(self, topic_filter: str, qos: int = 0,
-                  callback: Optional[MessageCallback] = None,
-                  timeout: float = 5.0) -> tuple[int, ...]:
-        """Subscribe and return the granted return codes (0x80 on failure)."""
-        pid = self._next_pid()
-        event = threading.Event()
-        with self._lock:
-            self._subacks[pid] = event
-            self._subscriptions.append((topic_filter, qos, callback))
-        self._send(Subscribe(pid, ((topic_filter, qos),)))
-        if not event.wait(timeout):
-            raise MqttError("timed out waiting for SUBACK")
-        with self._lock:
-            return self._suback_codes.pop(pid, ())
-
     # --------------------------------------------------------- internals
 
     def _next_pid(self) -> int:
@@ -206,10 +184,7 @@ class MqttClient:
             raise MqttError(f"reconnect refused, return code {self._connack.return_code}")
         self._connected.set()
         with self._lock:
-            subs = list(self._subscriptions)
             pending = list(self._pending.values())
-        for topic_filter, qos, _ in subs:
-            self._send(Subscribe(self._next_pid(), ((topic_filter, qos),)))
         for packet in pending:
             self._send(Publish(packet.topic, packet.payload, 1, packet.packet_id, dup=True))
 
@@ -260,26 +235,6 @@ class MqttClient:
                 self._pending.pop(packet.packet_id, None)
             if event is not None:
                 event.set()
-        elif isinstance(packet, Suback):
-            with self._lock:
-                event = self._subacks.pop(packet.packet_id, None)
-                self._suback_codes[packet.packet_id] = packet.return_codes
-            if event is not None:
-                event.set()
-        elif isinstance(packet, Publish):
-            if packet.qos == 1:
-                try:
-                    self._send(Puback(packet.packet_id))
-                except MqttError:
-                    pass
-            with self._lock:
-                subs = list(self._subscriptions)
-            for topic_filter, _, callback in subs:
-                if callback is not None and codec.topic_matches(topic_filter, packet.topic):
-                    try:
-                        callback(packet.topic, packet.payload, packet.qos, packet.dup)
-                    except Exception:  # noqa: BLE001 - user callback must not kill the reader
-                        log.exception("message callback raised")
         elif isinstance(packet, Pingresp):
             pass
         else:

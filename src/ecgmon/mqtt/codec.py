@@ -32,8 +32,6 @@ __all__ = [
     "decode_remaining_length",
     "encode_packet",
     "decode_packet",
-    "topic_matches",
-    "valid_topic_filter",
 ]
 
 MAX_REMAINING_LENGTH = 268_435_455
@@ -446,37 +444,3 @@ _DECODERS = {
     PacketType.PINGRESP: lambda f, b: _decode_empty(f, b, "PINGRESP", Pingresp),
     PacketType.DISCONNECT: lambda f, b: _decode_empty(f, b, "DISCONNECT", Disconnect),
 }
-
-
-# ---------------------------------------------------------------- topics
-
-def valid_topic_filter(topic_filter: str) -> bool:
-    """True when every wildcard occupies a whole level and `#` is last."""
-    if not topic_filter:
-        return False
-    levels = topic_filter.split("/")
-    for i, level in enumerate(levels):
-        if "#" in level and (level != "#" or i != len(levels) - 1):
-            return False
-        if "+" in level and level != "+":
-            return False
-    return True
-
-
-def topic_matches(topic_filter: str, topic: str) -> bool:
-    """Standard 3.1.1 filter matching: `+` spans one level, a trailing
-    `#` spans the remainder (including zero levels)."""
-    flevels = topic_filter.split("/")
-    tlevels = topic.split("/")
-    for i, f in enumerate(flevels):
-        if f == "#":
-            if i != len(flevels) - 1:
-                return False  # '#' is only legal as the last level
-            return True
-        if i >= len(tlevels):
-            return False
-        if f == "+":
-            continue
-        if f != tlevels[i]:
-            return False
-    return len(tlevels) == len(flevels)

@@ -86,6 +86,16 @@ def test_dataset_from_csv_rejects_extra_field():
 def test_dataset_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Dataset([(1, 21, 91.6, 100.0)])
+    with pytest.raises(ValueError):   # 14 values are not refolded into 2 rows
+        Dataset([(1, 21)] * 7)
+
+
+def test_empty_dataset_has_no_rows():
+    for empty in (Dataset([]), Dataset.from_records([])):
+        assert len(empty) == 0
+        assert empty.rows.shape == (0, len(COLUMNS))
+        with pytest.raises(ValueError, match="empty dataset"):
+            describe(empty)
 
 
 def test_dataset_rejects_nan():
@@ -130,6 +140,19 @@ def test_describe_single_row():
     assert stats.count == 1
     assert stats.std == 0.0  # sample std of one observation is defined as 0
     assert stats.mean == stats.min == stats.max == 91.6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * len(COLUMNS)), min_size=1, max_size=60))
+def test_describe_quartiles_equal_quantile(rows):
+    """describe sorts each column once; its quartiles are exactly quantile's."""
+    dataset = Dataset(rows)
+    summary = describe(dataset)
+    for name in COLUMNS:
+        x = dataset.column(name)
+        stats = summary[name]
+        assert (stats.q25, stats.q50, stats.q75) == (
+            quantile(x, 0.25), quantile(x, 0.5), quantile(x, 0.75))
 
 
 # ---------------------------------------------------------------- outliers
@@ -339,7 +362,7 @@ def score_rows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(score_rows(), min_size=1, max_size=40))
+@given(st.lists(score_rows(), min_size=0, max_size=40))
 def test_quality_distribution_matches_classify_quality_per_row(rows):
     """The whole-dataset count bands every row as `classify_quality` does,
     including means exactly on a threshold and one ulp either side."""

@@ -56,3 +56,15 @@ def test_dashboard_workload_passes_its_gate(tracing, tmp_path):
     assert outcome.problems == []
     assert outcome.failed == 0 and outcome.failures == []
     assert outcome.named["stats_p50_ms"][2] > 0      # /stats was answered and checked
+
+
+def test_device_sessions_workload_passes_its_gate(tracing, tmp_path):
+    """A short device-sessions run: every session's upload decision matches
+    its score, every uploaded record is readable over HTTP, and every gate
+    rejection is stored as a status event.  Each upload is a QoS 1 publish
+    acked only after the sink made it durable."""
+    from perfbench import sessions
+    outcome = sessions.run(601, 1.0, tmp_path)
+    assert outcome.problems == []
+    assert outcome.failed == 0 and outcome.failures == []
+    assert outcome.attempted >= 1

@@ -1,5 +1,6 @@
-"""Socket-level tests for the broker: connect rules, fan-out, QoS 1
-acknowledgement through the durable sink, keep-alive, and protocol abuse.
+"""Socket-level tests for the broker: connect rules, the refused
+SUBSCRIBE, QoS 1 acknowledgement through the durable sink, per-publisher
+order into the store, keep-alive, and protocol abuse.
 """
 
 import errno
@@ -52,6 +53,29 @@ def read_packet(sock, timeout=5.0):
         if not data:
             return None  # peer closed
         buf.extend(data)
+
+
+def read_packets_until(sock, kind, timeout=5.0):
+    """Every packet the broker sends, up to and including the first `kind`."""
+    sock.settimeout(timeout)
+    buf = bytearray()
+    got = []
+    while not got or not isinstance(got[-1], kind):
+        decoded = codec.decode_packet(buf)
+        if decoded is None:
+            data = sock.recv(4096)
+            assert data, f"connection closed after {got}"
+            buf.extend(data)
+            continue
+        packet, consumed = decoded
+        del buf[:consumed]
+        got.append(packet)
+    return got
+
+
+def heartbeat(bpm, patient_id="p1"):
+    return json.dumps({"patient_id": patient_id, "bpm": bpm, "window_seconds": 20,
+                       "measured_at": "2026-01-01T00:00:00Z"}).encode()
 
 
 def wait_for(predicate, timeout=5.0):
@@ -136,90 +160,42 @@ def test_pingreq_keeps_connection_alive(broker):
     sock.close()
 
 
-# ---------------------------------------------------------------- fan-out
+# ------------------------------------------------------------- subscribe
 
-def test_single_level_wildcard_delivery(broker):
-    got = []
-    sub = connected_client(broker)
-    sub.subscribe("clinic/+/heartbeat", qos=0,
-                  callback=lambda t, p, q, d: got.append((t, p)))
-    pub = connected_client(broker)
-    pub.publish("clinic/p1/heartbeat", b"one", qos=1)
-    pub.publish("clinic/p1/status", b"nope", qos=1)
-    pub.publish("clinic/p2/heartbeat", b"two", qos=1)
-    assert wait_for(lambda: len(got) == 2)
-    assert got == [("clinic/p1/heartbeat", b"one"), ("clinic/p2/heartbeat", b"two")]
-    sub.disconnect()
-    pub.disconnect()
+def test_subscribe_refused_for_every_filter_and_nothing_delivered(broker, tmp_path):
+    """SUBSCRIBE gets Failure (0x80) for each filter, valid or not; the
+    connection still publishes with durable PUBACKs, and no PUBLISH is
+    ever sent back to it, not even one matching its filters."""
+    store = RecordStore(tmp_path / "telemetry")
+    sink = IngestionSink(store).start()
+    broker.sink = sink
+    try:
+        with raw_connect(broker.port) as sock:
+            filters = (("clinic/+/heartbeat", 1), ("clinic/#", 0), ("a/#/b", 0))
+            sock.sendall(codec.encode_packet(codec.Subscribe(7, filters)))
+            sock.sendall(codec.encode_packet(
+                codec.Publish("clinic/p1/heartbeat", heartbeat(61), 1, 8)))
+            assert read_packets_until(sock, codec.Puback) == [
+                codec.Suback(7, (0x80, 0x80, 0x80)), codec.Puback(8)]
+            assert [d.payload["bpm"] for d in store.read_class("heartbeat", "p1")] == [61]
 
-
-def test_multi_level_wildcard_delivery(broker):
-    got = []
-    sub = connected_client(broker)
-    sub.subscribe("clinic/p1/#", qos=1,
-                  callback=lambda t, p, q, d: got.append(t))
-    pub = connected_client(broker)
-    for topic in ("clinic/p1/heartbeat", "clinic/p1/ecg/waveform",
-                  "clinic/p1/ecg/pqrst", "clinic/p1/status"):
-        pub.publish(topic, b"x", qos=1)
-    pub.publish("clinic/p2/heartbeat", b"x", qos=1)
-    assert wait_for(lambda: len(got) == 4)
-    time.sleep(0.2)
-    assert len(got) == 4
-    assert "clinic/p2/heartbeat" not in got
-    sub.disconnect()
-    pub.disconnect()
+            other = connected_client(broker)
+            other.publish("clinic/p2/heartbeat", heartbeat(62, "p2"), qos=0)
+            other.publish("clinic/p2/heartbeat", heartbeat(63, "p2"), qos=1)
+            other.disconnect()
+            # the PINGRESP comes after anything the broker queued for us before it
+            sock.sendall(codec.encode_packet(codec.Pingreq()))
+            assert read_packets_until(sock, codec.Pingresp) == [codec.Pingresp()]
+    finally:
+        sink.stop()
+        store.close()
 
 
-def test_delivery_qos_is_min_of_publish_and_grant(broker):
-    seen = {}
-    sub = connected_client(broker)
-    sub.subscribe("a/+", qos=1, callback=lambda t, p, q, d: seen.setdefault(t, q))
-    sub.subscribe("b/+", qos=0, callback=lambda t, p, q, d: seen.setdefault(t, q))
-    pub = connected_client(broker)
-    pub.publish("a/q0", b"", qos=0)        # min(0, 1) -> 0
-    pub.publish("a/q1", b"", qos=1)        # min(1, 1) -> 1
-    pub.publish("b/q1", b"", qos=1)        # min(1, 0) -> 0
-    assert wait_for(lambda: len(seen) == 3)
-    assert seen == {"a/q0": 0, "a/q1": 1, "b/q1": 0}
-    sub.disconnect()
-    pub.disconnect()
-
-
-def test_publish_order_preserved_per_publisher(broker):
-    got = []
-    sub = connected_client(broker)
-    sub.subscribe("seq/#", qos=1, callback=lambda t, p, q, d: got.append(int(p)))
-    pub = connected_client(broker)
-    for i in range(100):
-        pub.publish("seq/x", str(i).encode(), qos=1)
-    assert wait_for(lambda: len(got) == 100)
-    assert got == list(range(100))
-    sub.disconnect()
-    pub.disconnect()
-
-
-def test_bad_subscription_filter_gets_failure_code(broker):
-    client = connected_client(broker)
-    codes = client.subscribe("a/#/b", qos=0)
-    assert codes == (0x80,)
-    # and a broken filter never matches anything later
-    codes = client.subscribe("clinic/#", qos=1)
-    assert codes == (1,)
-    client.disconnect()
-
-
-def test_subscriber_gone_does_not_block_publisher(broker):
-    sub = connected_client(broker)
-    sub.subscribe("x/#", qos=1, callback=lambda t, p, q, d: None)
-    # hard close without DISCONNECT
-    with sub._lock:
-        sub._sock.close()
-    pub = connected_client(broker)
-    for i in range(5):
-        pub.publish("x/y", b"still fine", qos=1)
-    pub.disconnect()
-    sub._stop.set()
+def test_puback_from_client_closes_connection(broker):
+    """The broker sends no PUBLISH, so a client's PUBACK is unexpected."""
+    with raw_connect(broker.port) as sock:
+        sock.sendall(codec.encode_packet(codec.Puback(1)))
+        assert read_packet(sock, timeout=3.0) is None
 
 
 # ------------------------------------------------------------ sink coupling
@@ -237,6 +213,26 @@ def test_puback_only_after_durable_append(broker, tmp_path):
         docs = store.read_class("heartbeat", "p1")
         assert len(docs) == 1
         assert docs[0].payload["bpm"] == 72
+        client.disconnect()
+    finally:
+        sink.stop()
+        store.close()
+
+
+def test_publish_order_preserved_per_publisher(broker, tmp_path):
+    """QoS 0 publishes do not wait for an ack, so 100 of them are in flight
+    at once; the reader thread, the sink queue and the store keep their
+    order.  The closing QoS 1 publish is acked only once all are stored."""
+    store = RecordStore(tmp_path / "telemetry")
+    sink = IngestionSink(store).start()
+    broker.sink = sink
+    try:
+        client = connected_client(broker)
+        for bpm in range(100):
+            client.publish("clinic/p1/heartbeat", heartbeat(bpm), qos=0)
+        client.publish("clinic/p1/heartbeat", heartbeat(100), qos=1)
+        docs = store.read_class("heartbeat", "p1")
+        assert [d.payload["bpm"] for d in docs] == list(range(101))
         client.disconnect()
     finally:
         sink.stop()

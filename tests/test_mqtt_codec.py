@@ -23,8 +23,6 @@ from ecgmon.mqtt.codec import (
     decode_remaining_length,
     encode_packet,
     encode_remaining_length,
-    topic_matches,
-    valid_topic_filter,
 )
 
 
@@ -285,7 +283,6 @@ def test_subscribe_bad_filter_passes_codec():
     packet = Subscribe(packet_id=1, topics=(("a/#/b", 0),))
     decoded, _ = decode_packet(encode_packet(packet))
     assert decoded == packet
-    assert not valid_topic_filter("a/#/b")
 
 
 # A framed body with a correct remaining length reaches the per-type decoders;
@@ -306,35 +303,3 @@ def test_decode_arbitrary_bytes_returns_packet_none_or_protocol_error(data):
         assert isinstance(packet, typing.get_args(Packet))
         assert 2 <= consumed <= len(data)
 
-
-# ---------------------------------------------------------- topic matching
-
-@pytest.mark.parametrize("pattern,topic,expected", [
-    ("clinic/p1/heartbeat", "clinic/p1/heartbeat", True),
-    ("clinic/p1/heartbeat", "clinic/p2/heartbeat", False),
-    ("clinic/+/heartbeat", "clinic/p2/heartbeat", True),
-    ("clinic/+/heartbeat", "clinic/p2/status", False),
-    ("clinic/+/ecg/+", "clinic/p1/ecg/pqrst", True),
-    ("clinic/p1/#", "clinic/p1/ecg/pqrst", True),
-    ("clinic/p1/#", "clinic/p1", True),           # '#' matches zero levels
-    ("#", "anything/at/all", True),
-    ("+", "one", True),
-    ("+", "one/two", False),
-    ("clinic/#", "other/p1/heartbeat", False),
-])
-def test_topic_matches(pattern, topic, expected):
-    assert topic_matches(pattern, topic) is expected
-
-
-@pytest.mark.parametrize("pattern,ok", [
-    ("clinic/+/heartbeat", True),
-    ("clinic/#", True),
-    ("#", True),
-    ("+/+/+", True),
-    ("a/#/b", False),      # '#' only at the end
-    ("a/b#", False),       # '#' must occupy a whole level
-    ("a/+b", False),
-    ("", False),
-])
-def test_valid_topic_filter(pattern, ok):
-    assert valid_topic_filter(pattern) is ok
