@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "Dataset",
     "ColumnStats",
     "StatsSummary",
-    "QualityBand",
-    "QUALITY_BANDS",
     "THETA_EXCELLENT",
     "THETA_ACCEPTABLE",
     "describe",
@@ -209,20 +207,6 @@ def rank_against(dataset: Dataset, target: str = "R") -> list[tuple[str, float]]
               for name in COLUMNS if name != "RecordNo"]
     ranked.sort(key=lambda item: -item[1])
     return ranked
-
-
-@dataclass(frozen=True)
-class QualityBand:
-    label: str
-    lower: float          # inclusive
-    upper: Optional[float]  # exclusive, None for unbounded
-
-
-QUALITY_BANDS = (
-    QualityBand("Excellent", THETA_EXCELLENT, None),
-    QualityBand("Acceptable", THETA_ACCEPTABLE, THETA_EXCELLENT),
-    QualityBand("Poor", 0.0, THETA_ACCEPTABLE),
-)
 
 
 def _check_thresholds(theta_excellent: float, theta_acceptable: float) -> None:

@@ -49,8 +49,7 @@ class IngestionSink:
         self._worker = None
 
     def submit(self, topic: str, payload: bytes, message_id: Optional[int],
-               dup: bool, ack: Callable[[], None],
-               abort: Optional[threading.Event] = None) -> None:
+               ack: Callable[[], None], abort: Optional[threading.Event] = None) -> None:
         """Blocking hand-off into the bounded queue (broker back-pressure).
 
         Gives up quietly when `abort` (the publisher's connection-closed

@@ -249,5 +249,4 @@ class Broker:
         # Blocking hand-off to the sink's bounded queue: a full queue
         # stalls this reader thread, which is the back-pressure path
         # (the publisher's ack is delayed, never dropped).
-        self.sink.submit(packet.topic, packet.payload, pid, packet.dup, ack,
-                         abort=conn.closed)
+        self.sink.submit(packet.topic, packet.payload, pid, ack, abort=conn.closed)

@@ -3,6 +3,7 @@ SUBSCRIBE, QoS 1 acknowledgement through the durable sink, per-publisher
 order into the store, keep-alive, and protocol abuse.
 """
 
+import contextlib
 import errno
 import fcntl
 import json
@@ -33,12 +34,26 @@ def connected_client(broker, **kwargs):
     return MqttClient(**kwargs).connect("127.0.0.1", broker.port)
 
 
+@contextlib.contextmanager
+def connected(broker, **kwargs):
+    """A connected MqttClient, disconnected on the way out."""
+    client = connected_client(broker, **kwargs)
+    try:
+        yield client
+    finally:
+        client.disconnect()
+
+
 def raw_connect(port, client_id="raw", keep_alive=60):
     """Plain socket CONNECT for tests that need protocol-level control."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=5)
-    sock.sendall(codec.encode_packet(codec.Connect(client_id, keep_alive)))
-    connack = read_packet(sock)
-    assert isinstance(connack, codec.Connack)
+    try:
+        sock.sendall(codec.encode_packet(codec.Connect(client_id, keep_alive)))
+        connack = read_packet(sock)
+        assert isinstance(connack, codec.Connack)
+    except BaseException:
+        sock.close()
+        raise
     return sock
 
 
@@ -90,15 +105,14 @@ def wait_for(predicate, timeout=5.0):
 # ------------------------------------------------------------- handshakes
 
 def test_connect_and_disconnect(broker):
-    client = connected_client(broker)
-    client.disconnect()
+    with connected(broker):
+        pass
 
 
 def test_qos1_publish_acked_without_subscribers(broker):
-    client = connected_client(broker)
-    # returns only once the PUBACK came back
-    client.publish("clinic/p1/heartbeat", b"{}", qos=1)
-    client.disconnect()
+    with connected(broker) as client:
+        # returns only once the PUBACK came back
+        client.publish("clinic/p1/heartbeat", b"{}", qos=1)
 
 
 def test_auth_required(broker):
@@ -106,58 +120,51 @@ def test_auth_required(broker):
     broker.password = b"secret"
     with pytest.raises(MqttError, match="return code 4"):
         connected_client(broker, username="clinic", password=b"wrong")
-    ok = connected_client(broker, username="clinic", password=b"secret")
-    ok.disconnect()
+    with connected(broker, username="clinic", password=b"secret"):
+        pass
 
 
 def test_duplicate_client_id_evicts_older(broker):
-    first = raw_connect(broker.port, client_id="same")
-    second = raw_connect(broker.port, client_id="same")
-    # the older connection gets dropped
-    assert read_packet(first, timeout=3.0) is None
-    first.close()
-    second.close()
+    with raw_connect(broker.port, client_id="same") as first, \
+            raw_connect(broker.port, client_id="same"):
+        # the older connection gets dropped
+        assert read_packet(first, timeout=3.0) is None
 
 
 def test_must_connect_first(broker):
-    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=5)
-    sock.sendall(codec.encode_packet(codec.Pingreq()))
-    assert read_packet(sock, timeout=3.0) is None
-    sock.close()
+    with socket.create_connection(("127.0.0.1", broker.port), timeout=5) as sock:
+        sock.sendall(codec.encode_packet(codec.Pingreq()))
+        assert read_packet(sock, timeout=3.0) is None
 
 
 def test_garbage_closes_connection(broker):
-    sock = raw_connect(broker.port)
-    sock.sendall(b"\x00\xff\x13\x37")
-    assert read_packet(sock, timeout=3.0) is None
-    sock.close()
+    with raw_connect(broker.port) as sock:
+        sock.sendall(b"\x00\xff\x13\x37")
+        assert read_packet(sock, timeout=3.0) is None
 
 
 def test_oversized_packet_closes_connection(broker):
-    sock = raw_connect(broker.port)
-    # header announcing 300 KiB, beyond the 256 KiB cap
-    sock.sendall(b"\x30" + codec.encode_remaining_length(300 * 1024))
-    assert read_packet(sock, timeout=3.0) is None
-    sock.close()
+    with raw_connect(broker.port) as sock:
+        # header announcing 300 KiB, beyond the 256 KiB cap
+        sock.sendall(b"\x30" + codec.encode_remaining_length(300 * 1024))
+        assert read_packet(sock, timeout=3.0) is None
 
 
 def test_keep_alive_idle_drop(broker):
     # 1 s keep-alive and no pings: the broker drops us after ~1.5 s
-    sock = raw_connect(broker.port, keep_alive=1)
-    start = time.monotonic()
-    assert read_packet(sock, timeout=6.0) is None
-    elapsed = time.monotonic() - start
-    assert elapsed < 5.0
-    sock.close()
+    with raw_connect(broker.port, keep_alive=1) as sock:
+        start = time.monotonic()
+        assert read_packet(sock, timeout=6.0) is None
+        elapsed = time.monotonic() - start
+        assert elapsed < 5.0
 
 
 def test_pingreq_keeps_connection_alive(broker):
-    sock = raw_connect(broker.port, keep_alive=1)
-    for _ in range(4):
-        time.sleep(0.5)
-        sock.sendall(codec.encode_packet(codec.Pingreq()))
-        assert isinstance(read_packet(sock), codec.Pingresp)
-    sock.close()
+    with raw_connect(broker.port, keep_alive=1) as sock:
+        for _ in range(4):
+            time.sleep(0.5)
+            sock.sendall(codec.encode_packet(codec.Pingreq()))
+            assert isinstance(read_packet(sock), codec.Pingresp)
 
 
 # ------------------------------------------------------------- subscribe
@@ -179,10 +186,9 @@ def test_subscribe_refused_for_every_filter_and_nothing_delivered(broker, tmp_pa
                 codec.Suback(7, (0x80, 0x80, 0x80)), codec.Puback(8)]
             assert [d.payload["bpm"] for d in store.read_class("heartbeat", "p1")] == [61]
 
-            other = connected_client(broker)
-            other.publish("clinic/p2/heartbeat", heartbeat(62, "p2"), qos=0)
-            other.publish("clinic/p2/heartbeat", heartbeat(63, "p2"), qos=1)
-            other.disconnect()
+            with connected(broker) as other:
+                other.publish("clinic/p2/heartbeat", heartbeat(62, "p2"), qos=0)
+                other.publish("clinic/p2/heartbeat", heartbeat(63, "p2"), qos=1)
             # the PINGRESP comes after anything the broker queued for us before it
             sock.sendall(codec.encode_packet(codec.Pingreq()))
             assert read_packets_until(sock, codec.Pingresp) == [codec.Pingresp()]
@@ -205,15 +211,14 @@ def test_puback_only_after_durable_append(broker, tmp_path):
     sink = IngestionSink(store).start()
     broker.sink = sink
     try:
-        client = connected_client(broker)
-        doc = {"patient_id": "p1", "bpm": 72, "window_seconds": 20,
-               "measured_at": "2026-01-01T00:00:00Z"}
-        client.publish("clinic/p1/heartbeat", json.dumps(doc).encode(), qos=1)
-        # the PUBACK has arrived, so the document must already be readable
-        docs = store.read_class("heartbeat", "p1")
-        assert len(docs) == 1
-        assert docs[0].payload["bpm"] == 72
-        client.disconnect()
+        with connected(broker) as client:
+            doc = {"patient_id": "p1", "bpm": 72, "window_seconds": 20,
+                   "measured_at": "2026-01-01T00:00:00Z"}
+            client.publish("clinic/p1/heartbeat", json.dumps(doc).encode(), qos=1)
+            # the PUBACK has arrived, so the document must already be readable
+            docs = store.read_class("heartbeat", "p1")
+            assert len(docs) == 1
+            assert docs[0].payload["bpm"] == 72
     finally:
         sink.stop()
         store.close()
@@ -227,13 +232,12 @@ def test_publish_order_preserved_per_publisher(broker, tmp_path):
     sink = IngestionSink(store).start()
     broker.sink = sink
     try:
-        client = connected_client(broker)
-        for bpm in range(100):
-            client.publish("clinic/p1/heartbeat", heartbeat(bpm), qos=0)
-        client.publish("clinic/p1/heartbeat", heartbeat(100), qos=1)
-        docs = store.read_class("heartbeat", "p1")
-        assert [d.payload["bpm"] for d in docs] == list(range(101))
-        client.disconnect()
+        with connected(broker) as client:
+            for bpm in range(100):
+                client.publish("clinic/p1/heartbeat", heartbeat(bpm), qos=0)
+            client.publish("clinic/p1/heartbeat", heartbeat(100), qos=1)
+            docs = store.read_class("heartbeat", "p1")
+            assert [d.payload["bpm"] for d in docs] == list(range(101))
     finally:
         sink.stop()
         store.close()
@@ -244,12 +248,11 @@ def test_qos0_is_fire_and_forget_into_sink(broker, tmp_path):
     sink = IngestionSink(store).start()
     broker.sink = sink
     try:
-        client = connected_client(broker)
-        doc = {"patient_id": "p3", "bpm": 66, "window_seconds": 20,
-               "measured_at": "2026-01-01T00:00:00Z"}
-        client.publish("clinic/p3/heartbeat", json.dumps(doc).encode(), qos=0)
-        assert wait_for(lambda: len(store.read_class("heartbeat", "p3")) == 1)
-        client.disconnect()
+        with connected(broker) as client:
+            doc = {"patient_id": "p3", "bpm": 66, "window_seconds": 20,
+                   "measured_at": "2026-01-01T00:00:00Z"}
+            client.publish("clinic/p3/heartbeat", json.dumps(doc).encode(), qos=0)
+            assert wait_for(lambda: len(store.read_class("heartbeat", "p3")) == 1)
     finally:
         sink.stop()
         store.close()
@@ -260,15 +263,14 @@ def test_invalid_payload_is_acked_and_dropped(broker, tmp_path):
     sink = IngestionSink(store).start()
     broker.sink = sink
     try:
-        client = connected_client(broker)
-        # malformed JSON: the sink acknowledges and drops, so this returns
-        client.publish("clinic/p1/heartbeat", b"not json at all", qos=1)
-        good = {"patient_id": "p1", "bpm": 60, "window_seconds": 20,
-                "measured_at": "2026-01-01T00:00:00Z"}
-        client.publish("clinic/p1/heartbeat", json.dumps(good).encode(), qos=1)
-        docs = store.read_class("heartbeat", "p1")
-        assert [d.payload.get("bpm") for d in docs] == [60]
-        client.disconnect()
+        with connected(broker) as client:
+            # malformed JSON: the sink acknowledges and drops, so this returns
+            client.publish("clinic/p1/heartbeat", b"not json at all", qos=1)
+            good = {"patient_id": "p1", "bpm": 60, "window_seconds": 20,
+                    "measured_at": "2026-01-01T00:00:00Z"}
+            client.publish("clinic/p1/heartbeat", json.dumps(good).encode(), qos=1)
+            docs = store.read_class("heartbeat", "p1")
+            assert [d.payload.get("bpm") for d in docs] == [60]
     finally:
         sink.stop()
         store.close()
@@ -280,12 +282,11 @@ def test_topic_with_bad_patient_id_is_acked_and_dropped(broker, tmp_path):
     sink = IngestionSink(store).start()
     broker.sink = sink
     try:
-        client = connected_client(broker)
-        doc = {"patient_id": "p.1", "bpm": 72, "window_seconds": 20,
-               "measured_at": "2026-01-01T00:00:00Z"}
-        client.publish("clinic/p.1/heartbeat", json.dumps(doc).encode(), qos=1)
-        assert store.read_class("heartbeat") == []
-        client.disconnect()
+        with connected(broker) as client:
+            doc = {"patient_id": "p.1", "bpm": 72, "window_seconds": 20,
+                   "measured_at": "2026-01-01T00:00:00Z"}
+            client.publish("clinic/p.1/heartbeat", json.dumps(doc).encode(), qos=1)
+            assert store.read_class("heartbeat") == []
     finally:
         sink.stop()
         store.close()
@@ -298,23 +299,22 @@ def test_retransmit_after_sink_outage(broker, tmp_path):
     sink = IngestionSink(store, queue_size=4)
     broker.sink = sink  # note: not started yet
     try:
-        client = connected_client(broker, ack_timeout=0.3, max_retries=40)
-        doc = {"patient_id": "p1", "bpm": 72, "window_seconds": 20,
-               "measured_at": "2026-01-01T00:00:00Z"}
+        with connected(broker, ack_timeout=0.3, max_retries=40) as client:
+            doc = {"patient_id": "p1", "bpm": 72, "window_seconds": 20,
+                   "measured_at": "2026-01-01T00:00:00Z"}
 
-        publisher = threading.Thread(
-            target=client.publish,
-            args=("clinic/p1/heartbeat", json.dumps(doc).encode(), 1),
-        )
-        publisher.start()
-        time.sleep(1.0)       # a few retransmits pile up while the sink is down
-        sink.start()
-        publisher.join(timeout=10)
-        assert not publisher.is_alive()
+            publisher = threading.Thread(
+                target=client.publish,
+                args=("clinic/p1/heartbeat", json.dumps(doc).encode(), 1),
+            )
+            publisher.start()
+            time.sleep(1.0)       # a few retransmits pile up while the sink is down
+            sink.start()
+            publisher.join(timeout=10)
+            assert not publisher.is_alive()
 
-        docs = store.read_class("heartbeat", "p1")
-        assert len(docs) == 1  # duplicates collapsed by (topic, packet id)
-        client.disconnect()
+            docs = store.read_class("heartbeat", "p1")
+            assert len(docs) == 1  # duplicates collapsed by (topic, packet id)
     finally:
         sink.stop()
         store.close()
@@ -341,22 +341,21 @@ def test_publish_unacked_while_fsync_fails_then_stored_once(broker, tmp_path, mo
     sink = IngestionSink(store).start()
     broker.sink = sink
     try:
-        client = connected_client(broker, ack_timeout=0.2, max_retries=50)
-        doc = {"record_no": 1, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0, "s": 96.0,
-               "t": 95.0, "patient_id": "p1"}
-        publisher = threading.Thread(
-            target=client.publish,
-            args=("clinic/p1/ecg/pqrst", json.dumps(doc).encode(), 1))
-        publisher.start()
-        time.sleep(1.0)       # several retransmits fail while the fault lasts
-        assert publisher.is_alive()
-        assert store.read_class("pqrst") == []
-        assert len(store.pqrst_matrix()) == 0
-        failing.clear()
-        publisher.join(timeout=10)
-        assert not publisher.is_alive()
-        assert [d.payload for d in store.read_class("pqrst")] == [doc]
-        client.disconnect()
+        with connected(broker, ack_timeout=0.2, max_retries=50) as client:
+            doc = {"record_no": 1, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0, "s": 96.0,
+                   "t": 95.0, "patient_id": "p1"}
+            publisher = threading.Thread(
+                target=client.publish,
+                args=("clinic/p1/ecg/pqrst", json.dumps(doc).encode(), 1))
+            publisher.start()
+            time.sleep(1.0)       # several retransmits fail while the fault lasts
+            assert publisher.is_alive()
+            assert store.read_class("pqrst") == []
+            assert len(store.pqrst_matrix()) == 0
+            failing.clear()
+            publisher.join(timeout=10)
+            assert not publisher.is_alive()
+            assert [d.payload for d in store.read_class("pqrst")] == [doc]
     finally:
         sink.stop()
         store.close()
@@ -375,14 +374,122 @@ def test_oversized_number_is_acked_and_dropped(broker, tmp_path, payload):
     sink = IngestionSink(store).start()
     broker.sink = sink
     try:
-        client = connected_client(broker)
-        client.publish("clinic/p1/ecg/pqrst", payload, qos=1)
-        good = {"record_no": 2, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0, "s": 96.0,
-                "t": 95.0, "patient_id": "p1"}
-        client.publish("clinic/p1/ecg/pqrst", json.dumps(good).encode(), qos=1)
-        assert [d.payload for d in store.read_class("pqrst")] == [good]
-        assert store.pqrst_matrix()[:, 0].tolist() == [2.0]
-        client.disconnect()
+        with connected(broker) as client:
+            client.publish("clinic/p1/ecg/pqrst", payload, qos=1)
+            good = {"record_no": 2, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0, "s": 96.0,
+                    "t": 95.0, "patient_id": "p1"}
+            client.publish("clinic/p1/ecg/pqrst", json.dumps(good).encode(), qos=1)
+            assert [d.payload for d in store.read_class("pqrst")] == [good]
+            assert store.pqrst_matrix()[:, 0].tolist() == [2.0]
     finally:
         sink.stop()
         store.close()
+
+
+# ------------------------------------------------------------------ client
+
+def test_publish_reconnects_after_eviction(broker, tmp_path):
+    """A raw CONNECT with the client's id evicts it; the next QoS 1
+    publish closes the dead socket, reconnects and is acked, and each
+    document is stored once."""
+    store = RecordStore(tmp_path / "telemetry")
+    sink = IngestionSink(store).start()
+    broker.sink = sink
+    try:
+        with connected(broker, client_id="dev") as client:
+            client.publish("clinic/p1/heartbeat", heartbeat(61), qos=1)
+            with raw_connect(broker.port, client_id="dev"):
+                pass    # the broker closed the client's connection before this CONNACK
+            client.publish("clinic/p1/heartbeat", heartbeat(62), qos=1)
+        assert [d.payload["bpm"] for d in store.read_class("heartbeat", "p1")] == [61, 62]
+    finally:
+        sink.stop()
+        store.close()
+
+
+def packets(sock, timeout=5.0):
+    """Each packet read from `sock`, until the peer closes it."""
+    sock.settimeout(timeout)
+    buf = bytearray()
+    while True:
+        decoded = codec.decode_packet(buf)
+        if decoded is None:
+            data = sock.recv(4096)
+            if not data:
+                return
+            buf.extend(data)
+            continue
+        packet, consumed = decoded
+        del buf[:consumed]
+        yield packet
+
+
+@contextlib.contextmanager
+def scripted_broker(script):
+    """A broker for one connection: it answers the CONNECT, then runs
+    `script(conn, incoming)` on its own thread.  Yields the port."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(5)
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                incoming = packets(conn)
+                assert isinstance(next(incoming), codec.Connect)
+                conn.sendall(codec.encode_packet(codec.Connack()))
+                script(conn, incoming)
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            yield listener.getsockname()[1]
+        finally:
+            server.join(timeout=10)
+        assert not server.is_alive()
+
+
+def test_publish_skips_other_packets_until_its_puback():
+    received = []
+    right_ack_at = []
+
+    def script(conn, incoming):
+        publish = next(incoming)
+        received.append(publish)
+        other_id = publish.packet_id % 0xFFFF + 1
+        conn.sendall(codec.encode_packet(codec.Puback(other_id))
+                     + codec.encode_packet(codec.Pingresp()))
+        time.sleep(0.1)
+        right_ack_at.append(time.monotonic())
+        conn.sendall(codec.encode_packet(codec.Puback(publish.packet_id)))
+        received.extend(incoming)
+
+    with scripted_broker(script) as port:
+        client = MqttClient(client_id="dev", ack_timeout=5.0).connect("127.0.0.1", port)
+        try:
+            client.publish("clinic/p1/heartbeat", b"{}", qos=1)
+            returned_at = time.monotonic()
+        finally:
+            client.disconnect()
+    assert returned_at >= right_ack_at[0]
+    assert received == [codec.Publish("clinic/p1/heartbeat", b"{}", 1, received[0].packet_id),
+                        codec.Disconnect()]
+
+
+def test_publish_raises_after_max_retries_with_one_packet_id():
+    received = []
+
+    def script(conn, incoming):
+        received.extend(incoming)     # never acks
+
+    with scripted_broker(script) as port:
+        client = MqttClient(client_id="dev", ack_timeout=0.1, max_retries=4)
+        client.connect("127.0.0.1", port)
+        try:
+            with pytest.raises(MqttError, match="after 4 attempts"):
+                client.publish("clinic/p1/heartbeat", b"{}", qos=1)
+        finally:
+            client.disconnect()
+    publishes = [p for p in received if isinstance(p, codec.Publish)]
+    assert [p.dup for p in publishes] == [False, True, True, True]
+    assert len({p.packet_id for p in publishes}) == 1
+    assert received[len(publishes):] == [codec.Disconnect()]
