@@ -259,7 +259,7 @@ def _cmd_fit(args) -> int:
         indices = ()
         x_train, y_train = list(x), list(y)
 
-    model = regression.fit_ols(x_train, y_train, predictors)
+    model = replace(regression.fit_ols(x_train, y_train, predictors), target=args.target)
     print(f"intercept {model.intercept!r}")
     for name, value in model.coefficients:
         print(f"coef {name} {value!r}")
@@ -275,7 +275,7 @@ def _cmd_fit(args) -> int:
         print(f"accuracy_pct {report.accuracy_pct!r}")
 
     if args.model_out:
-        regression.save_model(model, args.model_out, target=args.target,
+        regression.save_model(model, args.model_out,
                               metadata={"trained_rows": str(len(x_train)),
                                         "test_indices": ",".join(map(str, indices))})
         print(f"model written to {args.model_out}")
@@ -285,7 +285,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = regression.load_model(args.model)
     dataset = analytics.Dataset.from_csv(Path(args.csv).read_text(encoding="utf-8"))
-    x, y = regression.design_from_dataset(dataset, model.predictor_names, args.target)
+    x, y = regression.design_from_dataset(dataset, model.predictor_names, model.target)
     lines = ["Actual,Predicted,Error"]
     for row, actual in zip(x, y):
         actual = float(actual)
@@ -362,7 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="apply a model file to CSV rows")
     p.add_argument("--model", required=True)
     p.add_argument("--csv", required=True)
-    p.add_argument("--target", default="R")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=_cmd_predict)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import socket
+import struct
 import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,9 +58,19 @@ class _Handler(BaseHTTPRequestHandler):
     # headers and body go out in two writes; with Nagle's algorithm the body
     # waits for the client's delayed ACK of the headers on a keep-alive connection
     disable_nagle_algorithm = True
+    # seconds a read may wait, so a stalled client releases its thread
+    read_timeout_s = 60
 
     # set by Gateway when building the server
     gateway: "Gateway"
+
+    def setup(self) -> None:
+        super().setup()
+        # a kernel receive timeout; the stdlib's `timeout` would poll() before
+        # every read and write, about 7% of dashboard-query's throughput
+        seconds, fraction = divmod(self.read_timeout_s, 1)
+        self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                                   struct.pack("ll", int(seconds), int(fraction * 1e6)))
 
     def log_message(self, fmt, *args):  # noqa: N802 - stdlib name
         log.debug("%s " + fmt, self.address_string(), *args)
@@ -206,6 +218,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._problem(413, "body_too_large", f"body exceeds {MAX_BODY_BYTES} bytes")
             return
         raw = self.rfile.read(length)
+        if raw is None or len(raw) < length:  # the client stalled or hung up mid-body
+            self.close_connection = True
+            return
         if not raw:
             self._problem(400, "empty_body", "request body is required")
             return
@@ -252,7 +267,10 @@ class Gateway:
         self.model: Optional[regression.LinearModel] = None
         if self.config.model_path:
             try:
-                self.model = regression.load_model(self.config.model_path)
+                model = regression.load_model(self.config.model_path)
+                if model.target != "R":  # /prediction answers actual_r and predicted_r
+                    raise ValueError(f"it predicts {model.target}, not R")
+                self.model = model
             except (OSError, ValueError) as exc:
                 log.warning("model file %s not usable: %s", self.config.model_path, exc)
         handler = type("BoundHandler", (_Handler,), {"gateway": self})

@@ -22,6 +22,8 @@ __all__ = ["IngestionSink"]
 
 log = logging.getLogger("ecgmon.ingest")
 
+STOP_JOIN_S = 5     # how long stop() waits for the worker to finish its message
+
 
 class IngestionSink:
     def __init__(self, store: store_mod.RecordStore, queue_size: int = 256):
@@ -29,24 +31,24 @@ class IngestionSink:
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._worker: Optional[threading.Thread] = None
         self._running = threading.Event()
+        self._lock = threading.Lock()   # orders start() against the worker retiring
 
     def start(self) -> "IngestionSink":
-        if self._worker is not None and self._worker.is_alive():
-            return self
-        self._running.set()
-        self._worker = threading.Thread(target=self._drain, daemon=True)
-        self._worker.start()
+        with self._lock:
+            self._running.set()
+            if self._worker is None or not self._worker.is_alive():
+                self._worker = threading.Thread(target=self._drain, daemon=True)
+                self._worker.start()
         return self
 
     def stop(self) -> None:
-        """Stop draining.  Queued but unprocessed messages stay queued and
-        unacknowledged, so publishers will retransmit them; a later
-        start() picks the queue back up."""
+        """Stop draining.  Queued messages stay queued and unacknowledged, so
+        publishers retransmit them; a later start() picks the queue back up,
+        re-arming the worker if it was still busy when the wait ended."""
         self._running.clear()
         worker = self._worker
         if worker is not None:
-            worker.join(timeout=5)
-        self._worker = None
+            worker.join(timeout=STOP_JOIN_S)
 
     def submit(self, topic: str, payload: bytes, message_id: Optional[int],
                ack: Callable[[], None], abort: Optional[threading.Event] = None) -> None:
@@ -65,7 +67,11 @@ class IngestionSink:
                     return
 
     def _drain(self) -> None:
-        while self._running.is_set():
+        while True:
+            with self._lock:  # so start() either re-arms this worker or sees it gone
+                if not self._running.is_set():
+                    self._worker = None
+                    return
             try:
                 topic, payload, message_id, ack = self._queue.get(timeout=0.2)
             except queue.Empty:

@@ -39,6 +39,8 @@ MAX_PACKET_BYTES = 256 * 1024
 CONNACK_ACCEPTED = 0x00
 CONNACK_BAD_CREDENTIALS = 0x04
 SUBACK_FAILURE = 0x80
+# a connection without a complete CONNECT by then is closed (3.1.1 §3.1.4)
+CONNECT_TIMEOUT_S = 10
 
 
 class _Connection:
@@ -79,22 +81,20 @@ class _Connection:
         buf = bytearray()
         connected = False
         self.sock.settimeout(0.25)
-        last_rx = time.monotonic()
+        deadline = time.monotonic() + CONNECT_TIMEOUT_S
         try:
             while not self.closed.is_set():
+                if time.monotonic() > deadline:
+                    log.info("closing %s: %s", self.addr, "idle" if connected else "no CONNECT")
+                    break
                 try:
                     data = self.sock.recv(65536)
                 except socket.timeout:
-                    if connected and self.keep_alive:
-                        if time.monotonic() - last_rx > 1.5 * self.keep_alive:
-                            log.info("dropping idle client %s", self.client_id)
-                            break
                     continue
                 except OSError:
                     break
                 if not data:
                     break
-                last_rx = time.monotonic()
                 buf.extend(data)
                 while True:
                     try:
@@ -116,6 +116,8 @@ class _Connection:
                         connected = True
                     elif not self._dispatch(packet):
                         return
+                if connected:  # any traffic restarts the keep-alive window; 0 disables it
+                    deadline = time.monotonic() + 1.5 * (self.keep_alive or float("inf"))
         finally:
             self.close()
 

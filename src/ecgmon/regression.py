@@ -44,6 +44,7 @@ class SingularDesignError(ValueError):
 class LinearModel:
     intercept: float
     coefficients: tuple[tuple[str, float], ...]  # ordered (predictor, value)
+    target: str = "R"                            # the column the model predicts
 
     def coefficient(self, name: str) -> float:
         for n, v in self.coefficients:
@@ -189,10 +190,10 @@ def design_from_dataset(dataset: Dataset,
 
 # ------------------------------------------------------------ model file
 
-def save_model(model: LinearModel, path, target: str = "R",
+def save_model(model: LinearModel, path,
                metadata: Optional[Mapping[str, str]] = None) -> None:
     """Write the model as a small text document (full float precision)."""
-    lines = ["# ecgmon linear model", f"target {target}",
+    lines = ["# ecgmon linear model", f"target {model.target}",
              f"intercept {model.intercept!r}"]
     for name, value in model.coefficients:
         lines.append(f"coef {name} {value!r}")
@@ -202,8 +203,10 @@ def save_model(model: LinearModel, path, target: str = "R",
 
 
 def load_model(path) -> LinearModel:
+    """Read a `save_model` file back; a file without a target line predicts R."""
     intercept = None
     coefficients = []
+    target = "R"
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -213,6 +216,8 @@ def load_model(path) -> LinearModel:
             intercept = float(parts[1])
         elif parts[0] == "coef":
             coefficients.append((parts[1], float(parts[2])))
+        elif parts[0] == "target":
+            target = parts[1]
     if intercept is None or not coefficients:
         raise ValueError(f"{path}: not a model file")
-    return LinearModel(intercept=intercept, coefficients=tuple(coefficients))
+    return LinearModel(intercept, tuple(coefficients), target)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -101,81 +102,46 @@ def parse_topic(topic: str) -> tuple[str, str]:
 
 # ------------------------------------------------------------- schemas
 
-def _require(payload: dict, field: str, types) -> object:
-    if field not in payload:
-        raise ValidationError(field, "required field missing")
-    value = payload[field]
-    type_tuple = types if isinstance(types, tuple) else (types,)
-    wanted = "/".join(t.__name__ for t in type_tuple)
-    # bool is a subclass of int; a flag is never a valid count or score
-    if isinstance(value, bool) and bool not in type_tuple:
-        raise ValidationError(field, f"expected {wanted}, got bool")
-    if not isinstance(value, type_tuple):
-        raise ValidationError(field, f"expected {wanted}, got {type(value).__name__}")
-    return value
-
-
-def _require_number(payload: dict, field: str, lo: float, hi: float) -> float:
-    value = _require(payload, field, (int, float))
-    if not lo <= value <= hi:
-        raise ValidationError(field, f"value {value} outside [{lo}, {hi}]",
-                              out_of_range=True)
-    return float(value)
-
-
-def _validate_heartbeat(payload: dict) -> None:
-    _require(payload, "patient_id", str)
-    bpm = _require(payload, "bpm", int)
-    if not 0 <= bpm <= 750:
-        raise ValidationError("bpm", f"value {bpm} outside [0, 750]", out_of_range=True)
-    _require_number(payload, "window_seconds", 1, 3600)
-    _require(payload, "measured_at", str)
-
-
-def _validate_pqrst(payload: dict) -> None:
-    record_no = _require(payload, "record_no", int)
-    if not 1 <= record_no <= MAX_RECORD_NO:
-        raise ValidationError("record_no", f"must be an integer in [1, {MAX_RECORD_NO}]",
-                              out_of_range=True)
-    age = _require(payload, "age", int)
-    if not 1 <= age <= 120:
-        raise ValidationError("age", f"value {age} outside [1, 120]", out_of_range=True)
-    for wave in ("p", "q", "r", "s", "t"):
-        _require_number(payload, wave, 0.0, 100.0)
-    _require(payload, "patient_id", str)
-    if payload.get("captured_at") is not None:
-        _require(payload, "captured_at", str)
-
-
-def _validate_waveform(payload: dict) -> None:
-    _require(payload, "patient_id", str)
-    seq = _require(payload, "seq", int)
-    if seq < 0:
-        raise ValidationError("seq", "must be >= 0", out_of_range=True)
-    _require_number(payload, "sample_rate", 1, 1_000_000)
-    samples = _require(payload, "samples", list)
-    lead_off = _require(payload, "lead_off", list)
-    if len(samples) != len(lead_off):
-        raise ValidationError("lead_off", "length must match samples")
-    for i, code in enumerate(samples):
-        if not isinstance(code, int) or isinstance(code, bool) or code < 0:
-            raise ValidationError("samples", f"entry {i} is not a non-negative integer")
-    for i, flag in enumerate(lead_off):
-        if not isinstance(flag, bool):
-            raise ValidationError("lead_off", f"entry {i} is not a boolean")
-
-
-def _validate_status(payload: dict) -> None:
-    _require(payload, "patient_id", str)
-    _require(payload, "event", str)
-
-
-_VALIDATORS = {
-    "heartbeat": _validate_heartbeat,
-    "pqrst": _validate_pqrst,
-    "waveform": _validate_waveform,
-    "status": _validate_status,
+_NUMBER = (int, float)
+_TEXT = ((str,), None, None)
+_LIST = ((list,), None, None)
+# topic class -> field -> (accepted types, lo, hi); fields are checked in this
+# order, a field whose types include NoneType may be absent, and lo is None
+# where no range applies
+_SCHEMAS = {
+    "heartbeat": {"patient_id": _TEXT, "bpm": ((int,), 0, 750),
+                  "window_seconds": (_NUMBER, 1, 3600), "measured_at": _TEXT},
+    "pqrst": {"record_no": ((int,), 1, MAX_RECORD_NO), "age": ((int,), 1, 120),
+              **dict.fromkeys(("p", "q", "r", "s", "t"), (_NUMBER, 0.0, 100.0)),
+              "patient_id": _TEXT, "captured_at": ((str, type(None)), None, None)},
+    "waveform": {"patient_id": _TEXT, "seq": ((int,), 0, math.inf),
+                 "sample_rate": (_NUMBER, 1, 1_000_000), "samples": _LIST, "lead_off": _LIST},
+    "status": {"patient_id": _TEXT, "event": _TEXT},
 }
+
+
+def _validate(klass: str, payload: dict) -> None:
+    """Raise `ValidationError` for the first field that breaks the class's schema."""
+    for field, (types, lo, hi) in _SCHEMAS[klass].items():
+        if field not in payload and type(None) not in types:
+            raise ValidationError(field, "required field missing")
+        value = payload.get(field)
+        # bool is a subclass of int; a flag is never a valid count, score or text
+        if isinstance(value, bool) or not isinstance(value, types):
+            wanted = "/".join(t.__name__ for t in types)
+            raise ValidationError(field, f"expected {wanted}, got {type(value).__name__}")
+        if lo is not None and not lo <= value <= hi:
+            raise ValidationError(field, f"must be in [{lo}, {hi}]", out_of_range=True)
+    if klass == "waveform":
+        samples, lead_off = payload["samples"], payload["lead_off"]
+        if len(samples) != len(lead_off):
+            raise ValidationError("lead_off", "length must match samples")
+        for i, code in enumerate(samples):
+            if not isinstance(code, int) or isinstance(code, bool) or code < 0:
+                raise ValidationError("samples", f"entry {i} is not a non-negative integer")
+        for i, flag in enumerate(lead_off):
+            if not isinstance(flag, bool):
+                raise ValidationError("lead_off", f"entry {i} is not a boolean")
 
 
 def _dedup_key(topic: str, message_id: int, payload: dict) -> tuple[str, int, bytes]:
@@ -297,7 +263,7 @@ class RecordStore:
         payload_pid = payload.get("patient_id")
         if payload_pid is not None and payload_pid != patient_id:
             raise ValidationError("patient_id", "payload patient_id does not match topic")
-        _VALIDATORS[klass](payload)
+        _validate(klass, payload)
         key = None if message_id is None else _dedup_key(topic, message_id, payload)
         # converted before the write, so no valid document can fail after its fsync
         row = np.array(device.pqrst_row(payload), dtype=float) if klass == "pqrst" else None

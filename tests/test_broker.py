@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from ecgmon import store as store_mod
+from ecgmon import ingest, store as store_mod
 from ecgmon.ingest import IngestionSink
-from ecgmon.mqtt import codec
+from ecgmon.mqtt import broker as broker_mod, codec
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient, MqttError
 from ecgmon.store import RecordStore
@@ -149,6 +149,27 @@ def test_oversized_packet_closes_connection(broker):
         sock.sendall(b"\x30" + codec.encode_remaining_length(300 * 1024))
         assert read_packet(sock, timeout=3.0) is None
 
+
+
+def test_connection_without_connect_is_closed(broker, monkeypatch):
+    monkeypatch.setattr(broker_mod, "CONNECT_TIMEOUT_S", 0.5)
+
+    def connection_threads():
+        return {t for t in threading.enumerate() if t.name.endswith("(_run)")}
+
+    before = connection_threads()
+    with socket.create_connection(("127.0.0.1", broker.port), timeout=5) as silent, \
+            socket.create_connection(("127.0.0.1", broker.port), timeout=5) as partial, \
+            raw_connect(broker.port, keep_alive=0) as sock:
+        partial.sendall(codec.encode_packet(codec.Connect("partial", 60))[:6])
+        assert wait_for(lambda: len(connection_threads() - before) == 3)
+        threads = connection_threads() - before
+        assert read_packet(silent, timeout=3.0) is None
+        assert read_packet(partial, timeout=3.0) is None
+        # a connected client with no keep-alive is not subject to the deadline
+        sock.sendall(codec.encode_packet(codec.Pingreq()))
+        assert isinstance(read_packet(sock), codec.Pingresp)
+        assert wait_for(lambda: len(threads & connection_threads()) == 1)
 
 def test_keep_alive_idle_drop(broker):
     # 1 s keep-alive and no pings: the broker drops us after ~1.5 s
@@ -291,6 +312,46 @@ def test_topic_with_bad_patient_id_is_acked_and_dropped(broker, tmp_path):
         sink.stop()
         store.close()
 
+
+
+def test_restart_across_a_stalled_append_keeps_one_worker(tmp_path, monkeypatch):
+    """stop() gives up on a worker stalled in an append; the next start()
+    re-arms that worker, so one thread drains the queue, in order."""
+    monkeypatch.setattr(ingest, "STOP_JOIN_S", 0.2)
+    store = RecordStore(tmp_path / "telemetry")
+    stalled, release = threading.Event(), threading.Event()
+    append = store.append
+
+    def stalling_append(*args, **kwargs):
+        if not stalled.is_set():
+            stalled.set()
+            release.wait(10)
+        return append(*args, **kwargs)
+
+    def drain_threads():
+        return {t for t in threading.enumerate() if t.name.endswith("(_drain)")}
+
+    monkeypatch.setattr(store, "append", stalling_append)
+    before = drain_threads()
+    sink = IngestionSink(store).start()
+    acked = []
+    try:
+        sink.submit("clinic/p1/heartbeat", heartbeat(60), None, lambda: acked.append(60))
+        assert stalled.wait(5)
+        sink.stop()
+        sink.start()
+        for bpm in range(61, 66):
+            sink.submit("clinic/p1/heartbeat", heartbeat(bpm), None,
+                        lambda bpm=bpm: acked.append(bpm))
+        release.set()
+        assert wait_for(lambda: len(acked) == 6)
+        assert len(drain_threads() - before) == 1
+        assert acked == list(range(60, 66))
+        assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == list(range(60, 66))
+    finally:
+        release.set()
+        sink.stop()
+        store.close()
 
 def test_retransmit_after_sink_outage(broker, tmp_path):
     """A stalled sink delays the PUBACK; the publisher retries with DUP

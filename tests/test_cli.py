@@ -162,6 +162,34 @@ def test_predict_covers_every_row(csv_path, tmp_path, capsys):
         assert error == pytest.approx(actual - predicted, abs=1e-12)
 
 
+
+def test_predict_uses_the_target_the_model_file_names(csv_path, tmp_path, capsys):
+    model_path = tmp_path / "model.txt"
+    assert cli.main(["fit", "--csv", str(csv_path), "--target", "S",
+                     "--predictors", "R,T,Age", "--model-out", str(model_path)]) == 0
+    assert "target S" in model_path.read_text(encoding="utf-8").splitlines()
+    capsys.readouterr()
+
+    assert cli.main(["predict", "--model", str(model_path), "--csv", str(csv_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    dataset = analytics.Dataset.from_csv(sample_data.sample_csv())
+    model = regression.load_model(model_path)
+    assert model.target == "S"
+    assert len(lines) == 21
+    for i, line in enumerate(lines[1:]):
+        actual, predicted, _ = (float(v) for v in line.split(","))
+        assert actual == dataset.column("S")[i]
+        row = {name: dataset.column(name)[i] for name in model.predictor_names}
+        assert predicted == regression.predict(model, row)
+    # record 5 has R 80 and S 100: the actual is the model's target, S
+    assert lines[5].startswith("100,")
+
+
+def test_predict_has_no_target_flag(csv_path, tmp_path):
+    with pytest.raises(SystemExit):
+        cli.main(["predict", "--model", str(tmp_path / "model.txt"),
+                  "--csv", str(csv_path), "--target", "S"])
+
 def test_predict_out_file(csv_path, tmp_path, capsys):
     model_path = tmp_path / "model.txt"
     cli.main(["fit", "--csv", str(csv_path), "--model-out", str(model_path)])

@@ -5,8 +5,10 @@ and the ingest endpoint, each against a live server on a loopback port.
 import builtins
 import http.client
 import json
+import logging
 import socket
 import statistics
+import threading
 import time
 
 import pytest
@@ -273,6 +275,31 @@ def test_ingest_bad_content_length_answered_without_reading_body(gw, length, sta
     assert resp.getheader("Connection") == "close"
 
 
+
+def test_stalled_connections_are_closed_and_release_their_threads(gw, monkeypatch, caplog):
+    monkeypatch.setattr("ecgmon.gateway._Handler.read_timeout_s", 0.5)
+
+    def handler_threads():
+        return {t for t in threading.enumerate() if t.name.endswith("(process_request_thread)")}
+
+    before = handler_threads()
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as stalled, \
+            socket.create_connection(("127.0.0.1", gw.port), timeout=5) as silent:
+        # headers that announce a body which never comes, and nothing at all
+        stalled.sendall(b"POST /ingest HTTP/1.1\r\nHost: localhost\r\n"
+                        b"Content-Length: 10\r\n\r\n")
+        deadline = time.monotonic() + 5
+        while len(handler_threads() - before) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        threads = handler_threads() - before
+        assert len(threads) == 2
+        assert stalled.recv(1) == b""
+        assert silent.recv(1) == b""
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
 def test_ingest_body_at_the_limit_is_read(gw):
     status, body = request(gw, "POST", "/ingest", body=b" " * MAX_BODY_BYTES)
     assert status == 400
@@ -502,5 +529,21 @@ def test_unreadable_model_file_leaves_gateway_modelless(store, tmp_path):
         assert gateway.model is None
         status, body = request(gateway, "GET", "/patients/p1/prediction")
         assert status == 503
+    finally:
+        gateway.stop()
+
+
+def test_model_for_another_target_leaves_gateway_modelless(store, tmp_path, caplog):
+    # /prediction reports actual_r and predicted_r, so only an R model serves it
+    path = tmp_path / "model.txt"
+    regression.save_model(regression.LinearModel(1.0, (("R", 1.0),), target="S"), path)
+    load_sample_records(store)
+    gateway = Gateway(store, GatewayConfig(http_port=0, model_path=str(path))).start()
+    try:
+        assert gateway.model is None
+        assert "predicts S, not R" in caplog.text
+        status, body = request(gateway, "GET", "/patients/p1/prediction")
+        assert status == 503
+        assert body["code"] == "no_model"
     finally:
         gateway.stop()

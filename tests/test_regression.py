@@ -248,6 +248,17 @@ def test_model_file_format(tmp_path):
     assert lines[3] == "coef S 0.25"
 
 
+
+def test_model_file_keeps_its_target(tmp_path):
+    model = LinearModel(intercept=1.5, coefficients=(("R", 0.25),), target="S")
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert path.read_text().splitlines()[1] == "target S"
+    assert load_model(path) == model
+    # a file written without a target line predicts R
+    path.write_text("intercept 1.5\ncoef S 0.25\n")
+    assert load_model(path).target == "R"
+
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "nope.txt"
     path.write_text("just some text\n")

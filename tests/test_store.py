@@ -6,6 +6,7 @@ import builtins
 import errno
 import fcntl
 import json
+import math
 import os
 import stat
 import sys
@@ -377,6 +378,155 @@ def test_waveform_schema(store):
     with pytest.raises(ValidationError, match="samples"):
         store.append("clinic/p1/ecg/waveform", "p1", bad)
 
+
+
+# The per-class validators the schema table replaced, kept as its reference.
+
+def _require(payload: dict, field: str, types) -> object:
+    if field not in payload:
+        raise ValidationError(field, "required field missing")
+    value = payload[field]
+    type_tuple = types if isinstance(types, tuple) else (types,)
+    wanted = "/".join(t.__name__ for t in type_tuple)
+    # bool is a subclass of int; a flag is never a valid count or score
+    if isinstance(value, bool) and bool not in type_tuple:
+        raise ValidationError(field, f"expected {wanted}, got bool")
+    if not isinstance(value, type_tuple):
+        raise ValidationError(field, f"expected {wanted}, got {type(value).__name__}")
+    return value
+
+
+def _require_number(payload: dict, field: str, lo: float, hi: float) -> float:
+    value = _require(payload, field, (int, float))
+    if not lo <= value <= hi:
+        raise ValidationError(field, f"value {value} outside [{lo}, {hi}]",
+                              out_of_range=True)
+    return float(value)
+
+
+def _validate_heartbeat(payload: dict) -> None:
+    _require(payload, "patient_id", str)
+    bpm = _require(payload, "bpm", int)
+    if not 0 <= bpm <= 750:
+        raise ValidationError("bpm", f"value {bpm} outside [0, 750]", out_of_range=True)
+    _require_number(payload, "window_seconds", 1, 3600)
+    _require(payload, "measured_at", str)
+
+
+def _validate_pqrst(payload: dict) -> None:
+    record_no = _require(payload, "record_no", int)
+    if not 1 <= record_no <= store_mod.MAX_RECORD_NO:
+        raise ValidationError("record_no", f"must be an integer in [1, {store_mod.MAX_RECORD_NO}]",
+                              out_of_range=True)
+    age = _require(payload, "age", int)
+    if not 1 <= age <= 120:
+        raise ValidationError("age", f"value {age} outside [1, 120]", out_of_range=True)
+    for wave in ("p", "q", "r", "s", "t"):
+        _require_number(payload, wave, 0.0, 100.0)
+    _require(payload, "patient_id", str)
+    if payload.get("captured_at") is not None:
+        _require(payload, "captured_at", str)
+
+
+def _validate_waveform(payload: dict) -> None:
+    _require(payload, "patient_id", str)
+    seq = _require(payload, "seq", int)
+    if seq < 0:
+        raise ValidationError("seq", "must be >= 0", out_of_range=True)
+    _require_number(payload, "sample_rate", 1, 1_000_000)
+    samples = _require(payload, "samples", list)
+    lead_off = _require(payload, "lead_off", list)
+    if len(samples) != len(lead_off):
+        raise ValidationError("lead_off", "length must match samples")
+    for i, code in enumerate(samples):
+        if not isinstance(code, int) or isinstance(code, bool) or code < 0:
+            raise ValidationError("samples", f"entry {i} is not a non-negative integer")
+    for i, flag in enumerate(lead_off):
+        if not isinstance(flag, bool):
+            raise ValidationError("lead_off", f"entry {i} is not a boolean")
+
+
+def _validate_status(payload: dict) -> None:
+    _require(payload, "patient_id", str)
+    _require(payload, "event", str)
+
+
+REFERENCE_VALIDATORS = {
+    "heartbeat": _validate_heartbeat,
+    "pqrst": _validate_pqrst,
+    "waveform": _validate_waveform,
+    "status": _validate_status,
+}
+
+VALID_DOCS = {
+    "heartbeat": heartbeat(),
+    "pqrst": pqrst(),
+    "waveform": {"patient_id": "p1", "seq": 3, "sample_rate": 250,
+                 "samples": [337, 0, 1023], "lead_off": [False, True, False]},
+    "status": {"patient_id": "p1", "event": "online"},
+}
+# every bound in the schemas, each with values on, just inside and just past it
+BOUNDS = (0, 1, 100, 120, 750, 3600, 1_000_000, store_mod.MAX_RECORD_NO)
+EDGE_VALUES = (
+    True, False, None, "", "7", [], [0], {}, math.nan, math.inf, -math.inf, -0.0,
+    2**53 + 1, -(2**53), 2**70, 10**400,
+    *(v for b in BOUNDS for v in (b - 1, b, b + 1, float(b), b - 0.5, b + 0.5, -b)),
+)
+WAVEFORM_ENTRIES = (-1, 0, 1023, True, False, None, 0.0, 1.5, "1", 2**70)
+
+
+def _outcome(check, doc):
+    try:
+        check(doc)
+    except ValidationError as exc:
+        return exc.field, exc.out_of_range
+    return None
+
+
+@pytest.mark.parametrize("klass", sorted(VALID_DOCS))
+def test_valid_documents_pass_both_validators(klass):
+    assert _outcome(REFERENCE_VALIDATORS[klass], VALID_DOCS[klass]) is None
+    store_mod._validate(klass, VALID_DOCS[klass])
+
+
+def _single_mutations():
+    for klass, valid in VALID_DOCS.items():
+        for field in valid:
+            yield klass, {k: v for k, v in valid.items() if k != field}
+            for value in EDGE_VALUES:
+                yield klass, dict(valid, **{field: value})
+    wave = VALID_DOCS["waveform"]
+    for entry in WAVEFORM_ENTRIES:
+        yield "waveform", dict(wave, samples=[337, entry, 1023])
+        yield "waveform", dict(wave, lead_off=[False, entry, False])
+        yield "waveform", dict(wave, samples=[entry])
+
+
+def test_schema_table_matches_reference_on_every_single_mutation():
+    mismatches = [(klass, doc) for klass, doc in _single_mutations()
+                  if _outcome(lambda d: store_mod._validate(klass, d), doc)
+                  != _outcome(REFERENCE_VALIDATORS[klass], doc)]
+    assert not mismatches
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(VALID_DOCS)), st.data())
+def test_schema_table_matches_reference_validators(klass, data):
+    doc = dict(VALID_DOCS[klass])
+    values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(), st.floats(),
+                       st.text(max_size=3))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        field = data.draw(st.sampled_from(sorted(VALID_DOCS[klass])), label="field")
+        action = data.draw(st.sampled_from(("drop", "swap", "entries")), label="action")
+        if action == "drop":
+            doc.pop(field, None)
+        elif action == "swap":
+            doc[field] = data.draw(values, label="value")
+        else:  # mismatched lengths and bad samples or flags
+            doc[field] = data.draw(st.lists(st.sampled_from(WAVEFORM_ENTRIES), max_size=4),
+                                   label="entries")
+    want = _outcome(REFERENCE_VALIDATORS[klass], doc)
+    assert _outcome(lambda d: store_mod._validate(klass, d), doc) == want
 
 # ------------------------------------------------------------- durability
 
