@@ -10,6 +10,7 @@ local baseline, in the expected direction, by more than the noise floor.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional, Sequence
@@ -23,6 +24,7 @@ __all__ = [
     "WaveScores",
     "InsufficientDataError",
     "NoBeatsError",
+    "RPeakDetector",
     "detect_r_peaks",
     "annotate_beats",
     "score_waves",
@@ -96,6 +98,65 @@ def _trailing_threshold(x: np.ndarray, window: int) -> np.ndarray:
     return mean + 2.0 * np.sqrt(var)
 
 
+class RPeakDetector:
+    """One causal R-detection pass over a recording, read at growing ends.
+
+    `peaks(end)` returns exactly what `detect_r_peaks(recording[:end])`
+    would: the threshold is causal (cumulative sums accumulate in order), a
+    candidate at lead-on index i needs only the sample after it, and the
+    refractory merge is an online loop.  So the candidates are found once
+    over the whole recording, and each read merges only those its new
+    samples settle.  Reads must not go back to an earlier end.
+    """
+
+    def __init__(self, recording: Recording):
+        self._rate = recording.sample_rate
+        self._keep = np.flatnonzero(~recording.lead_off)
+        # lead-on samples before each index, so a prefix's count is one lookup
+        self._lead_on = np.concatenate(([0], np.cumsum(~recording.lead_off)))
+        x = self._x = recording.codes[self._keep].astype(float)
+        thr = _trailing_threshold(x, int(THRESHOLD_WINDOW_S * self._rate))
+        mid = x[1:-1]
+        self._candidates = (
+            np.flatnonzero((mid >= x[:-2]) & (mid > x[2:]) & (mid > thr[1:-1])) + 1
+        ).tolist()
+        self._merged = 0     # candidates consumed so far
+        self._peaks: list[int] = []
+        self._end = 0
+
+    def peaks(self, end: int) -> list[int]:
+        """Indices of R peaks in `recording[:end]`."""
+        if end < self._end:
+            raise ValueError(f"read at {end} after a read at {self._end}")
+        self._end = end
+        m = int(self._lead_on[end])
+        if m < THRESHOLD_WINDOW_S * self._rate:
+            raise InsufficientDataError(
+                f"need at least {THRESHOLD_WINDOW_S:g} s of signal, got {m / self._rate:g} s"
+            )
+
+        # A candidate at i is settled once x[i + 1] is read, so up to m - 2.
+        stop = bisect.bisect_right(self._candidates, m - 2)
+        refractory = int(round(REFRACTORY_MS / 1000.0 * self._rate))
+        x, peaks = self._x, self._peaks
+        # Candidates closer than the refractory period merge into the larger.
+        # Each merge compares with the peak kept so far, so this stays a loop.
+        for i in self._candidates[self._merged:stop]:
+            if peaks and i - peaks[-1] < refractory:
+                if x[i] > x[peaks[-1]]:
+                    peaks[-1] = i
+            else:
+                peaks.append(i)
+        self._merged = stop
+
+        # Drop a beat whose analysis span meets a lead-off sample before end.
+        r = self._keep[np.asarray(peaks, dtype=np.intp)]
+        lo = np.maximum(0, r + _ms_to_samples(P_WINDOW[0], self._rate))
+        hi = np.minimum(end, r + _ms_to_samples(T_WINDOW[1], self._rate) + 1)
+        clean = self._lead_on[hi] - self._lead_on[lo] == hi - lo
+        return r[clean].tolist()
+
+
 def detect_r_peaks(recording: Recording) -> list[int]:
     """Indices of R peaks in the recording.
 
@@ -103,39 +164,7 @@ def detect_r_peaks(recording: Recording) -> list[int]:
     refer to positions in the recording, and a beat whose analysis
     windows would overlap a removed region is dropped entirely.
     """
-    sample_rate = recording.sample_rate
-    lead_off = recording.lead_off
-    n = len(recording)
-    keep = np.flatnonzero(~lead_off)
-    x = recording.codes[keep].astype(float)
-    if len(x) < THRESHOLD_WINDOW_S * sample_rate:
-        raise InsufficientDataError(
-            f"need at least {THRESHOLD_WINDOW_S:g} s of signal, got {len(x) / sample_rate:g} s"
-        )
-
-    thr = _trailing_threshold(x, int(THRESHOLD_WINDOW_S * sample_rate))
-    refractory = int(round(REFRACTORY_MS / 1000.0 * sample_rate))
-    mid = x[1:-1]
-    candidates = np.flatnonzero((mid >= x[:-2]) & (mid > x[2:]) & (mid > thr[1:-1])) + 1
-    # Candidates closer than the refractory period merge into the larger.
-    # Each merge compares with the peak kept so far, so this stays a loop.
-    peaks: list[int] = []
-    for i in candidates.tolist():
-        if peaks and i - peaks[-1] < refractory:
-            if x[i] > x[peaks[-1]]:
-                peaks[-1] = i
-        else:
-            peaks.append(i)
-
-    out = keep[peaks].tolist()
-    if lead_off.any():
-        span_lo = _ms_to_samples(P_WINDOW[0], sample_rate)
-        span_hi = _ms_to_samples(T_WINDOW[1], sample_rate)
-        out = [
-            r for r in out
-            if not lead_off[max(0, r + span_lo):min(n, r + span_hi + 1)].any()
-        ]
-    return out
+    return RPeakDetector(recording).peaks(len(recording))
 
 
 def _ms_to_samples(ms: int, sample_rate: int) -> int:
@@ -187,17 +216,13 @@ def annotate_beats(recording: Recording, r_indices: Sequence[int]) -> list[BeatA
 
 def _baseline_and_floor(seg: np.ndarray) -> tuple[float, float]:
     chunk = max(1, len(seg) // 8)
-    quiet_std = None
-    quiet_median = 0.0
-    for j in range(0, len(seg) - chunk + 1, chunk):
-        piece = seg[j:j + chunk]
-        s = float(piece.std())
-        if quiet_std is None or s < quiet_std:
-            quiet_std = s
-            quiet_median = float(np.median(piece))
-    if quiet_std is None:  # empty segment, degenerate beat at the very edge
+    k = len(seg) // chunk
+    if k == 0:  # empty segment, degenerate beat at the very edge
         return 0.0, float("inf")
-    return quiet_median, max(3.0 * quiet_std, 1.0)
+    stds = seg[:k * chunk].reshape(k, chunk).std(axis=1)
+    j = int(np.argmin(stds))  # the first quietest chunk wins a tie
+    quiet_median = float(np.median(seg[j * chunk:(j + 1) * chunk]))
+    return quiet_median, max(3.0 * float(stds[j]), 1.0)
 
 
 def _ratio_score(valid: int, total: int) -> float:

@@ -151,31 +151,33 @@ def run_ecg_session(
     The session scores a prefix of the recording, as a device that reads
     one second of samples at a time would: capture stops at 50 detected R
     peaks or at the 60 s timeout, whichever comes first, and the rest of
-    the recording is never read.  The record is published to the data
-    topic only when the overall score (mean of the five wave scores) is
-    strictly above 80; otherwise the outcome is an Error and only a
-    status event leaves the device.
+    the recording does not affect the outcome.  The record is published to
+    the data topic only when the overall score (mean of the five wave
+    scores) is strictly above 80; otherwise the outcome is an Error and
+    only a status event leaves the device.
     """
-    # Capture grows one second at a time.  `peaks` holds the detection of
-    # the current prefix, or None when the stop check skipped it: at the
-    # timeout, or before the threshold has enough lead-on signal.
+    # Capture grows one second at a time.  One detection pass over the
+    # recording is read at each second's end, and each read equals a
+    # detection over that prefix alone; a read with under 2 s of lead-on
+    # signal raises, and capture goes on.
     rate = recording.sample_rate
-    end, peaks = 0, None
+    detector = delineate.RPeakDetector(recording)
+    end = 0
     while end < len(recording):
-        end, peaks = min(end + rate, len(recording)), None
+        end = min(end + rate, len(recording))
         if (end - 1) / rate >= SESSION_TIMEOUT_S:
             break
-        if (~recording.lead_off[:end]).sum() >= delineate.THRESHOLD_WINDOW_S * rate:
-            peaks = delineate.detect_r_peaks(recording[:end])
-            if len(peaks) >= SESSION_TARGET_BEATS:
+        try:
+            if len(detector.peaks(end)) >= SESSION_TARGET_BEATS:
                 break
+        except delineate.InsufficientDataError:
+            continue
 
     captured = recording[:end]
-    if peaks is None:
-        try:
-            peaks = delineate.detect_r_peaks(captured)
-        except delineate.InsufficientDataError as exc:
-            raise NoSignalError(str(exc)) from exc
+    try:
+        peaks = detector.peaks(end)
+    except delineate.InsufficientDataError as exc:
+        raise NoSignalError(str(exc)) from exc
     if not peaks:
         raise NoSignalError("no R peaks detected before the session timeout")
 

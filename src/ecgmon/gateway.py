@@ -226,7 +226,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             body = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:  # also an integer literal over the interpreter's digit limit
+        # ValueError also covers an integer literal over the interpreter's
+        # digit limit; RecursionError is nesting deeper than the decoder goes.
+        except (ValueError, RecursionError) as exc:
             self._problem(400, "bad_json", f"body is not valid JSON: {exc}")
             return
         if not isinstance(body, dict):

@@ -89,7 +89,9 @@ class IngestionSink:
     def _process(self, topic: str, payload: bytes, message_id: Optional[int]) -> None:
         try:
             doc = json.loads(payload.decode("utf-8"))
-        except ValueError as exc:  # also an integer literal over the interpreter's digit limit
+        # ValueError also covers an integer literal over the interpreter's
+        # digit limit; RecursionError is nesting deeper than the decoder goes.
+        except (ValueError, RecursionError) as exc:
             raise store_mod.ValidationError("payload", f"not a JSON document: {exc}") from exc
         if not isinstance(doc, dict):
             raise store_mod.ValidationError("payload", "top-level JSON value must be an object")

@@ -59,6 +59,10 @@ class BeatTemplate:
         return (self.p, self.q, self.r, self.s, self.t)
 
     def validate(self) -> None:
+        for name, w in zip("pqrst", self.waves()):
+            for attr, value in zip(w._fields, w):
+                if not math.isfinite(value):
+                    raise ConfigError(f"template.{name}.{attr}: must be finite")
         centers = [w.center for w in self.waves()]
         if not (centers[0] < centers[1] < centers[2] == 0.0 < centers[3] < centers[4]):
             raise ConfigError("template: wave centers must satisfy P < Q < R=0 < S < T")
@@ -81,6 +85,10 @@ DEFAULT_TEMPLATE = BeatTemplate(
     s=Wave(-0.20, 0.040, 0.010),
     t=Wave(0.30, 0.25, 0.045),
 )
+
+# exp(-z) rounds to exactly 0.0 for z > ~745.13, that is beyond
+# sqrt(2 * 745.13) ~ 38.6 sigma of a wave's centre; sqrt(1492) adds a margin.
+_SUPPORT_SIGMAS = math.sqrt(1492.0)
 
 # The last beat of a record keeps this much signal after its R peak so the
 # full T wave (center 0.25 s plus ~3 sigma) stays inside the record.
@@ -108,6 +116,9 @@ class SynthConfig:
     seed: int | None = None       # noise generator seed, None for fresh entropy
 
     def validate(self) -> None:
+        for name in ("heart_rate", "duration", "baseline", "noise_std", "adc_reference", "gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}: must be finite")
         if self.sample_rate < 100:
             raise ConfigError("sample_rate: must be >= 100")
         if not 20 <= self.heart_rate <= 250:
@@ -123,8 +134,8 @@ class SynthConfig:
         if self.gain <= 0:
             raise ConfigError("gain: must be > 0")
         for iv in self.lead_off_intervals:
-            if len(iv) != 2 or not 0 <= iv[0] <= iv[1]:
-                raise ConfigError("lead_off_intervals: each entry must be [start, end) with 0 <= start <= end")
+            if len(iv) != 2 or not all(map(math.isfinite, iv)) or not 0 <= iv[0] <= iv[1]:
+                raise ConfigError("lead_off_intervals: each entry must be [start, end) with finite 0 <= start <= end")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +206,14 @@ def synthesize(config: SynthConfig, template: BeatTemplate = DEFAULT_TEMPLATE) -
         for w in template.waves():
             if w.amplitude == 0.0:
                 continue
-            shape += w.amplitude * np.exp(-((t - c - w.center) ** 2) / (2.0 * w.sigma ** 2))
+            # Outside its support a wave adds exactly 0.0, so only the
+            # samples within reach of its centre (one more each side) are
+            # evaluated, with the same expression and in the same order.
+            reach = _SUPPORT_SIGMAS * w.sigma
+            lo = max(0, int(np.searchsorted(t, c + w.center - reach)) - 1)
+            hi = int(np.searchsorted(t, c + w.center + reach, side="right")) + 1
+            tw = t[lo:hi]
+            shape[lo:hi] += w.amplitude * np.exp(-((tw - c - w.center) ** 2) / (2.0 * w.sigma ** 2))
     mv = config.baseline + config.gain * shape
     if config.noise_std > 0:
         rng = np.random.default_rng(config.seed)

@@ -447,6 +447,22 @@ def test_oversized_number_is_acked_and_dropped(broker, tmp_path, payload):
         store.close()
 
 
+def test_deeply_nested_payload_is_acked_and_dropped(broker, tmp_path):
+    # 200 kB under the packet cap, nested deeper than the JSON decoder recurses
+    nested = b"[" * 100_000 + b"]" * 100_000
+    store = RecordStore(tmp_path / "telemetry")
+    sink = IngestionSink(store).start()
+    broker.sink = sink
+    try:
+        with connected(broker) as client:
+            client.publish("clinic/p1/heartbeat", nested, qos=1)
+            client.publish("clinic/p1/heartbeat", heartbeat(61), qos=1)
+            assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [61]
+    finally:
+        sink.stop()
+        store.close()
+
+
 # ------------------------------------------------------------------ client
 
 def test_publish_reconnects_after_eviction(broker, tmp_path):

@@ -417,3 +417,18 @@ def test_load_synth_config_bad_value(tmp_path):
     path.write_text("sample_rate = fast\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="sample_rate"):
         load_synth_config(path)
+
+
+@pytest.mark.parametrize("line,field", [
+    ("r_sigma = nan", "template.r.sigma"),
+    ("r_amplitude = nan", "template.r.amplitude"),
+    ("t_center = inf", "template.t.center"),
+    ("baseline = nan", "baseline"),
+    ("duration = inf", "duration"),
+    ("lead_off_intervals = 1:nan", "lead_off_intervals"),
+])
+def test_load_synth_config_non_finite_value(tmp_path, line, field):
+    path = tmp_path / "synth.conf"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=field):
+        load_synth_config(path)

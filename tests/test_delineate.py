@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecgmon import delineate
 from ecgmon.delineate import (
     BeatAnnotation,
     InsufficientDataError,
     NoBeatsError,
+    RPeakDetector,
     annotate_beats,
     detect_r_peaks,
     render_score,
@@ -161,7 +163,9 @@ def test_detect_matches_per_sample_reference(sample_rate):
     compared = 0
     for _ in range(12):
         rec = synthesize(random_capture(rng, sample_rate))
-        # the prefixes a session checks second by second, and the whole capture
+        detector = RPeakDetector(rec)
+        # the prefixes a session checks second by second, and the whole capture,
+        # each on its own and as reads of one pass over the capture
         for end in (*range(2 * sample_rate, len(rec), 3 * sample_rate), len(rec)):
             head = rec[:end]
             try:
@@ -169,8 +173,11 @@ def test_detect_matches_per_sample_reference(sample_rate):
             except InsufficientDataError:
                 with pytest.raises(InsufficientDataError):
                     detect_r_peaks(head)
+                with pytest.raises(InsufficientDataError):
+                    detector.peaks(end)
                 continue
             assert detect_r_peaks(head) == want, (sample_rate, end)
+            assert detector.peaks(end) == want, (sample_rate, end)
             compared += 1
     assert compared >= 12
 
@@ -246,6 +253,69 @@ def test_window_off_record_is_invalid():
     assert not lead[0].p_valid
     later = [a for a in anns if a.r_index != 55]
     assert later and all(a.p_valid for a in later)
+
+
+def test_detector_reads_never_go_back():
+    rec = synthesize(SynthConfig(duration=6.0))
+    detector = RPeakDetector(rec)
+    assert detector.peaks(1000) == detector.peaks(1000) == detect_r_peaks(rec[:1000])
+    with pytest.raises(ValueError):
+        detector.peaks(999)
+
+
+# ------------------------------------------------ baseline and noise floor
+
+def reference_baseline_and_floor(seg):
+    """One chunk at a time, the strictly quieter chunk replacing the kept
+    one: the loop the reshaped `_baseline_and_floor` must match."""
+    chunk = max(1, len(seg) // 8)
+    quiet_std = None
+    quiet_median = 0.0
+    for j in range(0, len(seg) - chunk + 1, chunk):
+        piece = seg[j:j + chunk]
+        s = float(piece.std())
+        if quiet_std is None or s < quiet_std:
+            quiet_std = s
+            quiet_median = float(np.median(piece))
+    if quiet_std is None:
+        return 0.0, float("inf")
+    return quiet_median, max(3.0 * quiet_std, 1.0)
+
+
+# 641 samples is the full P-to-T span of a beat at 1000 Hz
+_SPAN = 641
+
+
+@st.composite
+def beat_spans(draw):
+    """Code segments: random, constant, or chunks that repeat one pattern
+    shifted by whole codes, so their stds tie and their medians differ."""
+    n = draw(st.integers(1, _SPAN))
+    kind = draw(st.sampled_from(["random", "constant", "tied"]))
+    if kind == "random":
+        return np.array(draw(st.lists(st.integers(0, 1023), min_size=n, max_size=n)), dtype=float)
+    if kind == "constant":
+        return np.full(n, float(draw(st.integers(0, 1023))))
+    chunk = max(1, n // 8)
+    pattern = np.array(draw(st.lists(st.integers(0, 64), min_size=chunk, max_size=chunk)))
+    shifts = draw(st.lists(st.integers(0, 900), min_size=n // chunk + 1, max_size=n // chunk + 1))
+    return np.concatenate([pattern + s for s in shifts])[:n].astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(beat_spans())
+def test_baseline_and_floor_matches_chunk_loop(seg):
+    assert delineate._baseline_and_floor(seg) == reference_baseline_and_floor(seg)
+
+
+def test_baseline_and_floor_edges():
+    assert delineate._baseline_and_floor(np.array([])) == (0.0, float("inf"))
+    # eight chunks with equal stds: the first one's median wins the tie
+    seg = np.concatenate([np.array([0.0, 2.0, 4.0, 6.0]) + 10 * j for j in range(8)])
+    assert delineate._baseline_and_floor(seg) == reference_baseline_and_floor(seg) == (3.0, 3.0 * 5 ** 0.5)
+    for n in range(1, _SPAN + 1):
+        seg = np.arange(n, dtype=float) % 7
+        assert delineate._baseline_and_floor(seg) == reference_baseline_and_floor(seg), n
 
 
 # ----------------------------------------------------------------- scoring

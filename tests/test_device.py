@@ -1,9 +1,11 @@
 """Tests for the device loop: heartbeat counting, session gating, CSV."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecgmon import delineate, device
 from ecgmon.delineate import WaveScores
@@ -205,6 +207,124 @@ def test_session_too_short_raises():
     samples = synthesize(SynthConfig(duration=1.0))
     with pytest.raises(NoSignalError):
         run_ecg_session(samples, "p1", age=30)
+
+
+def test_session_computes_the_threshold_once(monkeypatch):
+    # one detection pass per session, however many seconds it reads
+    calls = []
+    threshold = delineate._trailing_threshold
+
+    def counting(x, window):
+        calls.append(len(x))
+        return threshold(x, window)
+
+    monkeypatch.setattr(delineate, "_trailing_threshold", counting)
+    timeout = synthesize(SynthConfig(heart_rate=45.0, duration=90.0))
+    fifty_beats = synthesize(SynthConfig(duration=70.0))
+    for recording in (timeout, fifty_beats):
+        calls.clear()
+        assert run_ecg_session(recording, "p1", age=30).status == "Uploaded"
+        assert calls == [len(recording)]
+
+
+# ------------------------------------------- reference per-prefix session
+
+def reference_detect_prefix(recording):
+    """R detection over one prefix from scratch, kept as the reference the
+    detector's checkpoint reads must match."""
+    sample_rate = recording.sample_rate
+    lead_off = recording.lead_off
+    n = len(recording)
+    keep = np.flatnonzero(~lead_off)
+    x = recording.codes[keep].astype(float)
+    if len(x) < delineate.THRESHOLD_WINDOW_S * sample_rate:
+        raise delineate.InsufficientDataError(
+            f"need at least {delineate.THRESHOLD_WINDOW_S:g} s of signal, got {len(x) / sample_rate:g} s"
+        )
+    thr = delineate._trailing_threshold(x, int(delineate.THRESHOLD_WINDOW_S * sample_rate))
+    refractory = int(round(delineate.REFRACTORY_MS / 1000.0 * sample_rate))
+    mid = x[1:-1]
+    candidates = np.flatnonzero((mid >= x[:-2]) & (mid > x[2:]) & (mid > thr[1:-1])) + 1
+    peaks: list[int] = []
+    for i in candidates.tolist():
+        if peaks and i - peaks[-1] < refractory:
+            if x[i] > x[peaks[-1]]:
+                peaks[-1] = i
+        else:
+            peaks.append(i)
+    out = keep[peaks].tolist()
+    if lead_off.any():
+        span_lo = delineate._ms_to_samples(delineate.P_WINDOW[0], sample_rate)
+        span_hi = delineate._ms_to_samples(delineate.T_WINDOW[1], sample_rate)
+        out = [r for r in out if not lead_off[max(0, r + span_lo):min(n, r + span_hi + 1)].any()]
+    return out
+
+
+def reference_session(recording):
+    """The session loop that detects every one-second prefix from scratch,
+    kept as the reference for `run_ecg_session`: (status, overall, scores)
+    or ("no_signal", message)."""
+    rate = recording.sample_rate
+    end, peaks = 0, None
+    while end < len(recording):
+        end, peaks = min(end + rate, len(recording)), None
+        if (end - 1) / rate >= device.SESSION_TIMEOUT_S:
+            break
+        if (~recording.lead_off[:end]).sum() >= delineate.THRESHOLD_WINDOW_S * rate:
+            peaks = reference_detect_prefix(recording[:end])
+            if len(peaks) >= device.SESSION_TARGET_BEATS:
+                break
+    captured = recording[:end]
+    if peaks is None:
+        try:
+            peaks = reference_detect_prefix(captured)
+        except delineate.InsufficientDataError as exc:
+            return ("no_signal", str(exc))
+    if not peaks:
+        return ("no_signal", "no R peaks detected before the session timeout")
+    scores = delineate.score_waves(delineate.annotate_beats(captured, peaks))
+    overall = overall_score(scores)
+    return ("Uploaded" if overall > device.UPLOAD_GATE else "Error", overall, scores)
+
+
+def session_result(recording):
+    try:
+        outcome = run_ecg_session(recording, "p1", age=30)
+    except NoSignalError as exc:
+        return ("no_signal", str(exc))
+    return (outcome.status, outcome.overall_score, outcome.scores)
+
+
+@st.composite
+def session_configs(draw):
+    duration = draw(st.floats(3.0, 64.0))
+    starts = draw(st.lists(st.floats(0.0, duration), max_size=3))
+    return SynthConfig(
+        sample_rate=draw(st.integers(100, 1000)),
+        heart_rate=draw(st.floats(20.0, 250.0)),
+        duration=duration,
+        noise_std=draw(st.sampled_from([0.0, draw(st.floats(0.0, 160.0))])),
+        lead_off_intervals=tuple((s, s + draw(st.floats(0.0, 4.0))) for s in starts),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(session_configs())
+def test_session_matches_per_prefix_reference(config):
+    recording = synthesize(config)
+    rate = recording.sample_rate
+    detector = delineate.RPeakDetector(recording)
+    for end in range(rate, len(recording) + rate, rate):
+        end = min(end, len(recording))
+        try:
+            want = reference_detect_prefix(recording[:end])
+        except delineate.InsufficientDataError as exc:
+            with pytest.raises(delineate.InsufficientDataError, match=re.escape(str(exc))):
+                detector.peaks(end)
+            continue
+        assert detector.peaks(end) == want, end
+    assert session_result(recording) == reference_session(recording)
 
 
 def test_gate_is_strict():

@@ -216,6 +216,12 @@ def test_ingest_integer_over_digit_limit_400(gw):
     assert body["code"] == "bad_json"
 
 
+def test_ingest_deeply_nested_json_400(gw):
+    status, body = request(gw, "POST", "/ingest", body=b"[" * 100_000 + b"]" * 100_000)
+    assert status == 400
+    assert body["code"] == "bad_json"
+
+
 def test_ingest_missing_field_400(gw):
     body = heartbeat_body()
     del body["bpm"]

@@ -3,10 +3,13 @@ lead-off handling, and the pulse event stream.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ecgmon import synth
 from ecgmon.synth import (
     DEFAULT_TEMPLATE,
     BeatTemplate,
@@ -150,6 +153,92 @@ def test_suppressed_wave_changes_nothing_else():
     assert (nop < base).any()
 
 
+# ------------------------------------------------- reference synthesis
+
+def reference_synthesize(config, template=DEFAULT_TEMPLATE):
+    """Every wave of every beat evaluated over the whole record, kept as the
+    reference the windowed `synthesize` must match bit for bit.  Returns
+    the analog millivolts handed to the quantizer and the recording."""
+    n = int(math.floor(config.sample_rate * config.duration + 1e-9))
+    t = np.arange(n) / config.sample_rate
+    shape = np.zeros(n)
+    for c in synth._beat_centers(config.heart_rate, config.duration):
+        for w in template.waves():
+            if w.amplitude == 0.0:
+                continue
+            shape += w.amplitude * np.exp(-((t - c - w.center) ** 2) / (2.0 * w.sigma ** 2))
+    mv = config.baseline + config.gain * shape
+    if config.noise_std > 0:
+        mv = mv + np.random.default_rng(config.seed).normal(0.0, config.noise_std, n)
+    codes = quantize(mv, config.adc_reference, config.adc_bits)
+    lead_off = np.zeros(n, dtype=bool)
+    for start, end in config.lead_off_intervals:
+        lead_off |= (t >= start) & (t < end)
+    codes[lead_off] = (1 << config.adc_bits) - 1
+    return mv, synth.Recording(codes, lead_off, config.sample_rate)
+
+
+def synthesize_with_analog(config, template=DEFAULT_TEMPLATE):
+    """`synthesize`, plus the millivolts it handed to the quantizer."""
+    seen = []
+
+    def spy(voltage, adc_reference, adc_bits):
+        seen.append(np.array(voltage))
+        return quantize(voltage, adc_reference, adc_bits)
+
+    with mock.patch.object(synth, "quantize", spy):
+        rec = synthesize(config, template)
+    (mv,) = seen
+    return mv, rec
+
+
+@st.composite
+def synth_cases(draw):
+    """A capture over the ranges a device meets, with every wave's width
+    scaled, so supports run from under a sample to many beats wide."""
+    duration = draw(st.floats(3.0, 64.0))
+    starts = draw(st.lists(st.floats(0.0, duration), max_size=3))
+    config = SynthConfig(
+        sample_rate=draw(st.integers(100, 1000)),
+        heart_rate=draw(st.floats(20.0, 250.0)),
+        duration=duration,
+        # at a zero baseline the analog values keep every bit of the waves' sum
+        baseline=draw(st.sampled_from([0.0, 1650.0])),
+        noise_std=draw(st.sampled_from([0.0, draw(st.floats(0.0, 160.0))])),
+        lead_off_intervals=tuple((s, s + draw(st.floats(0.0, 4.0))) for s in starts),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    widen = draw(st.floats(0.05, 20.0))
+    template = BeatTemplate(*(w._replace(sigma=w.sigma * widen) for w in DEFAULT_TEMPLATE.waves()))
+    return config, template
+
+
+@settings(max_examples=40, deadline=None)
+@given(synth_cases())
+def test_synthesize_matches_whole_record_reference(case):
+    config, template = case
+    want_mv, want = reference_synthesize(config, template)
+    got_mv, got = synthesize_with_analog(config, template)
+    assert np.array_equal(got_mv, want_mv)
+    assert same_recording(got, want)
+
+
+def test_synthesize_matches_reference_at_the_edges():
+    # Supports that cross both ends of the record, a support narrower than
+    # one sample, and at 20 bpm a first P wave whose last nonzero values
+    # (under 1e-300 mV) fall on samples no other wave reaches.
+    wide = BeatTemplate(*(w._replace(sigma=w.sigma * 30) for w in DEFAULT_TEMPLATE.waves()))
+    narrow = BeatTemplate(*(w._replace(sigma=1e-5) for w in DEFAULT_TEMPLATE.waves()))
+    for template in (wide, narrow, DEFAULT_TEMPLATE):
+        for rate in (100, 1000):
+            for config in (SynthConfig(sample_rate=rate, heart_rate=250.0, duration=3.0),
+                           SynthConfig(sample_rate=rate, heart_rate=20.0, duration=6.0, baseline=0.0)):
+                want_mv, want = reference_synthesize(config, template)
+                got_mv, got = synthesize_with_analog(config, template)
+                assert np.array_equal(got_mv, want_mv), (template, config)
+                assert same_recording(got, want)
+
+
 # ------------------------------------------------------------- pulse events
 
 def test_pulse_events_60bpm_20s():
@@ -187,6 +276,12 @@ def test_pulse_event_count_tracks_rate():
     ({"adc_bits": 24}, "adc_bits"),
     ({"gain": 0.0}, "gain"),
     ({"lead_off_intervals": ((3.0, 1.0),)}, "lead_off_intervals"),
+    *(({name: bad}, name)
+      for name in ("heart_rate", "duration", "baseline", "noise_std", "adc_reference", "gain")
+      for bad in (math.nan, math.inf, -math.inf)),
+    ({"lead_off_intervals": ((math.nan, 1.0),)}, "lead_off_intervals"),
+    ({"lead_off_intervals": ((1.0, math.nan),)}, "lead_off_intervals"),
+    ({"lead_off_intervals": ((1.0, math.inf),)}, "lead_off_intervals"),
 ])
 def test_config_errors_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
@@ -215,6 +310,26 @@ def test_template_rejects_nonpositive_sigma():
     )
     with pytest.raises(ConfigError):
         bad.validate()
+
+
+@pytest.mark.parametrize("wave", "pqrst")
+@pytest.mark.parametrize("attr", Wave._fields)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_template_rejects_non_finite_values(wave, attr, bad):
+    w = getattr(DEFAULT_TEMPLATE, wave)
+    template = BeatTemplate(**{**dict(zip("pqrst", DEFAULT_TEMPLATE.waves())),
+                               wave: w._replace(**{attr: bad})})
+    with pytest.raises(ConfigError, match=f"template.{wave}.{attr}"):
+        template.validate()
+    with pytest.raises(ConfigError):
+        synthesize(SynthConfig(duration=3.0), template)
+
+
+def test_non_finite_config_never_reaches_the_quantizer():
+    for config in (SynthConfig(baseline=math.nan), SynthConfig(duration=math.inf),
+                   SynthConfig(duration=math.nan)):
+        with pytest.raises(ConfigError):
+            synthesize(config)
 
 
 def test_default_template_is_valid():
