@@ -16,6 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .synth import Recording
 
@@ -111,17 +112,30 @@ class RPeakDetector:
 
     def __init__(self, recording: Recording):
         self._rate = recording.sample_rate
-        self._keep = np.flatnonzero(~recording.lead_off)
+        keep = np.flatnonzero(~recording.lead_off)
         # lead-on samples before each index, so a prefix's count is one lookup
         self._lead_on = np.concatenate(([0], np.cumsum(~recording.lead_off)))
-        x = self._x = recording.codes[self._keep].astype(float)
+        x = recording.codes[keep].astype(float)
         thr = _trailing_threshold(x, int(THRESHOLD_WINDOW_S * self._rate))
         mid = x[1:-1]
-        self._candidates = (
-            np.flatnonzero((mid >= x[:-2]) & (mid > x[2:]) & (mid > thr[1:-1])) + 1
-        ).tolist()
+        candidates = np.flatnonzero((mid >= x[:-2]) & (mid > x[2:]) & (mid > thr[1:-1])) + 1
+        self._candidates = candidates.tolist()  # lead-on indices
+        self._heights = x[candidates].tolist()
+        # Each candidate's R in the recording, the end of its analysis span
+        # and the first lead-off sample from the span's start on (or the
+        # record's length): the beat is clean at a read at `end` when that
+        # sample lies at or past min(end, span end).
+        r = keep[candidates]
+        lead_offs = np.append(np.flatnonzero(recording.lead_off), len(recording))
+        first_off = lead_offs[np.searchsorted(
+            lead_offs, np.maximum(0, r + _ms_to_samples(P_WINDOW[0], self._rate)))]
+        span_end = r + _ms_to_samples(T_WINDOW[1], self._rate) + 1
+        self._spans = list(zip(r.tolist(), span_end.tolist(), first_off.tolist()))
+        self._refractory = _ms_to_samples(REFRACTORY_MS, self._rate)
         self._merged = 0     # candidates consumed so far
-        self._peaks: list[int] = []
+        self._peaks: list[int] = []  # the merged peaks, as candidate numbers
+        self._settled = 0    # leading peaks whose lead-off verdict is final
+        self._clean: list[int] = []  # the clean ones among them, as R indices
         self._end = 0
 
     def peaks(self, end: int) -> list[int]:
@@ -137,24 +151,31 @@ class RPeakDetector:
 
         # A candidate at i is settled once x[i + 1] is read, so up to m - 2.
         stop = bisect.bisect_right(self._candidates, m - 2)
-        refractory = int(round(REFRACTORY_MS / 1000.0 * self._rate))
-        x, peaks = self._x, self._peaks
+        at, heights, peaks = self._candidates, self._heights, self._peaks
         # Candidates closer than the refractory period merge into the larger.
         # Each merge compares with the peak kept so far, so this stays a loop.
-        for i in self._candidates[self._merged:stop]:
-            if peaks and i - peaks[-1] < refractory:
-                if x[i] > x[peaks[-1]]:
-                    peaks[-1] = i
+        for j in range(self._merged, stop):
+            if peaks and at[j] - at[peaks[-1]] < self._refractory:
+                if heights[j] > heights[peaks[-1]]:
+                    peaks[-1] = j
             else:
-                peaks.append(i)
+                peaks.append(j)
         self._merged = stop
 
         # Drop a beat whose analysis span meets a lead-off sample before end.
-        r = self._keep[np.asarray(peaks, dtype=np.intp)]
-        lo = np.maximum(0, r + _ms_to_samples(P_WINDOW[0], self._rate))
-        hi = np.minimum(end, r + _ms_to_samples(T_WINDOW[1], self._rate) + 1)
-        clean = self._lead_on[hi] - self._lead_on[lo] == hi - lo
-        return r[clean].tolist()
+        # Only the last peak can still be merged away, so every other peak
+        # whose span ends by `end` has its final verdict: those are kept, and
+        # each read checks only the peaks after them.
+        while self._settled < len(peaks) - 1:
+            r, span_end, first_off = self._spans[peaks[self._settled]]
+            if span_end > end:
+                break
+            if first_off >= span_end:
+                self._clean.append(r)
+            self._settled += 1
+        spans = (self._spans[j] for j in peaks[self._settled:])
+        return self._clean + [r for r, span_end, first_off in spans
+                              if first_off >= min(end, span_end)]
 
 
 def detect_r_peaks(recording: Recording) -> list[int]:
@@ -185,44 +206,56 @@ def annotate_beats(recording: Recording, r_indices: Sequence[int]) -> list[BeatA
     codes = recording.codes.astype(float)
     sample_rate = recording.sample_rate
     n = len(codes)
-    span_lo = _ms_to_samples(P_WINDOW[0], sample_rate)
-    span_hi = _ms_to_samples(T_WINDOW[1], sample_rate)
-
-    annotations = []
-    for r in r_indices:
-        seg = codes[max(0, r + span_lo):min(n, r + span_hi + 1)]
-        base, floor = _baseline_and_floor(seg)
-        fields: dict = {"r_index": int(r)}
-        for wave, (a, b), sign in (
-            ("p", P_WINDOW, +1),
-            ("q", Q_WINDOW, -1),
-            ("s", S_WINDOW, -1),
-            ("t", T_WINDOW, +1),
-        ):
-            lo = r + _ms_to_samples(a, sample_rate) + 1
-            hi = r + _ms_to_samples(b, sample_rate)  # exclusive
-            if lo < 0 or hi > n or hi - lo < 1:
-                fields[f"{wave}_index"] = None
-                fields[f"{wave}_valid"] = False
-                continue
-            window = codes[lo:hi]
-            pos = int(np.argmax(window) if sign > 0 else np.argmin(window)) + lo
-            deviation = (codes[pos] - base) * sign
-            fields[f"{wave}_index"] = pos
-            fields[f"{wave}_valid"] = bool(deviation > floor)
-        annotations.append(BeatAnnotation(**fields))
-    return annotations
+    r = np.asarray(r_indices, dtype=np.intp)
+    base, floor = _baselines_and_floors(
+        codes,
+        np.maximum(0, r + _ms_to_samples(P_WINDOW[0], sample_rate)),
+        np.minimum(n, r + _ms_to_samples(T_WINDOW[1], sample_rate) + 1),
+    )
+    columns = [r.tolist()]
+    for (a, b), sign in ((P_WINDOW, +1), (Q_WINDOW, -1), (S_WINDOW, -1), (T_WINDOW, +1)):
+        lo = r + _ms_to_samples(a, sample_rate) + 1
+        width = _ms_to_samples(b, sample_rate) - _ms_to_samples(a, sample_rate) - 1
+        inside = (lo >= 0) & (lo + width <= n) & (width >= 1)
+        index, valid = np.zeros(len(r), dtype=np.intp), inside
+        if inside.any():
+            # every beat's window as one row; argmax and argmin take the first
+            # extremum, and a beat whose window leaves the record reads row 0
+            start = np.where(inside, lo, 0)
+            rows = sliding_window_view(codes, width)[start]
+            index = (rows.argmax(axis=1) if sign > 0 else rows.argmin(axis=1)) + start
+            valid = inside & ((codes[index] - base) * sign > floor)
+        columns.append([i if ok else None for i, ok in zip(index.tolist(), inside.tolist())])
+        columns.append(valid.tolist())
+    return [BeatAnnotation(ri, pi, qi, si, ti, pv, qv, True, sv, tv)
+            for ri, pi, pv, qi, qv, si, sv, ti, tv in zip(*columns)]
 
 
-def _baseline_and_floor(seg: np.ndarray) -> tuple[float, float]:
-    chunk = max(1, len(seg) // 8)
-    k = len(seg) // chunk
-    if k == 0:  # empty segment, degenerate beat at the very edge
-        return 0.0, float("inf")
-    stds = seg[:k * chunk].reshape(k, chunk).std(axis=1)
-    j = int(np.argmin(stds))  # the first quietest chunk wins a tie
-    quiet_median = float(np.median(seg[j * chunk:(j + 1) * chunk]))
-    return quiet_median, max(3.0 * float(stds[j]), 1.0)
+def _baselines_and_floors(codes: np.ndarray, lo: np.ndarray,
+                          hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Baseline and noise floor of each segment codes[lo[i]:hi[i]].
+
+    A segment splits into full chunks of max(1, len // 8) samples; the
+    first chunk with the smallest std is the quietest, its median is the
+    baseline and 3x its std (at least 1.0) the floor.  An empty segment
+    gets (0.0, inf).  Segments of one length, all but the beats at the
+    record edges, are reduced together as one (segments x chunks x chunk)
+    block.
+    """
+    lengths = hi - lo
+    base = np.zeros(len(lo))
+    floor = np.full(len(lo), np.inf)
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        chunk = max(1, length // 8)
+        k = length // chunk
+        at = np.flatnonzero(lengths == length)
+        chunks = sliding_window_view(codes, k * chunk)[lo[at]].reshape(len(at), k, chunk)
+        stds = chunks.std(axis=2)
+        j = stds.argmin(axis=1)  # the first quietest chunk wins a tie
+        rows = np.arange(len(at))
+        base[at] = np.median(chunks[rows, j], axis=1)
+        floor[at] = np.maximum(3.0 * stds[rows, j], 1.0)
+    return base, floor
 
 
 def _ratio_score(valid: int, total: int) -> float:

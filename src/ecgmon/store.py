@@ -38,6 +38,7 @@ __all__ = [
     "ValidationError",
     "TOPIC_CLASSES",
     "PATIENT_ID",
+    "MAX_EXTRA_DEPTH",
     "parse_topic",
 ]
 
@@ -120,8 +121,27 @@ _SCHEMAS = {
 }
 
 
+# Keys outside a class's schema are stored as sent, but their lists and
+# objects may nest at most this deep: a stored document is encoded again for
+# every read, by encoders that recurse once per level.
+MAX_EXTRA_DEPTH = 32
+
+
+def _nests_deeper(value, limit: int) -> bool:
+    """Whether lists and objects nest more than `limit` deep in `value`,
+    walked one level at a time rather than by recursion."""
+    level = [value]
+    for _ in range(limit + 1):
+        level = [v for v in level if isinstance(v, (list, dict))]
+        if not level:
+            return False
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return True
+
+
 def _validate(klass: str, payload: dict) -> None:
-    """Raise `ValidationError` for the first field that breaks the class's schema."""
+    """Raise `ValidationError` for the first field that breaks the class's
+    schema, or for a key outside it that nests deeper than MAX_EXTRA_DEPTH."""
     for field, (types, lo, hi) in _SCHEMAS[klass].items():
         if field not in payload and type(None) not in types:
             raise ValidationError(field, "required field missing")
@@ -142,6 +162,10 @@ def _validate(klass: str, payload: dict) -> None:
         for i, flag in enumerate(lead_off):
             if not isinstance(flag, bool):
                 raise ValidationError("lead_off", f"entry {i} is not a boolean")
+    schema = _SCHEMAS[klass]
+    for key, value in payload.items():
+        if key not in schema and _nests_deeper(value, MAX_EXTRA_DEPTH):
+            raise ValidationError(key, f"nests deeper than {MAX_EXTRA_DEPTH} levels")
 
 
 def _dedup_key(topic: str, message_id: int, payload: dict) -> tuple[str, int, bytes]:

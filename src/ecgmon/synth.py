@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Wave",
@@ -22,6 +23,8 @@ __all__ = [
     "Recording",
     "ConfigError",
     "DEFAULT_TEMPLATE",
+    "MAX_SAMPLE_RATE",
+    "MAX_DURATION_S",
     "quantize",
     "synthesize",
     "pulse_events",
@@ -90,6 +93,14 @@ DEFAULT_TEMPLATE = BeatTemplate(
 # sqrt(2 * 745.13) ~ 38.6 sigma of a wave's centre; sqrt(1492) adds a margin.
 _SUPPORT_SIGMAS = math.sqrt(1492.0)
 
+# Waves are evaluated in blocks of at most this many samples (2 MiB of float64).
+_BLOCK_ELEMENTS = 1 << 18
+
+# Upper bounds of a capture: 600 s at 2000 Hz is 1.2 million samples, so a
+# recording's columns stay within tens of megabytes.
+MAX_SAMPLE_RATE = 2000
+MAX_DURATION_S = 600.0
+
 # The last beat of a record keeps this much signal after its R peak so the
 # full T wave (center 0.25 s plus ~3 sigma) stays inside the record.
 _POST_BEAT_MARGIN = 0.45
@@ -119,12 +130,12 @@ class SynthConfig:
         for name in ("heart_rate", "duration", "baseline", "noise_std", "adc_reference", "gain"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}: must be finite")
-        if self.sample_rate < 100:
-            raise ConfigError("sample_rate: must be >= 100")
+        if not 100 <= self.sample_rate <= MAX_SAMPLE_RATE:
+            raise ConfigError(f"sample_rate: must be within [100, {MAX_SAMPLE_RATE}]")
         if not 20 <= self.heart_rate <= 250:
             raise ConfigError("heart_rate: must be within [20, 250]")
-        if self.duration < 0:
-            raise ConfigError("duration: must be >= 0")
+        if not 0 <= self.duration <= MAX_DURATION_S:
+            raise ConfigError(f"duration: must be within [0, {MAX_DURATION_S:g}]")
         if self.noise_std < 0:
             raise ConfigError("noise_std: must be >= 0")
         if self.adc_reference <= 0:
@@ -188,6 +199,52 @@ def _beat_centers(heart_rate: float, duration: float) -> list[float]:
     return centers
 
 
+def _beats_shape(t: np.ndarray, sample_rate: int, centers: np.ndarray,
+                 template: BeatTemplate) -> np.ndarray:
+    # The sum of every wave of every beat at the times t.  Outside its
+    # support a wave adds exactly 0.0, so each wave is evaluated only from
+    # one sample before its support in a beat to one sample after it, all
+    # beats at once as the rows of one (beats x width) block with a shared
+    # width; a row runs past its own support or the record end only where
+    # it adds +-0.0 or is cut off.  The rows are added in (beat, wave) order,
+    # the order of the sum over the whole record, so each sample keeps its
+    # bits.  Beats go in groups so that a block stays under _BLOCK_ELEMENTS.
+    n = len(t)
+    spans = []
+    for w in template.waves():
+        if w.amplitude == 0.0:
+            continue
+        reach = _SUPPORT_SIGMAS * w.sigma
+        mu = centers + w.center
+        lo = np.maximum(np.searchsorted(t, mu - reach) - 1, 0)
+        hi = np.minimum(np.searchsorted(t, mu + reach, side="right") + 1, n)
+        spans.append((w, lo, int((hi - lo).max(initial=1))))
+    if not spans or not len(centers):
+        return np.zeros(n)
+    shape = np.zeros(n + max(width for _, _, width in spans))
+    t_pad = np.arange(len(shape)) / sample_rate
+    step = max(1, _BLOCK_ELEMENTS // sum(width for _, _, width in spans))
+    for first in range(0, len(centers), step):
+        beats = slice(first, first + step)
+        blocks = []
+        for w, lo, width in spans:
+            # w.amplitude * exp(-((t - c - w.center) ** 2) / (2 * w.sigma ** 2)),
+            # worked in place on the one block
+            x = sliding_window_view(t_pad, width)[lo[beats]]
+            x -= centers[beats, None]
+            x -= w.center
+            np.square(x, out=x)
+            np.negative(x, out=x)
+            x /= 2.0 * w.sigma ** 2
+            np.exp(x, out=x)
+            x *= w.amplitude
+            blocks.append(zip(lo[beats].tolist(), x))
+        for beat in zip(*blocks):
+            for lo, row in beat:
+                shape[lo:lo + len(row)] += row
+    return shape[:n]
+
+
 def synthesize(config: SynthConfig, template: BeatTemplate = DEFAULT_TEMPLATE) -> Recording:
     """Generate floor(sample_rate * duration) quantized ECG samples.
 
@@ -201,19 +258,8 @@ def synthesize(config: SynthConfig, template: BeatTemplate = DEFAULT_TEMPLATE) -
     template.validate()
     n = int(math.floor(config.sample_rate * config.duration + 1e-9))
     t = np.arange(n) / config.sample_rate
-    shape = np.zeros(n)
-    for c in _beat_centers(config.heart_rate, config.duration):
-        for w in template.waves():
-            if w.amplitude == 0.0:
-                continue
-            # Outside its support a wave adds exactly 0.0, so only the
-            # samples within reach of its centre (one more each side) are
-            # evaluated, with the same expression and in the same order.
-            reach = _SUPPORT_SIGMAS * w.sigma
-            lo = max(0, int(np.searchsorted(t, c + w.center - reach)) - 1)
-            hi = int(np.searchsorted(t, c + w.center + reach, side="right")) + 1
-            tw = t[lo:hi]
-            shape[lo:hi] += w.amplitude * np.exp(-((tw - c - w.center) ** 2) / (2.0 * w.sigma ** 2))
+    shape = _beats_shape(t, config.sample_rate,
+                         np.array(_beat_centers(config.heart_rate, config.duration)), template)
     mv = config.baseline + config.gain * shape
     if config.noise_std > 0:
         rng = np.random.default_rng(config.seed)

@@ -263,6 +263,45 @@ def test_detector_reads_never_go_back():
         detector.peaks(999)
 
 
+@st.composite
+def detector_reads(draw):
+    """A capture and increasing read ends: repeats, single samples, steps
+    of up to 10 s, and reads around each edge of a lead-off span."""
+    rate = draw(st.integers(100, 1000))
+    duration = draw(st.floats(1.0, 12.0))
+    starts = draw(st.lists(st.floats(0.0, duration), max_size=2))
+    intervals = tuple((s, s + draw(st.floats(0.0, 3.0))) for s in starts)
+    recording = synthesize(SynthConfig(
+        sample_rate=rate,
+        heart_rate=draw(st.floats(20.0, 250.0)),
+        duration=duration,
+        noise_std=draw(st.sampled_from([0.0, draw(st.floats(0.0, 160.0))])),
+        lead_off_intervals=intervals,
+        seed=draw(st.integers(0, 2**31 - 1)),
+    ))
+    steps = draw(st.lists(st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 10 * rate)),
+                          min_size=1, max_size=30))
+    edges = [round(t * rate) + d for interval in intervals for t in interval for d in (-1, 0, 1)]
+    ends = sorted(min(max(end, 0), len(recording)) for end in [*np.cumsum(steps).tolist(), *edges])
+    return recording, ends
+
+
+@settings(max_examples=60, deadline=None)
+@given(detector_reads())
+def test_detector_reads_at_irregular_ends_match_reference(case):
+    recording, ends = case
+    detector = RPeakDetector(recording)
+    for end in ends:
+        head = recording[:end]
+        try:
+            want = reference_detect_r_peaks(head.codes, head.lead_off, recording.sample_rate)
+        except InsufficientDataError:
+            with pytest.raises(InsufficientDataError):
+                detector.peaks(end)
+            continue
+        assert detector.peaks(end) == want, end
+
+
 # ------------------------------------------------ baseline and noise floor
 
 def reference_baseline_and_floor(seg):
@@ -302,20 +341,119 @@ def beat_spans(draw):
     return np.concatenate([pattern + s for s in shifts])[:n].astype(float)
 
 
+def baselines_and_floors(segs):
+    """`_baselines_and_floors` over the segments laid end to end, as a list
+    of (baseline, floor) pairs."""
+    hi = np.cumsum([len(seg) for seg in segs], dtype=np.intp)
+    lo = hi - [len(seg) for seg in segs]
+    codes = np.concatenate([np.asarray(seg, dtype=float) for seg in segs])
+    base, floor = delineate._baselines_and_floors(codes, lo, hi)
+    return list(zip(base.tolist(), floor.tolist()))
+
+
 @settings(max_examples=300, deadline=None)
-@given(beat_spans())
-def test_baseline_and_floor_matches_chunk_loop(seg):
-    assert delineate._baseline_and_floor(seg) == reference_baseline_and_floor(seg)
+@given(st.lists(beat_spans(), min_size=1, max_size=4))
+def test_baseline_and_floor_matches_chunk_loop(segs):
+    # each segment once and again in reverse, so equal lengths are reduced together
+    segs = segs + segs[::-1]
+    assert baselines_and_floors(segs) == [reference_baseline_and_floor(seg) for seg in segs]
 
 
 def test_baseline_and_floor_edges():
-    assert delineate._baseline_and_floor(np.array([])) == (0.0, float("inf"))
+    assert baselines_and_floors([np.array([])]) == [(0.0, float("inf"))]
     # eight chunks with equal stds: the first one's median wins the tie
     seg = np.concatenate([np.array([0.0, 2.0, 4.0, 6.0]) + 10 * j for j in range(8)])
-    assert delineate._baseline_and_floor(seg) == reference_baseline_and_floor(seg) == (3.0, 3.0 * 5 ** 0.5)
-    for n in range(1, _SPAN + 1):
-        seg = np.arange(n, dtype=float) % 7
-        assert delineate._baseline_and_floor(seg) == reference_baseline_and_floor(seg), n
+    assert baselines_and_floors([seg]) == [reference_baseline_and_floor(seg)] == [(3.0, 3.0 * 5 ** 0.5)]
+    segs = [np.arange(n, dtype=float) % 7 for n in range(_SPAN + 1)]
+    assert baselines_and_floors(segs) == [reference_baseline_and_floor(seg) for seg in segs]
+
+
+# ------------------------------------------------ reference annotation
+
+def reference_annotate_beats(recording, r_indices):
+    """One beat at a time and one window at a time, kept as the reference
+    the columnar `annotate_beats` must match."""
+    codes = recording.codes.astype(float)
+    sample_rate = recording.sample_rate
+    n = len(codes)
+    span_lo = delineate._ms_to_samples(delineate.P_WINDOW[0], sample_rate)
+    span_hi = delineate._ms_to_samples(delineate.T_WINDOW[1], sample_rate)
+
+    annotations = []
+    for r in r_indices:
+        seg = codes[max(0, r + span_lo):min(n, r + span_hi + 1)]
+        base, floor = reference_baseline_and_floor(seg)
+        fields: dict = {"r_index": int(r)}
+        for wave, (a, b), sign in (
+            ("p", delineate.P_WINDOW, +1),
+            ("q", delineate.Q_WINDOW, -1),
+            ("s", delineate.S_WINDOW, -1),
+            ("t", delineate.T_WINDOW, +1),
+        ):
+            lo = r + delineate._ms_to_samples(a, sample_rate) + 1
+            hi = r + delineate._ms_to_samples(b, sample_rate)  # exclusive
+            if lo < 0 or hi > n or hi - lo < 1:
+                fields[f"{wave}_index"] = None
+                fields[f"{wave}_valid"] = False
+                continue
+            window = codes[lo:hi]
+            pos = int(np.argmax(window) if sign > 0 else np.argmin(window)) + lo
+            deviation = (codes[pos] - base) * sign
+            fields[f"{wave}_index"] = pos
+            fields[f"{wave}_valid"] = bool(deviation > floor)
+        annotations.append(BeatAnnotation(**fields))
+    return annotations
+
+
+@st.composite
+def annotation_cases(draw):
+    """A short noisy capture, with lead-off spans, and R indices anywhere in
+    it, crowded at both edges, unsorted and repeated."""
+    duration = draw(st.floats(0.05, 6.0))
+    starts = draw(st.lists(st.floats(0.0, duration), max_size=3))
+    # waves down to a code or two, so deviations meet the one-code floor
+    scale = draw(st.sampled_from([1.0, draw(st.floats(0.0, 0.1))]))
+    recording = synthesize(SynthConfig(
+        sample_rate=draw(st.integers(100, 1000)),
+        heart_rate=draw(st.floats(20.0, 250.0)),
+        duration=duration,
+        noise_std=draw(st.sampled_from([0.0, draw(st.floats(0.0, 160.0))])),
+        lead_off_intervals=tuple((s, s + draw(st.floats(0.0, 2.0))) for s in starts),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    ), BeatTemplate(*(w._replace(amplitude=w.amplitude * scale) for w in DEFAULT_TEMPLATE.waves())))
+    last = len(recording) - 1
+    r = st.one_of(st.integers(0, min(last, _SPAN)), st.integers(max(0, last - _SPAN), last),
+                  st.integers(0, last))
+    return recording, draw(st.lists(r, max_size=60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotation_cases())
+def test_annotate_matches_per_beat_reference(case):
+    recording, r_indices = case
+    got = annotate_beats(recording, r_indices)
+    assert got == reference_annotate_beats(recording, r_indices)
+    assert {type(v) for a in got for v in vars(a).values()} <= {int, bool, type(None)}
+
+
+def test_annotation_median_calls_do_not_grow_with_beats(monkeypatch):
+    # the quiet chunks of all full-span beats take one median together
+    rec = synthesize(SynthConfig(duration=40.0))
+    peaks = detect_r_peaks(rec)
+    assert len(peaks) >= 42
+    calls = []
+    median = np.median
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return median(*args, **kwargs)
+
+    monkeypatch.setattr(np, "median", counting)
+    annotate_beats(rec, peaks[:5])
+    few = len(calls)
+    calls.clear()
+    annotate_beats(rec, peaks[:42])
+    assert 1 <= len(calls) <= few
 
 
 # ----------------------------------------------------------------- scoring

@@ -23,6 +23,7 @@ from ecgmon.device import (
     to_csv_row,
 )
 from ecgmon.synth import DEFAULT_TEMPLATE, BeatTemplate, SynthConfig, Wave, pulse_events, synthesize
+from test_delineate import reference_annotate_beats
 
 
 def template_with(**amplitudes):
@@ -261,8 +262,9 @@ def reference_detect_prefix(recording):
 
 
 def reference_session(recording):
-    """The session loop that detects every one-second prefix from scratch,
-    kept as the reference for `run_ecg_session`: (status, overall, scores)
+    """The session loop that detects every one-second prefix from scratch
+    and annotates one beat at a time, kept as the reference for
+    `run_ecg_session`: (status, overall, scores)
     or ("no_signal", message)."""
     rate = recording.sample_rate
     end, peaks = 0, None
@@ -282,7 +284,7 @@ def reference_session(recording):
             return ("no_signal", str(exc))
     if not peaks:
         return ("no_signal", "no R peaks detected before the session timeout")
-    scores = delineate.score_waves(delineate.annotate_beats(captured, peaks))
+    scores = delineate.score_waves(reference_annotate_beats(captured, peaks))
     overall = overall_score(scores)
     return ("Uploaded" if overall > device.UPLOAD_GATE else "Error", overall, scores)
 

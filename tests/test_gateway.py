@@ -222,6 +222,51 @@ def test_ingest_deeply_nested_json_400(gw):
     assert body["code"] == "bad_json"
 
 
+def with_nested_extra(body, depth):
+    """The JSON of `body` plus an extra field "x" of `depth` nested lists."""
+    return json.dumps(body).encode()[:-1] + b', "x": ' + b"[" * depth + b"0" + b"]" * depth + b"}"
+
+
+def test_ingest_nested_extra_field_400_and_latest_still_answers(gw):
+    status, _ = request(gw, "POST", "/ingest", body=heartbeat_body(bpm=72))
+    assert status == 201
+    status, body = request(gw, "POST", "/ingest", body=with_nested_extra(heartbeat_body(bpm=99), 500))
+    assert status == 400
+    assert body["code"] == "invalid_document"
+    status, body = request(gw, "GET", "/patients/p1/heartbeat/latest")
+    assert status == 200
+    assert body["payload"]["bpm"] == 72
+    # at the limit the document is stored and read back whole
+    limit = store_mod.MAX_EXTRA_DEPTH
+    status, _ = request(gw, "POST", "/ingest", body=with_nested_extra(heartbeat_body(bpm=80), limit))
+    assert status == 201
+    status, body = request(gw, "GET", "/patients/p1/heartbeat/latest")
+    assert status == 200
+    assert body["payload"]["bpm"] == 80
+    assert json.dumps(body["payload"]["x"]) == "[" * limit + "0" + "]" * limit
+
+
+def test_nested_extra_field_over_mqtt_is_acked_and_dropped(store):
+    sink = IngestionSink(store).start()
+    broker = Broker("127.0.0.1", 0, sink=sink).start()
+    gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+    client = MqttClient(client_id="nested").connect("127.0.0.1", broker.port)
+    try:
+        payload = {k: v for k, v in heartbeat_body(bpm=72).items() if k != "kind"}
+        client.publish("clinic/p1/heartbeat", json.dumps(payload).encode(), qos=1)
+        # publish returns once the PUBACK is read, so the message was acked
+        client.publish("clinic/p1/heartbeat", with_nested_extra(dict(payload, bpm=99), 500), qos=1)
+        assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [72]
+        status, body = request(gateway, "GET", "/patients/p1/heartbeat/latest")
+        assert status == 200
+        assert body["payload"]["bpm"] == 72
+    finally:
+        client.disconnect()
+        gateway.stop()
+        broker.stop()
+        sink.stop()
+
+
 def test_ingest_missing_field_400(gw):
     body = heartbeat_body()
     del body["bpm"]

@@ -380,6 +380,45 @@ def test_waveform_schema(store):
 
 
 
+def nested(depth, inner=0):
+    """`depth` lists, one inside the other, around `inner`."""
+    for _ in range(depth):
+        inner = [inner]
+    return inner
+
+
+@pytest.mark.parametrize("klass", sorted(store_mod.TOPIC_CLASSES))
+def test_keys_outside_the_schema_nest_at_most_the_limit(klass):
+    limit = store_mod.MAX_EXTRA_DEPTH
+    valid = VALID_DOCS[klass]
+    store_mod._validate(klass, dict(valid, x=nested(limit), y={"a": [nested(limit - 2)]},
+                                    z=nested(limit - 1, inner=[])))
+    for deep in (nested(limit + 1), {"a": nested(limit)}, [[], nested(limit)],
+                 nested(limit, inner={})):
+        with pytest.raises(ValidationError, match="^x: nests deeper than"):
+            store_mod._validate(klass, dict(valid, x=deep))
+
+
+def test_nesting_is_checked_without_recursion(store):
+    # far deeper than the interpreter's recursion limit
+    with pytest.raises(ValidationError, match="^x: "):
+        store.append("clinic/p1/heartbeat", "p1", dict(heartbeat(), x=nested(100_000)))
+    assert store.read_class("heartbeat") == []
+
+
+def test_nesting_check_skips_the_schema_fields(monkeypatch):
+    walked = []
+    nests_deeper = store_mod._nests_deeper
+
+    def spy(value, limit):
+        walked.append(value)
+        return nests_deeper(value, limit)
+
+    monkeypatch.setattr(store_mod, "_nests_deeper", spy)
+    store_mod._validate("waveform", dict(VALID_DOCS["waveform"], note="x"))
+    assert walked == ["x"]
+
+
 # The per-class validators the schema table replaced, kept as its reference.
 
 def _require(payload: dict, field: str, types) -> object:

@@ -239,6 +239,26 @@ def test_synthesize_matches_reference_at_the_edges():
                 assert same_recording(got, want)
 
 
+def test_synthesize_evaluates_each_wave_once(monkeypatch):
+    # all beats of a 62 s capture take one exp per wave, and none for a flat wave
+    calls = []
+    exp = np.exp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    config = SynthConfig(heart_rate=40.0, duration=62.0)
+    synthesize(config)
+    assert 1 <= len(calls) <= 5
+    calls.clear()
+    no_p_or_t = BeatTemplate(*(w._replace(amplitude=0.0) if name in "pt" else w
+                               for name, w in zip("pqrst", DEFAULT_TEMPLATE.waves())))
+    synthesize(config, no_p_or_t)
+    assert 1 <= len(calls) <= 3
+
+
 # ------------------------------------------------------------- pulse events
 
 def test_pulse_events_60bpm_20s():
@@ -282,6 +302,10 @@ def test_pulse_event_count_tracks_rate():
     ({"lead_off_intervals": ((math.nan, 1.0),)}, "lead_off_intervals"),
     ({"lead_off_intervals": ((1.0, math.nan),)}, "lead_off_intervals"),
     ({"lead_off_intervals": ((1.0, math.inf),)}, "lead_off_intervals"),
+    ({"sample_rate": synth.MAX_SAMPLE_RATE + 1}, "sample_rate"),
+    ({"sample_rate": 10**9}, "sample_rate"),
+    ({"duration": synth.MAX_DURATION_S + 0.001}, "duration"),
+    ({"duration": 1e12}, "duration"),
 ])
 def test_config_errors_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
