@@ -59,9 +59,25 @@ def parse_kv(text: str) -> dict[str, str]:
 
 def _split_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"listen address must be host:port, got {value!r}")
+    # isdecimal, not isdigit: int() refuses digits such as "²"
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ConfigError(f"listen address must be host:port with a port in 0..65535, "
+                          f"got {value!r}")
     return host, int(port)
+
+
+def _pop(kv: dict, key: str, conv):
+    """`kv[key]`, removed from `kv` and converted; a bad value is a ConfigError."""
+    try:
+        return conv(kv.pop(key))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _intervals(value: str) -> tuple[tuple[float, float], ...]:
+    """`start:end` pairs separated by commas; an empty value is none."""
+    pairs = (part.partition(":") for part in value.split(",")) if value else ()
+    return tuple((float(start), float(end)) for start, _, end in pairs)
 
 
 def load_config(path=None, overrides: Optional[dict] = None) -> GatewayConfig:
@@ -73,12 +89,10 @@ def load_config(path=None, overrides: Optional[dict] = None) -> GatewayConfig:
         kv.update({k: v for k, v in overrides.items() if v is not None})
 
     cfg = GatewayConfig()
-    if "http_listen" in kv:
-        host, port = _split_listen(kv.pop("http_listen"))
-        cfg = replace(cfg, http_host=host, http_port=port)
-    if "mqtt_listen" in kv:
-        host, port = _split_listen(kv.pop("mqtt_listen"))
-        cfg = replace(cfg, mqtt_host=host, mqtt_port=port)
+    for name in ("http", "mqtt"):
+        if f"{name}_listen" in kv:
+            host, port = _split_listen(kv.pop(f"{name}_listen"))
+            cfg = replace(cfg, **{f"{name}_host": host, f"{name}_port": port})
     simple = {
         "store_root": str,
         "theta_excellent": float,
@@ -87,12 +101,7 @@ def load_config(path=None, overrides: Optional[dict] = None) -> GatewayConfig:
         "mqtt_username": str,
         "mqtt_password": str,
     }
-    for key, conv in simple.items():
-        if key in kv:
-            try:
-                cfg = replace(cfg, **{key: conv(kv.pop(key))})
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
+    cfg = replace(cfg, **{key: _pop(kv, key, conv) for key, conv in simple.items() if key in kv})
     if kv:
         raise ConfigError(f"unknown configuration keys: {', '.join(sorted(kv))}")
 
@@ -111,40 +120,16 @@ def load_synth_config(path) -> tuple[SynthConfig, BeatTemplate]:
     config_fields = {
         "sample_rate": int, "heart_rate": float, "duration": float,
         "baseline": float, "noise_std": float, "adc_reference": float,
-        "adc_bits": int, "gain": float, "seed": int,
+        "adc_bits": int, "gain": float, "seed": int, "lead_off_intervals": _intervals,
     }
-    config_kwargs = {}
-    for key, conv in config_fields.items():
-        if key in kv:
-            try:
-                config_kwargs[key] = conv(kv.pop(key))
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-    if "lead_off_intervals" in kv:
-        intervals = []
-        value = kv.pop("lead_off_intervals")
-        if value:
-            for part in value.split(","):
-                start, _, end = part.partition(":")
-                try:
-                    intervals.append((float(start), float(end)))
-                except ValueError as exc:
-                    raise ConfigError(f"lead_off_intervals: {exc}") from exc
-        config_kwargs["lead_off_intervals"] = tuple(intervals)
+    config_kwargs = {key: _pop(kv, key, conv) for key, conv in config_fields.items() if key in kv}
 
     template_kwargs = {}
     for wave in "pqrst":
-        base = getattr(DEFAULT_TEMPLATE, wave)
-        fields = {}
-        for attr in ("amplitude", "center", "sigma"):
-            key = f"{wave}_{attr}"
-            if key in kv:
-                try:
-                    fields[attr] = float(kv.pop(key))
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from exc
+        fields = {attr: _pop(kv, f"{wave}_{attr}", float)
+                  for attr in ("amplitude", "center", "sigma") if f"{wave}_{attr}" in kv}
         if fields:
-            template_kwargs[wave] = base._replace(**fields)
+            template_kwargs[wave] = getattr(DEFAULT_TEMPLATE, wave)._replace(**fields)
     if kv:
         raise ConfigError(f"unknown synthesis keys: {', '.join(sorted(kv))}")
 

@@ -89,13 +89,13 @@ def _trailing_threshold(x: np.ndarray, window: int) -> np.ndarray:
     # mean + 2*std over the trailing `window` samples, truncated at the
     # start of the record; cumulative sums keep it O(n).
     n = len(x)
+    head = min(window - 1, n)   # the samples whose window is cut by the start
     cs = np.concatenate(([0.0], np.cumsum(x)))
     cs2 = np.concatenate(([0.0], np.cumsum(x * x)))
-    idx = np.arange(n)
-    lo = np.maximum(0, idx - window + 1)
-    cnt = idx + 1 - lo
-    mean = (cs[idx + 1] - cs[lo]) / cnt
-    var = np.maximum(0.0, (cs2[idx + 1] - cs2[lo]) / cnt - mean * mean)
+    cnt = np.minimum(np.arange(1, n + 1), window)
+    mean = (cs[1:] - np.concatenate((np.zeros(head), cs[:n - head]))) / cnt
+    var = np.maximum(0.0, (cs2[1:] - np.concatenate((np.zeros(head), cs2[:n - head]))) / cnt
+                     - mean * mean)
     return mean + 2.0 * np.sqrt(var)
 
 

@@ -21,7 +21,7 @@ from urllib.parse import parse_qs, urlparse
 
 from . import analytics, device, regression
 from .config import GatewayConfig
-from .store import PATIENT_ID, RecordStore, ValidationError
+from .store import PATIENT_ID, RecordStore, ValidationError, load_document
 
 __all__ = ["Gateway"]
 
@@ -41,15 +41,9 @@ def _parse_rfc3339(text: str) -> int:
     return int(dt.timestamp() * 1000)
 
 
-def _jsonable(value):
-    """Make a structure JSON-safe: non-finite floats become None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+# Built once, as json.dumps builds one per call that passes an option.  No
+# response may hold NaN or an infinity; /stats maps its own to null.
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -78,7 +72,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------ plumbing
 
     def _send_json(self, status: int, body) -> None:
-        data = json.dumps(_jsonable(body)).encode("utf-8")
+        data = _ENCODER.encode(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))
@@ -169,7 +163,9 @@ class _Handler(BaseHTTPRequestHandler):
         if len(dataset) >= 2:
             correlation = {
                 "columns": list(analytics.COLUMNS),
-                "matrix": analytics.correlation_matrix(dataset).tolist(),
+                # NaN where a column has zero variance
+                "matrix": [[v if math.isfinite(v) else None for v in row]
+                           for row in analytics.correlation_matrix(dataset).tolist()],
             }
         quality = analytics.quality_distribution(
             dataset,
@@ -225,14 +221,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._problem(400, "empty_body", "request body is required")
             return
         try:
-            body = json.loads(raw.decode("utf-8"))
-        # ValueError also covers an integer literal over the interpreter's
-        # digit limit; RecursionError is nesting deeper than the decoder goes.
-        except (ValueError, RecursionError) as exc:
-            self._problem(400, "bad_json", f"body is not valid JSON: {exc}")
-            return
-        if not isinstance(body, dict):
-            self._problem(400, "bad_json", "body must be a JSON object")
+            body = load_document(raw)
+        except ValidationError as exc:
+            self._problem(400, "bad_json", str(exc))
             return
         kind = body.pop("kind", None)
         if kind not in ("heartbeat", "pqrst"):

@@ -10,7 +10,6 @@ the publisher retransmits it.
 
 from __future__ import annotations
 
-import json
 import logging
 import queue
 import threading
@@ -87,13 +86,6 @@ class IngestionSink:
             ack()
 
     def _process(self, topic: str, payload: bytes, message_id: Optional[int]) -> None:
-        try:
-            doc = json.loads(payload.decode("utf-8"))
-        # ValueError also covers an integer literal over the interpreter's
-        # digit limit; RecursionError is nesting deeper than the decoder goes.
-        except (ValueError, RecursionError) as exc:
-            raise store_mod.ValidationError("payload", f"not a JSON document: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise store_mod.ValidationError("payload", "top-level JSON value must be an object")
+        doc = store_mod.load_document(payload)
         patient_id, _ = store_mod.parse_topic(topic)
         self.store.append(topic, patient_id, doc, message_id=message_id)

@@ -79,7 +79,6 @@ class Publish:
     qos: int = 0
     packet_id: Optional[int] = None
     dup: bool = False
-    retain: bool = False
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def encode_packet(p: Packet) -> bytes:
     if isinstance(p, Publish):
         _check_publish_topic(p.topic)
         _check_qos(p.qos)
-        flags = (0x08 if p.dup else 0) | (p.qos << 1) | (0x01 if p.retain else 0)
+        flags = (0x08 if p.dup else 0) | (p.qos << 1)
         vh = _encode_string(p.topic)
         if p.qos > 0:
             if not p.packet_id or not 1 <= p.packet_id <= 0xFFFF:
@@ -361,7 +360,8 @@ def _decode_connack(flags: int, body: bytes) -> Connack:
 def _decode_publish(flags: int, body: bytes) -> Publish:
     dup = bool(flags & 0x08)
     qos = (flags >> 1) & 0x03
-    retain = bool(flags & 0x01)
+    if flags & 0x01:
+        raise ProtocolError("retained publishes are not supported")
     _check_qos(qos)
     if qos == 0 and dup:
         raise ProtocolError("DUP must be zero for QoS 0 publishes")
@@ -375,7 +375,7 @@ def _decode_publish(flags: int, body: bytes) -> Publish:
         i += 2
         if packet_id == 0:
             raise ProtocolError("QoS 1 publish requires a non-zero packet id")
-    return Publish(topic, body[i:], qos, packet_id, dup, retain)
+    return Publish(topic, body[i:], qos, packet_id, dup)
 
 
 def _decode_packet_id_only(flags: int, body: bytes, kind: str) -> int:

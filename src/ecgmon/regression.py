@@ -202,22 +202,32 @@ def save_model(model: LinearModel, path,
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_model(path) -> LinearModel:
-    """Read a `save_model` file back; a file without a target line predicts R."""
+    """Read a `save_model` file back; a file without a target line predicts R.
+    A line cut short or with a non-finite number is a ValueError naming it."""
     intercept = None
     coefficients = []
     target = "R"
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         parts = line.split()
-        if parts[0] == "intercept":
-            intercept = float(parts[1])
-        elif parts[0] == "coef":
-            coefficients.append((parts[1], float(parts[2])))
-        elif parts[0] == "target":
-            target = parts[1]
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            if parts[0] == "intercept":
+                intercept = _finite(parts[1])
+            elif parts[0] == "coef":
+                coefficients.append((parts[1], _finite(parts[2])))
+            elif parts[0] == "target":
+                target = parts[1]
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}, line {lineno}: {line.strip()!r}: {exc}") from exc
     if intercept is None or not coefficients:
         raise ValueError(f"{path}: not a model file")
     return LinearModel(intercept, tuple(coefficients), target)

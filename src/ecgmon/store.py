@@ -40,6 +40,7 @@ __all__ = [
     "PATIENT_ID",
     "MAX_EXTRA_DEPTH",
     "parse_topic",
+    "load_document",
 ]
 
 TOPIC_CLASSES = tuple(device.TOPIC_SUFFIXES)
@@ -168,11 +169,24 @@ def _validate(klass: str, payload: dict) -> None:
             raise ValidationError(key, f"nests deeper than {MAX_EXTRA_DEPTH} levels")
 
 
-def _dedup_key(topic: str, message_id: int, payload: dict) -> tuple[str, int, bytes]:
+def load_document(raw: bytes) -> dict:
+    """Parse a telemetry document as it arrives over MQTT or HTTP: one JSON
+    object in UTF-8.  Anything else is a `ValidationError` on "payload"."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    # ValueError also covers an integer literal over the interpreter's
+    # digit limit; RecursionError is nesting deeper than the decoder goes.
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError("payload", f"not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("payload", "top-level JSON value must be an object")
+    return doc
+
+
+def _dedup_key(topic: str, message_id: int, payload: bytes) -> tuple[str, int, bytes]:
     """A redelivery repeats the topic, the packet id and the payload; a new
     message that reuses the packet id differs in the payload's digest."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return topic, message_id, hashlib.blake2b(body, digest_size=8).digest()
+    return topic, message_id, hashlib.blake2b(payload, digest_size=8).digest()
 
 
 def _now_ms() -> int:
@@ -183,24 +197,33 @@ def _day_of(received_at_ms: int) -> str:
     return datetime.fromtimestamp(received_at_ms / 1000.0, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
-def _encode_line(record: dict) -> bytes:
-    body = json.dumps(record, separators=(",", ":"), sort_keys=False)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return (body[:-1] + f',"crc":{crc}}}\n').encode("utf-8")
+# Built once: json.dumps and json.loads build a coder per call that passes
+# an option.  Log lines are compact ASCII JSON without NaN or infinities,
+# which RFC 8259 has no literal for; those in lines written before they were
+# refused read as null, as the gateway has always served them.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=lambda _: None)
+_PAYLOAD_KEY = b',"payload":'
+_CRC_KEY = b',"crc":'
+
+
+def _encode_line(header: dict, payload: bytes) -> bytes:
+    """One log line: the header's fields, then "payload" holding `payload`
+    as is, then "crc", the CRC-32 of the line without it."""
+    body = _ENCODER.encode(header)[:-1].encode("utf-8") + _PAYLOAD_KEY + payload
+    return body + b'%s%d}\n' % (_CRC_KEY, zlib.crc32(b"}", zlib.crc32(body)))
 
 
 def _decode_line(raw: bytes) -> Optional[dict]:
     """Parse and verify one log line; None means damaged."""
-    text = raw.decode("utf-8", errors="replace").rstrip("\n")
-    marker = text.rfind(',"crc":')
+    marker = raw.rfind(_CRC_KEY)
     if marker < 0:
         return None
-    body = text[:marker] + "}"
     try:
-        record = json.loads(text)
-    except json.JSONDecodeError:
+        record = _DECODER.decode(raw.decode("utf-8"))
+    except ValueError:   # also a UnicodeDecodeError
         return None
-    if zlib.crc32(body.encode("utf-8")) != record.get("crc"):
+    if zlib.crc32(b"}", zlib.crc32(raw[:marker])) != record.get("crc"):
         return None
     return record
 
@@ -267,8 +290,9 @@ class RecordStore:
                     rows.append(row)
                     seqs.append(seq)
                 if today and record.get("message_id") is not None:
-                    key = _dedup_key(record["topic"], record["message_id"], record["payload"])
-                    self._dedup[key] = seq
+                    # the payload's bytes, as hashed on append; no header field can hold its key
+                    body = raw[raw.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):raw.rindex(_CRC_KEY)]
+                    self._dedup[_dedup_key(record["topic"], record["message_id"], body)] = seq
                 offset += len(raw)
 
     # ----------------------------------------------------------- write
@@ -288,7 +312,11 @@ class RecordStore:
         if payload_pid is not None and payload_pid != patient_id:
             raise ValidationError("patient_id", "payload patient_id does not match topic")
         _validate(klass, payload)
-        key = None if message_id is None else _dedup_key(topic, message_id, payload)
+        try:
+            body = _ENCODER.encode(payload).encode("utf-8")
+        except ValueError as exc:   # a NaN or an infinity
+            raise ValidationError("payload", str(exc)) from exc
+        key = None if message_id is None else _dedup_key(topic, message_id, body)
         # converted before the write, so no valid document can fail after its fsync
         row = np.array(device.pqrst_row(payload), dtype=float) if klass == "pqrst" else None
 
@@ -304,15 +332,8 @@ class RecordStore:
                 return self._dedup[key]
 
             seq = self._next_seq
-            record = {
-                "seq": seq,
-                "topic": topic,
-                "patient_id": patient_id,
-                "received_at": ts,
-                "message_id": message_id,
-                "payload": payload,
-            }
-            line = _encode_line(record)
+            line = _encode_line({"seq": seq, "topic": topic, "patient_id": patient_id,
+                                 "received_at": ts, "message_id": message_id}, body)
             try:
                 path, fh = self._day_file(klass, day)
                 offset = fh.tell()

@@ -377,6 +377,16 @@ def test_load_config_equal_ports_rejected():
                                      "mqtt_listen": "127.0.0.1:7000"})
 
 
+@pytest.mark.parametrize("key", ["http_listen", "mqtt_listen"])
+def test_load_config_listen_port_in_range(key):
+    for value in ("127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:²"):
+        with pytest.raises(ConfigError, match="0..65535"):
+            load_config(None, overrides={key: value})
+    for port in (0, 65535):
+        cfg = load_config(None, overrides={key: f"127.0.0.1:{port}"})
+        assert getattr(cfg, key.replace("listen", "port")) == port
+
+
 def test_load_config_bad_listen_value():
     with pytest.raises(ConfigError, match="host:port"):
         load_config(None, overrides={"http_listen": "no-port"})

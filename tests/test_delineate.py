@@ -108,6 +108,37 @@ def test_lead_off_samples_cannot_be_peaks():
 
 # ------------------------------------------------ reference R detection
 
+def reference_trailing_threshold(x, window):
+    """The index-gather form of `_trailing_threshold`, kept as its reference."""
+    n = len(x)
+    cs = np.concatenate(([0.0], np.cumsum(x)))
+    cs2 = np.concatenate(([0.0], np.cumsum(x * x)))
+    idx = np.arange(n)
+    lo = np.maximum(0, idx - window + 1)
+    cnt = idx + 1 - lo
+    mean = (cs[idx + 1] - cs[lo]) / cnt
+    var = np.maximum(0.0, (cs2[idx + 1] - cs2[lo]) / cnt - mean * mean)
+    return mean + 2.0 * np.sqrt(var)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+           st.lists(st.integers(0, 4095) | st.floats(-1e6, 1e6), min_size=n, max_size=n),
+           st.integers(1, n + 3))),
+       st.sampled_from([0, 1, 2, 3, 498, 499, 500, 501, 502, 15_500]))
+def test_trailing_threshold_matches_gather_reference(case, long_n):
+    values, window = case
+    x = np.array(values, dtype=float)
+    # bit for bit: tobytes also tells -0.0 from 0.0
+    assert (delineate._trailing_threshold(x, window).tobytes()
+            == reference_trailing_threshold(x, window).tobytes())
+    # long records, against the windows the detector uses and those around them
+    codes = np.random.default_rng(long_n).integers(0, 4096, long_n).astype(float)
+    for window in (1, 2, 3, 499, 500, 501):
+        assert (delineate._trailing_threshold(codes, window).tobytes()
+                == reference_trailing_threshold(codes, window).tobytes())
+
+
 def reference_detect_r_peaks(codes, lead_off, sample_rate):
     """Per-sample R detection, kept as the reference `detect_r_peaks` must
     match: the candidate test and the refractory merge in one loop."""

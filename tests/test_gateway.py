@@ -20,6 +20,7 @@ from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
 from ecgmon.store import RecordStore
+from test_store import reference_encode_line
 
 # received_at used by the window tests: 2023-11-14T22:13:20Z exactly
 EPOCH_MS = 1_700_000_000_000
@@ -265,6 +266,59 @@ def test_nested_extra_field_over_mqtt_is_acked_and_dropped(store):
         gateway.stop()
         broker.stop()
         sink.stop()
+
+
+NON_FINITE = [b"NaN", b"Infinity", b"-Infinity"]
+
+
+def with_extra_literal(body, literal):
+    """The JSON of `body` plus an extra field "x" holding a list of one `literal`."""
+    return json.dumps(body).encode()[:-1] + b', "x": [' + literal + b"]}"
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_ingest_non_finite_number_400(gw, literal):
+    status, body = request(gw, "POST", "/ingest", body=with_extra_literal(heartbeat_body(), literal))
+    assert status == 400
+    assert body["code"] == "invalid_document"
+    assert body["detail"].startswith("payload: ")
+    status, body = request(gw, "GET", "/patients/p1/heartbeat/latest")
+    assert status == 404
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_number_over_mqtt_is_acked_and_dropped(store, literal):
+    sink = IngestionSink(store).start()
+    broker = Broker("127.0.0.1", 0, sink=sink).start()
+    client = MqttClient(client_id="non-finite").connect("127.0.0.1", broker.port)
+    try:
+        payload = {k: v for k, v in heartbeat_body(bpm=72).items() if k != "kind"}
+        # publish returns once the PUBACK is read, so the message was acked
+        client.publish("clinic/p1/heartbeat", with_extra_literal(dict(payload, bpm=99), literal), qos=1)
+        client.publish("clinic/p1/heartbeat", json.dumps(payload).encode(), qos=1)
+        assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [72]
+    finally:
+        client.disconnect()
+        broker.stop()
+        sink.stop()
+
+
+def test_nan_stored_before_it_was_refused_is_served_as_null(tmp_path):
+    root = tmp_path / "telemetry"
+    log = root / "heartbeat" / "2023-11-14.log"
+    log.parent.mkdir(parents=True)
+    payload = {k: v for k, v in heartbeat_body().items() if k != "kind"}
+    log.write_bytes(reference_encode_line({
+        "seq": 1, "topic": "clinic/p1/heartbeat", "patient_id": "p1", "received_at": EPOCH_MS,
+        "message_id": None, "payload": dict(payload, x=[float("nan"), float("-inf")])}))
+    with RecordStore(root) as store:
+        gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+        try:
+            status, body = request(gateway, "GET", "/patients/p1/heartbeat/latest")
+        finally:
+            gateway.stop()
+    assert status == 200
+    assert body["payload"] == dict(payload, x=[None, None])
 
 
 def test_ingest_missing_field_400(gw):
@@ -528,6 +582,22 @@ def test_stats_single_record_has_null_correlation(gw, store):
     assert body["stats"]["R"]["std"] == 0.0
 
 
+def test_stats_zero_variance_column_correlates_as_null(gw, store):
+    for i, record in enumerate(sample_data.sample_records()):
+        payload = {k: v for k, v in pqrst_body(record, age=50).items() if k != "kind"}
+        store.append("clinic/p1/ecg/pqrst", "p1", payload, received_at=EPOCH_MS + i * 1000)
+    status, body = request(gw, "GET", "/stats")
+    assert status == 200
+    age = analytics.COLUMNS.index("Age")
+    matrix = body["correlation"]["matrix"]
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            if age in (i, j):
+                assert value is None
+            else:
+                assert isinstance(value, float)
+
+
 def test_stats_quality_bands(gw, store):
     load_sample_records(store)
     status, body = request(gw, "GET", "/stats")
@@ -580,6 +650,23 @@ def test_unreadable_model_file_leaves_gateway_modelless(store, tmp_path):
         assert gateway.model is None
         status, body = request(gateway, "GET", "/patients/p1/prediction")
         assert status == 503
+    finally:
+        gateway.stop()
+
+
+@pytest.mark.parametrize("text", ["intercept\ncoef S 1.0\n", "intercept 1.0\ncoef S\n",
+                                  "intercept nan\ncoef S 1.0\n", "intercept 1.0\ncoef S inf\n"])
+def test_malformed_model_file_leaves_gateway_modelless(store, tmp_path, caplog, text):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    load_sample_records(store)
+    gateway = Gateway(store, GatewayConfig(http_port=0, model_path=str(path))).start()
+    try:
+        assert gateway.model is None
+        assert f"{path}, line " in caplog.text
+        status, body = request(gateway, "GET", "/patients/p1/prediction")
+        assert status == 503
+        assert body["code"] == "no_model"
     finally:
         gateway.stop()
 

@@ -206,6 +206,13 @@ def test_qos2_rejected_on_decode():
         decode_packet(bytes(raw))
 
 
+def test_retain_rejected_on_decode():
+    raw = bytearray(encode_packet(Publish("t", b"", qos=1, packet_id=1)))
+    raw[0] |= 0x01  # set RETAIN
+    with pytest.raises(ProtocolError, match="retain"):
+        decode_packet(bytes(raw))
+
+
 def test_publish_topic_rejects_wildcards():
     for topic in ("a/+/b", "a/#", "+", "#"):
         with pytest.raises(ProtocolError):

@@ -3,6 +3,7 @@ the train/test split, and the text model file.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,23 @@ def test_model_file_keeps_its_target(tmp_path):
     # a file written without a target line predicts R
     path.write_text("intercept 1.5\ncoef S 0.25\n")
     assert load_model(path).target == "R"
+
+@pytest.mark.parametrize("text,lineno", [
+    ("intercept\ncoef S 1.0\n", 1),
+    ("# model\nintercept 1.0\ncoef S\n", 3),
+    ("intercept 1.0\ncoef\n", 2),
+    ("target\n", 1),
+    ("intercept nan\ncoef S 1.0\n", 1),
+    ("intercept 1.0\ncoef S inf\n", 2),
+    ("intercept 1.0\ncoef S -Infinity\n", 2),
+    ("intercept 1.0\ncoef S 1e400\n", 2),
+])
+def test_load_model_names_the_bad_line(tmp_path, text, lineno):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {lineno}: ")):
+        load_model(path)
+
 
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "nope.txt"

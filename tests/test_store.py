@@ -5,6 +5,7 @@ dedup, schema checks, range reads, and CSV export.
 import builtins
 import errno
 import fcntl
+import hashlib
 import json
 import math
 import os
@@ -657,6 +658,20 @@ def test_append_after_close_raises(tmp_path):
         store.append("clinic/p1/heartbeat", "p1", heartbeat())
 
 
+# The line encoder and dedup digest of the store before each payload was
+# serialized once per append, kept as the reference for the bytes on disk.
+
+def reference_encode_line(record: dict) -> bytes:
+    body = json.dumps(record, separators=(",", ":"), sort_keys=False)
+    crc = zlib.crc32(body.encode("utf-8"))
+    return (body[:-1] + f',"crc":{crc}}}\n').encode("utf-8")
+
+
+def reference_dedup_key(topic, message_id, payload):
+    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    return topic, message_id, hashlib.blake2b(body, digest_size=8).digest()
+
+
 def test_old_log_with_unconvertible_record_no_names_file_and_offset(tmp_path):
     """A log written before record_no was bounded may hold a value no
     float64 can carry; opening it is a store error, not an OverflowError."""
@@ -669,9 +684,127 @@ def test_old_log_with_unconvertible_record_no_names_file_and_offset(tmp_path):
               "received_at": 1_767_600_000_000, "message_id": None,
               "payload": pqrst(record_no=10**400)}
     with open(log, "ab") as fh:
-        fh.write(store_mod._encode_line(record))
+        fh.write(reference_encode_line(record))
     with pytest.raises(StoreError, match=f"{log}.* at offset {offset}$"):
         RecordStore(root)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**53 - 1), 2**53 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+# keys outside every schema: none starts with "x"
+EXTRA_FIELDS = st.dictionaries(st.text(max_size=6).map("x".__add__), JSON_VALUES, max_size=4)
+SPECIAL_FIELDS = {"x_zero": -0.0, "x_exact": 2**53 - 1, "x_deep": nested(store_mod.MAX_EXTRA_DEPTH),
+                  "x_text": 'é "\\/\n\t\u2028\ud800 \U0001F493 \x00', "é\ud83d": [1.5e-300, -2.5e300]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(VALID_DOCS)), EXTRA_FIELDS, st.booleans(),
+       st.none() | st.integers(1, 0xFFFF), st.none() | st.integers(0, 1_700_000_000_000))
+def test_append_writes_the_reference_line(klass, extra, special, message_id, received_at):
+    payload = dict(VALID_DOCS[klass], **extra, **(SPECIAL_FIELDS if special else {}))
+    topic = device.topic("p1", klass)
+    with tempfile.TemporaryDirectory() as root:
+        with RecordStore(root) as store:
+            seq = store.append(topic, "p1", payload, message_id=message_id,
+                               received_at=received_at)
+            doc = store.read_class(klass)[0]
+            assert doc.payload == payload
+            record = {"seq": seq, "topic": topic, "patient_id": "p1",
+                      "received_at": doc.received_at, "message_id": message_id,
+                      "payload": payload}
+            [log] = Path(root).glob(f"{klass}/*.log")
+            assert log.read_bytes() == reference_encode_line(record)
+            keys = {} if message_id is None else {reference_dedup_key(topic, message_id, payload): seq}
+            assert store._dedup == keys
+        # a reopen takes the same keys from the stored line, for today's file
+        # only; a drawn received_at is before 2023-11-15, so never today
+        with RecordStore(root) as store:
+            assert store._dedup == (keys if received_at is None else {})
+
+
+def test_log_written_by_the_reference_encoder_opens_unchanged(tmp_path):
+    root = tmp_path / "telemetry"
+    now = store_mod._now_ms()
+    day_ms = 86_400_000
+    records = [
+        ("heartbeat", 1, now, 5, heartbeat()),
+        ("pqrst", 2, now, 5, pqrst()),
+        ("heartbeat", 3, now, None, dict(heartbeat(bpm=80), x_note="é\u2028\"\\")),
+        ("heartbeat", 4, now - day_ms, 6, heartbeat(bpm=90)),
+        # written before non-finite numbers were refused
+        ("status", 5, now, 7, {"patient_id": "p1", "event": "online",
+                               "x": [math.nan, {"y": math.inf}, -math.inf]}),
+    ]
+    for klass, seq, ts, message_id, payload in records:
+        topic = device.topic("p1", klass)
+        log = root / klass / f"{store_mod._day_of(ts)}.log"
+        log.parent.mkdir(parents=True, exist_ok=True)
+        with open(log, "ab") as fh:
+            fh.write(reference_encode_line({"seq": seq, "topic": topic, "patient_id": "p1",
+                                            "received_at": ts, "message_id": message_id,
+                                            "payload": payload}))
+    with RecordStore(root) as store:
+        got = [(d.sequence, d.received_at, d.message_id, d.payload)
+               for klass in ("heartbeat", "pqrst", "status") for d in store.read_class(klass)]
+        assert got == [
+            (1, now, 5, heartbeat()),
+            (3, now, None, dict(heartbeat(bpm=80), x_note="é\u2028\"\\")),
+            (4, now - day_ms, 6, heartbeat(bpm=90)),
+            (2, now, 5, pqrst()),
+            (5, now, 7, {"patient_id": "p1", "event": "online", "x": [None, {"y": None}, None]}),
+        ]
+        assert store._dedup == {reference_dedup_key(device.topic("p1", klass), message_id, payload): seq
+                                for klass, seq, ts, message_id, payload in records
+                                if ts == now and message_id is not None}
+        # a redelivery of each of today's messages is recognised
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat(), message_id=5) == 1
+        assert store.append("clinic/p1/ecg/pqrst", "p1", pqrst(), message_id=5) == 2
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_refused_and_every_line_is_strict_json(tmp_path, value):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for doc in (dict(heartbeat(), x=value), dict(heartbeat(), x=[{"y": value}])):
+            with pytest.raises(ValidationError, match="^payload: "):
+                store.append("clinic/p1/heartbeat", "p1", doc, message_id=3)
+        # nothing was written or keyed, so the packet id is still free
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat(), message_id=3) == 1
+        assert len(store.read_class("heartbeat")) == 1
+    for log in root.rglob("*.log"):
+        for line in log.read_bytes().splitlines():
+            json.loads(line, parse_constant=refuse_constant)
+
+
+def test_append_serializes_the_payload_once_and_open_serializes_nothing(tmp_path, monkeypatch):
+    encoded = []
+
+    class Spy(json.JSONEncoder):
+        def encode(self, o):
+            encoded.append(o)
+            return super().encode(o)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(store_mod, "_ENCODER", Spy(separators=(",", ":"), allow_nan=False))
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    root = tmp_path / "telemetry"
+    payload = pqrst()
+    with RecordStore(root) as store:
+        store.append("clinic/p1/ecg/pqrst", "p1", payload, message_id=9)
+    assert sum(o is payload for o in encoded) == 1
+    encoded.clear()
+    with RecordStore(root) as store:
+        assert len(store._dedup) == 1
+    assert encoded == []
 
 
 # ------------------------------------------------------------ fsync faults
