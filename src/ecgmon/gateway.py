@@ -42,15 +42,21 @@ def _parse_rfc3339(text: str) -> int:
 
 
 # Built once, as json.dumps builds one per call that passes an option.  No
-# response may hold NaN or an infinity; /stats maps its own to null.
+# response may hold NaN or an infinity; /stats and /prediction map theirs to
+# null with _finite_or_null.
 _ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _finite_or_null(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "ecgmon"
-    # headers and body go out in two writes; with Nagle's algorithm the body
-    # waits for the client's delayed ACK of the headers on a keep-alive connection
+    # a response leaves in one write, but a body longer than one TCP segment
+    # goes out in several; Nagle's algorithm would hold the last, partial one
+    # until the client acknowledges the others, which a delayed ACK puts off
     disable_nagle_algorithm = True
     # seconds a read may wait, so a stalled client releases its thread
     read_timeout_s = 60
@@ -71,15 +77,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------ plumbing
 
-    def _send_json(self, status: int, body) -> None:
-        data = _ENCODER.encode(body).encode("utf-8")
+    def _send_bytes(self, status: int, data: bytes) -> None:
+        """Answer with a JSON body: status line, headers and body in one write."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+        # what end_headers() adds, then the body, joined by flush_headers()
+        self._headers_buffer.extend((b"\r\n", data))
+        self.flush_headers()
+
+    def _send_json(self, status: int, body) -> None:
+        self._send_bytes(status, _ENCODER.encode(body).encode("utf-8"))
 
     def _problem(self, status: int, code: str, detail: str) -> None:
         self._send_json(status, {"status": status, "code": code, "detail": detail})
@@ -130,7 +140,7 @@ class _Handler(BaseHTTPRequestHandler):
         if doc is None:
             self._problem(404, "no_heartbeat", f"no heartbeat readings for {patient_id}")
             return
-        self._send_json(200, self._document(doc))
+        self._send_bytes(200, doc.json)
 
     def _get_ecg(self, patient_id: str, query: dict) -> None:
         try:
@@ -149,7 +159,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._problem(400, "bad_window", "from must be <= to")
             return
         docs = self.gateway.store.read_range(patient_id, "pqrst", from_ts, to_ts)
-        self._send_json(200, [self._document(d) for d in docs])
+        self._send_bytes(200, b"[%s]" % b",".join(d.json for d in docs))
 
     def _get_stats(self) -> None:
         rows = self.gateway.store.pqrst_matrix()
@@ -164,7 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
             correlation = {
                 "columns": list(analytics.COLUMNS),
                 # NaN where a column has zero variance
-                "matrix": [[v if math.isfinite(v) else None for v in row]
+                "matrix": [[_finite_or_null(v) for v in row]
                            for row in analytics.correlation_matrix(dataset).tolist()],
             }
         quality = analytics.quality_distribution(
@@ -196,8 +206,9 @@ class _Handler(BaseHTTPRequestHandler):
             "patient_id": patient_id,
             "record_no": row["RecordNo"],
             "actual_r": row["R"],
-            "predicted_r": predicted,
-            "abs_error": abs(row["R"] - predicted),
+            # finite coefficients can still overflow to infinity
+            "predicted_r": _finite_or_null(predicted),
+            "abs_error": _finite_or_null(abs(row["R"] - predicted)),
         })
 
     def _post_ingest(self) -> None:
@@ -240,15 +251,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._problem(status, "invalid_document", str(exc))
             return
         self._send_json(201, {"sequence": seq})
-
-    def _document(self, doc) -> dict:
-        return {
-            "sequence": doc.sequence,
-            "topic": doc.topic,
-            "patient_id": doc.patient_id,
-            "received_at": doc.received_at,
-            "payload": doc.payload,
-        }
 
 
 class Gateway:

@@ -66,14 +66,44 @@ class ValidationError(ValueError):
         self.out_of_range = out_of_range
 
 
-@dataclass(frozen=True)
 class StoredDocument:
-    sequence: int
-    topic: str
-    patient_id: str
-    received_at: int          # ingestion wall clock, UTC milliseconds
-    payload: dict
-    message_id: Optional[int] = None
+    """One stored document over its CRC-checked log line.
+
+    `sequence` and `received_at` come from the index; the other fields are
+    decoded from the line on first use.  `json` is the document as the
+    gateway serves it, spliced from the line's bytes without decoding it.
+    """
+
+    __slots__ = ("sequence", "received_at", "line", "_record")
+
+    def __init__(self, sequence: int, received_at: int, line: bytes):
+        self.sequence = sequence
+        self.received_at = received_at     # ingestion wall clock, UTC milliseconds
+        self.line = line
+        self._record: Optional[dict] = None
+
+    def _field(self, name: str):
+        if self._record is None:
+            self._record = _DECODER.decode(self.line.decode("utf-8"))
+        return self._record.get(name)
+
+    topic = property(lambda self: self._field("topic"))
+    patient_id = property(lambda self: self._field("patient_id"))
+    payload = property(lambda self: self._field("payload"))
+    message_id = property(lambda self: self._field("message_id"))
+
+    @property
+    def json(self) -> bytes:
+        """{"sequence", "topic", "patient_id", "received_at", "payload"} as
+        compact JSON: the line's header up to "message_id", then its payload."""
+        line = self.line
+        payload = line[line.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):line.rindex(_CRC_KEY)]
+        # a NaN or an infinity in a line written before they were refused;
+        # decoded and encoded again, it serves as null
+        if b"NaN" in payload or b"Infinity" in payload:
+            payload = _ENCODER.encode(self.payload).encode("ascii")
+        return b'{"sequence":%s,"payload":%s}' % (
+            line[len(_SEQ_KEY):line.index(_MESSAGE_ID_KEY)], payload)
 
 
 # Not frozen: a frozen dataclass sets each field through object.__setattr__,
@@ -123,8 +153,8 @@ _SCHEMAS = {
 
 
 # Keys outside a class's schema are stored as sent, but their lists and
-# objects may nest at most this deep: a stored document is encoded again for
-# every read, by encoders that recurse once per level.
+# objects may nest at most this deep: a stored document is decoded again when
+# read, by decoders that recurse once per level.
 MAX_EXTRA_DEPTH = 32
 
 
@@ -203,6 +233,10 @@ def _day_of(received_at_ms: int) -> str:
 # refused read as null, as the gateway has always served them.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 _DECODER = json.JSONDecoder(parse_constant=lambda _: None)
+# A line's keys, in the order every version of the store has written them:
+# seq, topic, patient_id, received_at, message_id, payload, crc.
+_SEQ_KEY = b'{"seq":'
+_MESSAGE_ID_KEY = b',"message_id":'
 _PAYLOAD_KEY = b',"payload":'
 _CRC_KEY = b',"crc":'
 
@@ -214,18 +248,22 @@ def _encode_line(header: dict, payload: bytes) -> bytes:
     return body + b'%s%d}\n' % (_CRC_KEY, zlib.crc32(b"}", zlib.crc32(body)))
 
 
+def _crc_checks(raw: bytes) -> bool:
+    """Whether a log line ends in "crc", the CRC-32 of the line without it,
+    and a newline."""
+    marker = raw.rfind(_CRC_KEY)
+    return marker >= 0 and raw[marker + len(_CRC_KEY):] == b"%d}\n" % zlib.crc32(
+        b"}", zlib.crc32(raw[:marker]))
+
+
 def _decode_line(raw: bytes) -> Optional[dict]:
     """Parse and verify one log line; None means damaged."""
-    marker = raw.rfind(_CRC_KEY)
-    if marker < 0:
+    if not _crc_checks(raw):
         return None
     try:
-        record = _DECODER.decode(raw.decode("utf-8"))
+        return _DECODER.decode(raw.decode("utf-8"))
     except ValueError:   # also a UnicodeDecodeError
         return None
-    if zlib.crc32(b"}", zlib.crc32(raw[:marker])) != record.get("crc"):
-        return None
-    return record
 
 
 class RecordStore:
@@ -457,19 +495,21 @@ class RecordStore:
             return self._matrix[:self._rows].copy()
 
     def _load(self, entries: list[_IndexEntry]) -> list[StoredDocument]:
-        """Read entries back, opening each file once per run of entries in it."""
+        """Read entries back, opening each file once per run of entries in it.
+        Each line's CRC and sequence are checked; nothing is decoded."""
         docs = []
         try:
             for path, run in itertools.groupby(entries, key=lambda e: e.path):
-                with open(path, "rb") as fh:
+                # unbuffered: each line is one pread of its own length
+                with open(path, "rb", buffering=0) as fh:
                     for entry in run:
-                        fh.seek(entry.offset)
-                        record = _decode_line(fh.read(entry.length))
-                        if record is None:
+                        line = os.pread(fh.fileno(), entry.length, entry.offset)
+                        if not _crc_checks(line):
                             raise StoreError(f"checksum failure in {path} at offset {entry.offset}")
-                        docs.append(StoredDocument(
-                            record["seq"], record["topic"], record["patient_id"],
-                            record["received_at"], record["payload"], record.get("message_id")))
+                        if not line.startswith(b"%s%d," % (_SEQ_KEY, entry.sequence)):
+                            raise StoreError(f"line in {path} at offset {entry.offset} is not "
+                                             f"sequence {entry.sequence}")
+                        docs.append(StoredDocument(entry.sequence, entry.received_at, line))
         except OSError as exc:
             raise StoreError(f"read failed: {exc}") from exc
         return docs

@@ -7,6 +7,7 @@ import http.client
 import json
 import logging
 import socket
+import socketserver
 import statistics
 import threading
 import time
@@ -20,7 +21,7 @@ from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
 from ecgmon.store import RecordStore
-from test_store import reference_encode_line
+from test_store import reference_encode_line, reference_served, stored_lines
 
 # received_at used by the window tests: 2023-11-14T22:13:20Z exactly
 EPOCH_MS = 1_700_000_000_000
@@ -135,6 +136,35 @@ def test_keep_alive_gets_are_not_delayed(gw, store):
     finally:
         conn.close()
     assert statistics.median(elapsed) < 0.020
+
+
+def test_each_response_is_one_write_on_a_keep_alive_connection(gw, store, monkeypatch):
+    writes = []
+    write = socketserver._SocketWriter.write
+
+    def spy(self, data):
+        writes.append(bytes(data))
+        return write(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", spy)
+    load_sample_records(store)
+    exchanges = [("POST", "/ingest", json.dumps(heartbeat_body()).encode(), 201),
+                 ("GET", "/patients/p1/heartbeat/latest", None, 200),
+                 ("GET", f"/patients/p1/ecg?{ALL_TIME}", None, 200),
+                 ("GET", "/stats", None, 200),
+                 ("GET", "/patients/p1/prediction", None, 503),
+                 ("GET", "/nope", None, 404)]
+    conn = http.client.HTTPConnection("127.0.0.1", gw.port, timeout=5)
+    try:
+        for n, (method, path, body, expected) in enumerate(exchanges, 1):
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            payload = resp.read()
+            assert resp.status == expected
+            assert len(writes) == n
+            assert writes[-1].endswith(b"\r\n\r\n" + payload)
+    finally:
+        conn.close()
 
 
 def test_post_to_unknown_route_404(gw):
@@ -496,6 +526,87 @@ def test_ecg_unknown_patient_is_empty_list(gw):
     assert body == []
 
 
+ALL_TIME = "from=1970-01-01T00:00:00Z&to=2100-01-01T00:00:00Z"
+
+
+def raw_request(gateway, path):
+    """One GET; returns (status, body bytes)."""
+    conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=5)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def test_window_and_latest_serve_the_reference_documents(gw, store, tmp_path):
+    extras = [{}, {"x": "é \"NaN\" \ud800", "y": [-0.0, 2**53 - 1, {"Infinity": None}]}]
+    for i, (record, extra) in enumerate(zip(sample_data.sample_records(), extras * 3)):
+        payload = {k: v for k, v in pqrst_body(record).items() if k != "kind"}
+        store.append("clinic/p1/ecg/pqrst", "p1", dict(payload, **extra),
+                     received_at=EPOCH_MS + i)
+    heartbeat = {k: v for k, v in heartbeat_body().items() if k != "kind"}
+    store.append("clinic/p1/heartbeat", "p1", dict(heartbeat, x="\u2028"))
+    lines = stored_lines(tmp_path / "telemetry")
+    docs = store.read_class("pqrst")
+    status, raw = raw_request(gw, f"/patients/p1/ecg?{ALL_TIME}")
+    assert status == 200
+    # the stored bytes are compact; parsed and encoded again they are the reference
+    assert json.dumps(json.loads(raw)) == "[%s]" % ", ".join(
+        reference_served(lines[d.sequence]) for d in docs)
+    status, raw = raw_request(gw, "/patients/p1/heartbeat/latest")
+    assert status == 200
+    assert json.dumps(json.loads(raw)) == reference_served(lines[len(docs) + 1])
+
+
+def test_window_over_a_damaged_line_answers_500_with_none_of_its_bytes(gw, store, tmp_path):
+    append_one_pqrst(store, EPOCH_MS, record_no=1)
+    append_one_pqrst(store, EPOCH_MS + 1, record_no=2)
+    log = tmp_path / "telemetry" / "pqrst" / "2023-11-14.log"
+    raw = log.read_bytes()
+    at = raw.rindex(b'"age":') + len(b'"age":')
+    assert raw[at:at + 1].isdigit()
+    # the same length, changed in place after open
+    log.write_bytes(raw[:at] + (b"1" if raw[at:at + 1] != b"1" else b"2") + raw[at + 1:])
+    with pytest.raises(store_mod.StoreError, match="checksum"):
+        store.read_range("p1", "pqrst", 0, 2**62)
+    status, body = raw_request(gw, f"/patients/p1/ecg?{ALL_TIME}")
+    assert status == 500
+    problem = json.loads(body)
+    assert problem["code"] == "internal_error" and "checksum" in problem["detail"]
+    assert b'"payload"' not in body and b'"record_no"' not in body
+
+
+class CountingDecoder:
+    """Counts the store's JSON decodes."""
+
+    def __init__(self, decoder):
+        self.decoder = decoder
+        self.calls = 0
+
+    def decode(self, text):
+        self.calls += 1
+        return self.decoder.decode(text)
+
+
+def test_window_and_latest_decode_nothing_and_prediction_one_payload(gw_with_model, store,
+                                                                     monkeypatch):
+    load_sample_records(store)
+    store.append("clinic/p1/heartbeat", "p1", {k: v for k, v in heartbeat_body().items()
+                                               if k != "kind"})
+    decoder = CountingDecoder(store_mod._DECODER)
+    monkeypatch.setattr(store_mod, "_DECODER", decoder)
+    status, body = request(gw_with_model, "GET", f"/patients/p1/ecg?{ALL_TIME}")
+    assert status == 200 and len(body) == len(sample_data.sample_records())
+    status, body = request(gw_with_model, "GET", "/patients/p1/heartbeat/latest")
+    assert status == 200 and body["payload"]["bpm"] == 72
+    assert decoder.calls == 0
+    status, body = request(gw_with_model, "GET", "/patients/p1/prediction")
+    assert status == 200 and body["record_no"] == sample_data.sample_records()[-1].record_no
+    assert decoder.calls == 1
+
+
 # ------------------------------------------------------------------- stats
 
 def load_sample_records(store):
@@ -641,6 +752,24 @@ def test_prediction_uses_latest_record(gw_with_model, store):
     assert body["actual_r"] == pytest.approx(record.r, abs=1e-12)
     assert body["predicted_r"] == pytest.approx(expected, abs=1e-9)
     assert body["abs_error"] == pytest.approx(abs(record.r - expected), abs=1e-9)
+
+
+def test_prediction_that_overflows_serves_null(store, tmp_path, caplog):
+    path = tmp_path / "model.txt"
+    path.write_text("intercept 1.0\ncoef S 1e308\n")
+    load_sample_records(store)
+    gateway = Gateway(store, GatewayConfig(http_port=0, model_path=str(path))).start()
+    try:
+        assert gateway.model is not None
+        status, body = request(gateway, "GET", "/patients/p1/prediction")
+    finally:
+        gateway.stop()
+    record = sample_data.sample_records()[-1]
+    assert status == 200
+    assert body == {"patient_id": "p1", "record_no": record.record_no,
+                    "actual_r": pytest.approx(record.r, abs=1e-12),
+                    "predicted_r": None, "abs_error": None}
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 def test_unreadable_model_file_leaves_gateway_modelless(store, tmp_path):

@@ -999,6 +999,110 @@ def test_pqrst_matrix_under_concurrent_appends_and_reads(store, monkeypatch):
     assert snapshots and all(np.array_equal(s, final[:len(s)]) for s in snapshots)
 
 
+# ------------------------------------------------------- served documents
+
+# The gateway's window and latest documents before they were spliced from the
+# stored line, kept as the reference: the line decoded with non-finite
+# numbers read as null, copied into a dict, and encoded again.
+
+def reference_served(line: bytes) -> str:
+    record = json.loads(line, parse_constant=lambda _: None)
+    return json.dumps({"sequence": record["seq"], "topic": record["topic"],
+                       "patient_id": record["patient_id"],
+                       "received_at": record["received_at"], "payload": record["payload"]},
+                      allow_nan=False)
+
+
+def stored_lines(root) -> dict:
+    """Every line stored under a store root, by sequence."""
+    return {json.loads(line, parse_constant=lambda _: None)["seq"]: line
+            for log in Path(root).glob("*/*.log")
+            for line in log.read_bytes().splitlines(keepends=True)}
+
+
+def assert_served_as_reference(store, root, klass):
+    """Every document that read_class, a window or latest returns serves
+    strict JSON with the reference's values, types and key order."""
+    lines = stored_lines(root)
+    docs = store.read_class(klass)
+    reads = [docs]
+    for pid in {d.patient_id for d in docs}:
+        window = store.read_range(pid, klass, 0, 2**62)
+        reads += [window, store.read_range(pid, klass, window[-1].received_at, 2**62),
+                  [store.latest(pid, klass)]]
+    for read in reads:
+        for d in read:
+            served = json.loads(d.json, parse_constant=refuse_constant)
+            assert json.dumps(served) == reference_served(lines[d.sequence])
+
+
+# text that holds what a non-finite number looks like in a line
+NUMBER_WORDS = st.sampled_from(["NaN", "Infinity", "-Infinity", "x NaN", "Infinity\n"])
+SERVED_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**53 - 1), 2**53 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8) | NUMBER_WORDS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | NUMBER_WORDS, inner, max_size=3),
+    max_leaves=8)
+SERVED_SPECIAL = dict(SPECIAL_FIELDS, x_words=["NaN", "-Infinity", {"Infinity": "NaN"}])
+# (patient, extra fields, with SERVED_SPECIAL) for each document stored
+SERVED_DOCS = st.lists(st.tuples(
+    st.sampled_from(["p1", "p2"]),
+    st.dictionaries(st.text(max_size=6).map("x".__add__), SERVED_VALUES, max_size=4),
+    st.booleans()), min_size=1, max_size=4)
+
+
+def served_payload(klass, pid, extra, special):
+    return dict(VALID_DOCS[klass], patient_id=pid, **extra, **(SERVED_SPECIAL if special else {}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VALID_DOCS)), SERVED_DOCS)
+def test_served_documents_match_the_reference(klass, stored):
+    with tempfile.TemporaryDirectory() as root:
+        with RecordStore(root) as store:
+            for n, (pid, extra, special) in enumerate(stored):
+                store.append(device.topic(pid, klass), pid, served_payload(klass, pid, extra, special),
+                             message_id=n + 1, received_at=1_767_600_000_000 + n * DAY_MS // 2)
+            assert_served_as_reference(store, root, klass)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VALID_DOCS)), SERVED_DOCS,
+       st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), max_size=3))
+def test_lines_of_the_reference_encoder_serve_as_the_reference(klass, stored, numbers):
+    """Written before non-finite numbers were refused: each serves as null."""
+    with tempfile.TemporaryDirectory() as root:
+        log = Path(root) / klass / "2026-01-05.log"
+        log.parent.mkdir()
+        with open(log, "ab") as fh:
+            for n, (pid, extra, special) in enumerate(stored):
+                payload = dict(served_payload(klass, pid, extra, special), x_numbers=numbers)
+                fh.write(reference_encode_line({
+                    "seq": n + 1, "topic": device.topic(pid, klass), "patient_id": pid,
+                    "received_at": 1_767_600_000_000 + n, "message_id": None, "payload": payload}))
+        with RecordStore(root) as store:
+            assert_served_as_reference(store, root, klass)
+            for d in store.read_class(klass):
+                assert json.loads(d.json)["payload"]["x_numbers"] == [
+                    None if math.isinf(v) or math.isnan(v) else v for v in numbers]
+
+
+def test_line_rewritten_with_another_sequence_fails_the_read(store, tmp_path):
+    # the two lines differ in one digit of bpm, and their CRCs print as wide
+    for bpm in (60, 62):
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=bpm), received_at=1_767_600_000_000)
+    log = tmp_path / "telemetry" / "heartbeat" / "2026-01-05.log"
+    first, second = log.read_bytes().splitlines(keepends=True)
+    assert len(first) == len(second)
+    # each line still ends in its own CRC, but at the other's offset
+    log.write_bytes(second + first)
+    with pytest.raises(StoreError, match=f"{log} at offset 0 is not sequence 1$"):
+        store.read_range("p1", "heartbeat", 0, 2**62)
+    with pytest.raises(StoreError, match=f"at offset {len(first)} is not sequence 2$"):
+        store.latest("p1", "heartbeat")
+
+
 # ------------------------------------------------------------------ export
 
 def test_export_csv_round_trip(store):
