@@ -14,7 +14,8 @@ import math
 import socket
 import struct
 import threading
-from datetime import datetime, timezone
+import weakref
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
@@ -30,15 +31,23 @@ log = logging.getLogger("ecgmon.gateway")
 MAX_BODY_BYTES = 1 << 20   # a valid ingest body is under 1 KB
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MS = timedelta(milliseconds=1)
+
+
 def _parse_rfc3339(text: str) -> int:
-    """RFC-3339 timestamp to UTC milliseconds; naive times count as UTC."""
+    """RFC-3339 timestamp to UTC milliseconds; naive times count as UTC.
+
+    Exact integer arithmetic, rounded up: a stored document's received_at
+    is whole milliseconds, so it lies in the window [from, to) exactly when
+    it lies in [ceil(from), ceil(to))."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     dt = datetime.fromisoformat(cleaned)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp() * 1000)
+    return -((_EPOCH - dt) // _MS)
 
 
 # Built once, as json.dumps builds one per call that passes an option.  No
@@ -268,7 +277,9 @@ class Gateway:
                 self.model = model
             except (OSError, ValueError) as exc:
                 log.warning("model file %s not usable: %s", self.config.model_path, exc)
-        handler = type("BoundHandler", (_Handler,), {"gateway": self})
+        # Weakly: a class is freed only by a full garbage collection, and
+        # until then it would keep a stopped gateway, and its store, alive.
+        handler = type("BoundHandler", (_Handler,), {"gateway": weakref.proxy(self)})
         self._server = ThreadingHTTPServer(
             (self.config.http_host, self.config.http_port), handler)
         self._server.daemon_threads = True

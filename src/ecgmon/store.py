@@ -7,7 +7,10 @@ an in-memory offset index per (class, patient) is rebuilt by scanning
 the logs on open, and a torn final line (a crash mid-append) is detected
 and truncated away without touching earlier documents.  The numeric
 columns of every pqrst document are also kept in memory, as one float64
-matrix in sequence order, so dataset statistics need no log reads.
+matrix in sequence order, so dataset statistics need no log reads.  A
+scan of a log of another day than today leaves a `.hint` file beside it
+with what the scan put in the index, so the next open reads the hint and
+decodes only the lines appended after it.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -106,13 +111,12 @@ class StoredDocument:
             line[len(_SEQ_KEY):line.index(_MESSAGE_ID_KEY)], payload)
 
 
-# Not frozen: a frozen dataclass sets each field through object.__setattr__,
-# which makes building the index on open about 4x slower per entry.
-@dataclass(slots=True)
-class _IndexEntry:
+# A tuple, so an open builds the entries of a hinted log in C, with
+# tuple.__new__ over the hint's columns.
+class _IndexEntry(NamedTuple):
     sequence: int
     received_at: int
-    path: Path
+    path: str       # shared by every entry of one log, so runs compare in C
     offset: int
     length: int
 
@@ -261,9 +265,115 @@ def _decode_line(raw: bytes) -> Optional[dict]:
     if not _crc_checks(raw):
         return None
     try:
-        return _DECODER.decode(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+        # not decode, whose two whitespace matches take a third of its time
+        # here: a line starts with its object, and one the CRC check passed
+        # ends in "}\n", so anything but that newline after it is extra data
+        record, end = _DECODER.raw_decode(text)
     except ValueError:   # also a UnicodeDecodeError
         return None
+    return record if end == len(text) - 1 else None
+
+
+# A hint file: this header, then each column, then the CRC-32 of all that.
+# Native byte order throughout: on a machine of the other order the version
+# reads wrong and the hint is ignored.
+_HINT_MAGIC = b"ECGH"
+_HINT_VERSION = 1
+# magic, version, covered log bytes, their CRC-32, lines, patients, bytes of
+# patient ids, pqrst rows
+_HINT_HEADER = struct.Struct("=4sIQIIIII")
+_HINT_CRC = struct.Struct("=I")
+
+
+@dataclass(slots=True)
+class _Hint:
+    """What a scan of a log's first `covered` bytes puts in the index; the
+    content of the log's `.hint` file."""
+    covered: int = 0
+    crc: int = 0            # CRC-32 of the covered bytes
+    # patient id -> that patient's index entries in the log, in file order
+    entries: dict = field(default_factory=dict)
+    # the pqrst lines' sequences and `device.pqrst_row` values, in file
+    # order; none in a log of another class
+    row_seqs: array = field(default_factory=lambda: array("q"))
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, len(analytics.COLUMNS))))
+
+    def encode(self) -> bytes:
+        """The header; the entries' sequence, received_at, offset and length
+        columns, grouped by patient; each patient's entry count; the row
+        sequences; the patient ids joined by NUL; the rows; the CRC-32."""
+        ids = "\0".join(self.entries).encode("utf-8", "surrogatepass")
+        lines = list(itertools.chain.from_iterable(self.entries.values()))
+        seqs, received, _, offsets, lengths = zip(*lines) if lines else [()] * 5
+        body = b"".join([
+            _HINT_HEADER.pack(_HINT_MAGIC, _HINT_VERSION, self.covered, self.crc, len(lines),
+                              len(self.entries), len(ids), len(self.rows)),
+            *(array("q", column) for column in (seqs, received, offsets, lengths)),
+            array("q", map(len, self.entries.values())), self.row_seqs, ids, self.rows.tobytes()])
+        return body + _HINT_CRC.pack(zlib.crc32(body))
+
+    @classmethod
+    def decode(cls, data: bytes, path: str) -> Optional["_Hint"]:
+        """The hint a file holds for the log at `path`; None unless its CRC,
+        magic, version and length all check."""
+        body = memoryview(data)[:-_HINT_CRC.size]
+        if len(data) < _HINT_HEADER.size + _HINT_CRC.size or (
+                _HINT_CRC.unpack_from(data, len(body))[0] != zlib.crc32(body)):
+            return None
+        magic, version, covered, crc, lines, patients, id_bytes, rows = _HINT_HEADER.unpack_from(body)
+        width = len(analytics.COLUMNS)
+        if (magic != _HINT_MAGIC or version != _HINT_VERSION or len(body) != _HINT_HEADER.size
+                + 32 * lines + 8 * patients + id_bytes + 8 * (1 + width) * rows):
+            return None
+        columns, pos = [], _HINT_HEADER.size
+        for count in (lines, lines, lines, lines, patients, rows):
+            columns.append(array("q"))
+            columns[-1].frombytes(body[pos:pos + 8 * count])
+            pos += 8 * count
+        seqs, received, offsets, lengths, counts, row_seqs = columns
+        # a patient id of an old log may hold a NUL; its hint splits into too many
+        ids = str(body[pos:pos + id_bytes], "utf-8", "surrogatepass").split("\0") if patients else []
+        if len(ids) != patients:
+            return None
+        # built in C: tuple.__new__ over the columns
+        built = map(tuple.__new__, itertools.repeat(_IndexEntry),
+                    zip(seqs, received, itertools.repeat(path), offsets, lengths))
+        return cls(covered, crc, {pid: list(itertools.islice(built, n)) for pid, n in zip(ids, counts)},
+                   row_seqs, np.frombuffer(body[pos + id_bytes:], dtype=float).reshape(rows, width))
+
+
+def _read_hint(path: str, log_path: str) -> Optional[_Hint]:
+    try:
+        with open(path, "rb") as fh:
+            return _Hint.decode(fh.read(), log_path)
+    except OSError:
+        return None
+
+
+def _crc_of_first(fh, size: int) -> int:
+    """The CRC-32 of a file's first `size` bytes, or of all of it when it
+    is shorter, read a MiB at a time."""
+    crc = 0
+    while size > 0 and (chunk := fh.read(min(size, 1 << 20))):
+        crc = zlib.crc32(chunk, crc)
+        size -= len(chunk)
+    return crc
+
+
+def _write_hint(path: str, hint: _Hint) -> None:
+    """Replace a hint file.  It is not fsynced: a hint lost or torn in a
+    crash fails its CRC, and the next open scans the log instead."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(hint.encode())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
 
 
 class RecordStore:
@@ -276,8 +386,10 @@ class RecordStore:
         # (topic class, patient id) -> that patient's entries in sequence order
         self._index: dict[tuple[str, str], list[_IndexEntry]] = {}
         self._dedup: dict[tuple[str, int, bytes], int] = {}
-        # topic class -> (path, handle) of the one day file it appends to
-        self._write_handles: dict[str, tuple[Path, object]] = {}
+        # (topic class, day) -> its log's path, one str shared by its index entries
+        self._paths: dict[tuple[str, str], str] = {}
+        # topic class -> (day, path, handle) of the one day file it appends to
+        self._write_handles: dict[str, tuple[str, str, object]] = {}
         self._closed = False
         self._rebuild()
 
@@ -286,26 +398,38 @@ class RecordStore:
     def _rebuild(self) -> None:
         """Index every log and set the next sequence and today's dedup keys."""
         self._dedup_day = _day_of(_now_ms())
-        seqs: list[int] = []        # of the pqrst documents, in scan order
-        rows: list[tuple] = []      # their `device.pqrst_row` values
+        seqs: list[array] = []          # of the pqrst documents, per log
+        rows: list[np.ndarray] = []     # their `device.pqrst_row` values
         for klass in TOPIC_CLASSES:
             for path in sorted(self.root.glob(f"{klass}/*.log")):
-                self._scan_file(klass, path, seqs, rows)
+                self._scan_file(klass, path.stem, seqs, rows)
         # appends dated out of day order put later sequences in earlier files
         for entries in self._index.values():
             entries.sort(key=lambda e: e.sequence)
         # pqrst rows in sequence order: the first _rows rows of _matrix
-        matrix = np.array(rows, dtype=float).reshape(len(rows), len(analytics.COLUMNS))
-        self._matrix = matrix[np.argsort(np.array(seqs, dtype=np.int64))]
-        self._rows = len(rows)
+        order = np.argsort(np.frombuffer(b"".join(seqs), dtype=np.int64))
+        self._matrix = np.concatenate([np.empty((0, len(analytics.COLUMNS)))] + rows)[order]
+        self._rows = len(order)
         self._next_seq = max((e[-1].sequence for e in self._index.values()), default=0) + 1
 
-    def _scan_file(self, klass: str, path: Path, seqs: list, rows: list) -> None:
+    def _scan_file(self, klass: str, day: str, seqs: list, rows: list) -> None:
+        """Index one log: from its hint, when the hint's CRC and that of
+        the log bytes it covers both check, then by decoding each line
+        after them.  A log of another day than today ends with its hint
+        rewritten whenever a line was decoded."""
+        path = self._paths[klass, day] = str(self.root / klass / f"{day}.log")
+        hint_path = path.removesuffix(".log") + ".hint"
         # a file holds the documents received on the day it is named after,
         # so only today's file can hold keys a redelivery may still hit
-        today = path.stem == self._dedup_day
+        today = day == self._dedup_day
+        hint = None if today else _read_hint(hint_path, path)
+        tail = []       # the pqrst rows of the decoded lines
         with open(path, "rb") as fh:
-            offset = 0
+            if hint is not None and _crc_of_first(fh, hint.covered) != hint.crc:
+                hint = None
+                fh.seek(0)
+            log = hint or _Hint()
+            offset, crc = log.covered, log.crc
             for raw in fh:
                 record = _decode_line(raw) if raw.endswith(b"\n") else None
                 if record is None:
@@ -316,7 +440,7 @@ class RecordStore:
                         break
                     raise StoreError(f"corrupt log line mid-file in {path} at offset {offset}")
                 seq = record["seq"]
-                self._index.setdefault((klass, record["patient_id"]), []).append(
+                log.entries.setdefault(record["patient_id"], []).append(
                     _IndexEntry(seq, record["received_at"], path, offset, len(raw)))
                 if klass == "pqrst":
                     row = device.pqrst_row(record["payload"])
@@ -325,13 +449,24 @@ class RecordStore:
                     if row[0] > sys.float_info.max:
                         raise StoreError(f"record_no beyond float64 range in {path} "
                                          f"at offset {offset}")
-                    rows.append(row)
-                    seqs.append(seq)
+                    tail.append(row)
+                    log.row_seqs.append(seq)
                 if today and record.get("message_id") is not None:
                     # the payload's bytes, as hashed on append; no header field can hold its key
                     body = raw[raw.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):raw.rindex(_CRC_KEY)]
                     self._dedup[_dedup_key(record["topic"], record["message_id"], body)] = seq
+                crc = zlib.crc32(raw, crc)
                 offset += len(raw)
+        if tail:
+            log.rows = np.concatenate([log.rows, np.array(tail, dtype=float)])
+        if klass == "pqrst":
+            seqs.append(log.row_seqs)
+            rows.append(log.rows)
+        for pid, entries in log.entries.items():
+            self._index.setdefault((klass, pid), []).extend(entries)
+        if not today and (hint is None or offset > hint.covered):
+            log.covered, log.crc = offset, crc
+            _write_hint(hint_path, log)
 
     # ----------------------------------------------------------- write
 
@@ -394,7 +529,7 @@ class RecordStore:
                 self._dedup[key] = seq
             return seq
 
-    def _discard_failed_write(self, klass: str, path: Path, offset: int) -> None:
+    def _discard_failed_write(self, klass: str, path: str, offset: int) -> None:
         """Cut the log back to where a failed append started.
 
         The unacked message is retransmitted, so a line left behind would
@@ -403,7 +538,7 @@ class RecordStore:
         the next append reopens the file.  When the cut fails too, the
         store closes, so nothing more is written or acked.
         """
-        _, fh = self._write_handles.pop(klass)
+        *_, fh = self._write_handles.pop(klass)
         try:
             fh.close()
         except OSError:
@@ -429,28 +564,30 @@ class RecordStore:
         self._matrix[self._rows] = row
         self._rows += 1
 
-    def _day_file(self, klass: str, day: str) -> tuple[Path, object]:
+    def _day_file(self, klass: str, day: str) -> tuple[str, object]:
         """The class's append handle for one day; a new day closes the old one."""
         current = self._write_handles.get(klass)
-        if current is not None and current[0].stem == day:
-            return current
+        if current is not None and current[0] == day:
+            return current[1:]
         if current is not None:
             # dropped first: if opening the new day fails, no closed handle is left
-            self._write_handles.pop(klass)[1].close()
-        path = self.root / klass / f"{day}.log"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.touch()
+            self._write_handles.pop(klass)[2].close()
+        class_dir = self.root / klass
+        path = self._paths.setdefault((klass, day), str(class_dir / f"{day}.log"))
+        class_dir.mkdir(parents=True, exist_ok=True)
+        Path(path).touch()
         # A new file is lost with its directory entry, so the class directory
         # and the root are synced before its first ack.  Syncing on every open
         # also covers a file that an earlier open created and failed to sync.
-        for directory in (path.parent, self.root):
+        for directory in (class_dir, self.root):
             fd = os.open(directory, os.O_RDONLY)
             try:
                 os.fsync(fd)
             finally:
                 os.close(fd)
-        current = self._write_handles[klass] = (path, open(path, "ab"))
-        return current
+        fh = open(path, "ab")
+        self._write_handles[klass] = (day, path, fh)
+        return path, fh
 
     # ----------------------------------------------------------- read
 
@@ -530,7 +667,7 @@ class RecordStore:
     def _close_locked(self) -> None:
         """`close` for a caller that holds the lock."""
         self._closed = True
-        for _, fh in self._write_handles.values():
+        for *_, fh in self._write_handles.values():
             try:
                 fh.close()
             except OSError:

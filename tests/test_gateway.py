@@ -3,6 +3,7 @@ and the ingest endpoint, each against a live server on a loopback port.
 """
 
 import builtins
+import gc
 import http.client
 import json
 import logging
@@ -11,12 +12,15 @@ import socketserver
 import statistics
 import threading
 import time
+import weakref
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ecgmon import analytics, regression, sample_data, store as store_mod
 from ecgmon.config import GatewayConfig
-from ecgmon.gateway import MAX_BODY_BYTES, Gateway
+from ecgmon.gateway import MAX_BODY_BYTES, Gateway, _parse_rfc3339
 from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
@@ -89,6 +93,20 @@ def gw_with_model(store, tmp_path):
 
 
 # ----------------------------------------------------------------- routing
+
+def test_a_stopped_gateway_is_freed_without_a_full_collection(store):
+    """Its handler class, which only a full collection frees, holds it weakly."""
+    gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+    assert request(gateway, "GET", "/stats")[0] == 404
+    gateway.stop()
+    freed = weakref.ref(gateway)
+    gc.disable()
+    try:
+        del gateway
+        assert freed() is None
+    finally:
+        gc.enable()
+
 
 def test_unknown_route_is_404(gw):
     status, body = request(gw, "GET", "/nope")
@@ -496,6 +514,30 @@ def test_ecg_window_honors_utc_offset_and_naive(gw, store):
         gw, "GET",
         "/patients/p1/ecg?from=2023-11-14T22:13:20&to=2023-11-14T22:13:21")
     assert status == 200 and len(body) == 1
+
+
+UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MS_BEFORE_2100 = (datetime(2100, 1, 1, tzinfo=timezone.utc) - UTC_EPOCH) // timedelta(milliseconds=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, MS_BEFORE_2100 - 1))
+@example(1079337347472)
+def test_every_millisecond_round_trips_in_utc_and_with_an_offset(ms):
+    """Float arithmetic parsed 2004-03-15T07:55:47.472Z as ...471 ms."""
+    instant = UTC_EPOCH + timedelta(milliseconds=ms)
+    utc = instant.isoformat(timespec="milliseconds").replace("+00:00", "Z")
+    local = instant.astimezone(timezone(timedelta(hours=5, minutes=30))).isoformat(
+        timespec="milliseconds")
+    assert local.endswith("+05:30")
+    assert _parse_rfc3339(utc) == _parse_rfc3339(local) == ms
+
+
+def test_sub_millisecond_bounds_round_up():
+    # received_at is whole milliseconds: 472 is not in [472.001, ...), 473 is
+    assert _parse_rfc3339("2004-03-15T07:55:47.472Z") == 1079337347472
+    assert _parse_rfc3339("2004-03-15T07:55:47.472001Z") == 1079337347473
+    assert _parse_rfc3339("1969-12-31T23:59:59.9995Z") == 0
 
 
 def test_ecg_from_after_to_400(gw):

@@ -1,0 +1,392 @@
+"""Tests for the store's per-log hint files: an open that reads a log's
+hint builds the same index, pqrst matrix, next sequence and dedup map as
+one that decodes every line, and any damage to a hint or to the bytes it
+covers falls back to that full scan.
+"""
+
+import builtins
+import os
+import shutil
+import struct
+import tempfile
+import zlib
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ecgmon import store as store_mod
+from ecgmon.store import TOPIC_CLASSES, RecordStore, StoreError
+from test_store import heartbeat, pqrst, reference_encode_line, status
+
+DAY_MS = 86_400_000
+NOW = 1_767_600_000_000 + 10 * DAY_MS          # 2026-01-15T08:00:00Z
+TODAY = "2026-01-15"
+DOCS = {
+    "heartbeat": lambda pid, n: heartbeat(pid, bpm=60 + n),
+    "pqrst": lambda pid, n: pqrst(pid, record_no=n + 1, p=50.0 + n),
+    "waveform": lambda pid, n: {"patient_id": pid, "seq": n, "sample_rate": 250,
+                                "samples": [n, 1023], "lead_off": [False, True]},
+    "status": lambda pid, n: status(f"note {n}", pid),
+}
+TOPICS = {klass: f"clinic/{{}}/{suffix}" for klass, suffix in store_mod.device.TOPIC_SUFFIXES.items()}
+
+
+def put(store, klass, pid, n, day=-1, message_id=None):
+    """Append document `n` of a class for a patient, received `day` days from NOW."""
+    return store.append(TOPICS[klass].format(pid), pid, DOCS[klass](pid, n),
+                        message_id=message_id, received_at=NOW + day * DAY_MS + n)
+
+
+class Spies:
+    """Counts of what the store module decodes and opens."""
+
+    def __init__(self, monkeypatch):
+        self.decoded = 0
+        self.opened = Counter()
+        real = store_mod._DECODER
+
+        class Decoder:
+            def decode(_, text):
+                self.decoded += 1
+                return real.decode(text)
+
+            def raw_decode(_, text):
+                self.decoded += 1
+                return real.raw_decode(text)
+
+        def spy_open(path, *args, **kwargs):
+            self.opened[str(path)] += 1
+            return builtins.open(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_mod, "_DECODER", Decoder())
+        monkeypatch.setattr(store_mod, "open", spy_open, raising=False)
+
+    def reset(self):
+        self.decoded = 0
+        self.opened.clear()
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    monkeypatch.setattr(store_mod, "_now_ms", lambda: NOW)
+
+
+@pytest.fixture
+def spies(monkeypatch, clock):
+    return Spies(monkeypatch)
+
+
+def state(root) -> tuple:
+    """An open's index, pqrst matrix bytes, next sequence and dedup map."""
+    with RecordStore(root) as store:
+        index = {key: [(e.sequence, e.received_at, os.path.relpath(e.path, root), e.offset, e.length)
+                       for e in entries] for key, entries in store._index.items()}
+        return index, store.pqrst_matrix().tobytes(), store._next_seq, dict(store._dedup)
+
+
+def full_scan_state(root, scratch) -> tuple:
+    """`state` of a copy of the store with every hint deleted."""
+    copy = Path(scratch) / "full-scan"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(root, copy)
+    for hint in copy.rglob("*.hint"):
+        hint.unlink()
+    return state(copy)
+
+
+def logs(root) -> list:
+    return sorted(root.rglob("*.log"))
+
+
+def hints(root) -> list:
+    return sorted(root.rglob("*.hint"))
+
+
+def past_store(root):
+    """Three patients' documents of every class over three past days."""
+    with RecordStore(root) as store:
+        for day in (-3, -1, -2):
+            for n, pid in enumerate(("p1", "p2", "p3")):
+                for klass in TOPIC_CLASSES:
+                    put(store, klass, pid, n, day)
+
+
+def rewrite_hint(path: Path, edit) -> None:
+    """Apply `edit` to a hint's bytes before its CRC, then seal them again."""
+    body = bytearray(path.read_bytes()[:-4])
+    edit(body)
+    path.write_bytes(bytes(body) + struct.pack("=I", zlib.crc32(body)))
+
+
+# ------------------------------------------------------------- counts
+
+def test_second_open_of_past_logs_decodes_nothing_and_reads_each_log_once(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    past_store(root)
+    spies.reset()
+    want = state(root)                       # the first open scans and writes the hints
+    assert spies.decoded == 36
+    assert [h.with_suffix(".log") for h in hints(root)] == logs(root)
+    assert len(logs(root)) == 12
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 0
+    assert all(spies.opened[str(log)] == 1 for log in logs(root))
+    assert all(spies.opened[str(hint)] == 1 for hint in hints(root))
+
+
+def test_todays_log_is_always_decoded_and_never_hinted(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    past_store(root)
+    with RecordStore(root) as store:
+        for n in range(3):
+            put(store, "heartbeat", "p1", n, day=0, message_id=n + 1)
+    state(root)
+    assert not (root / "heartbeat" / f"{TODAY}.hint").exists()
+    assert len(hints(root)) == 12
+    spies.reset()
+    index, _, _, dedup = state(root)
+    assert spies.decoded == 3
+    assert len(dedup) == 3
+    assert [e[0] for e in index["heartbeat", "p1"]][-3:] == [37, 38, 39]
+
+
+def test_a_day_change_hints_yesterday_and_forgets_its_dedup_keys(tmp_path, spies, monkeypatch):
+    root = tmp_path / "telemetry"
+    doc = heartbeat("p1", bpm=70)
+    with RecordStore(root) as store:
+        assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 1
+        assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 1
+    monkeypatch.setattr(store_mod, "_now_ms", lambda: NOW + DAY_MS)
+    yesterday = root / "heartbeat" / f"{TODAY}.hint"
+    assert not yesterday.exists()
+    with RecordStore(root) as store:
+        assert yesterday.exists()
+        assert store._dedup == {}
+        # a redelivery of yesterday's message is a new document, as it is today
+        assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 2
+    spies.reset()
+    with RecordStore(root) as store:
+        assert spies.decoded == 1                # today's line only
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", bpm=71),
+                            received_at=NOW + 1) == 3
+    hinted = yesterday.read_bytes()
+    spies.reset()
+    got = state(root)
+    assert spies.decoded == 2                    # yesterday's tail and today's line
+    assert yesterday.read_bytes() != hinted
+    assert got == full_scan_state(root, tmp_path)
+    spies.reset()
+    assert [e[0] for e in state(root)[0]["heartbeat", "p1"]] == [1, 2, 3]
+    assert spies.decoded == 1                    # today's line; yesterday's hint covers both
+
+
+# -------------------------------------------------------- equivalence
+
+APPEND = st.tuples(st.sampled_from(TOPIC_CLASSES), st.sampled_from(("p1", "p2", "p-3")),
+                   st.sampled_from((-3, -1, -2, 0, 1)),      # days from NOW
+                   st.integers(0, 3),                          # which document
+                   st.none() | st.integers(1, 2))              # message id
+TORN = st.none() | st.tuples(st.integers(0, 30), st.integers(1, 80))   # which log, bytes kept
+LINE = reference_encode_line({"seq": 10**6, "topic": "clinic/p1/status", "patient_id": "p1",
+                              "received_at": NOW, "message_id": None, "payload": status("torn")})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.lists(APPEND, max_size=10), TORN), min_size=1, max_size=4))
+def test_hinted_open_equals_full_scan(rounds):
+    """Rounds of appends (any class, several patients, past, today's and
+    future days out of order, redeliveries), each maybe ending in a torn
+    tail, then a reopen: the hints give what the full scan gives."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(store_mod, "_now_ms", lambda: NOW)
+        spies = Spies(mp)
+        root = Path(tmp) / "telemetry"
+        for appends, torn in rounds:
+            with RecordStore(root) as store:
+                for klass, pid, day, n, message_id in appends:
+                    put(store, klass, pid, n, day, message_id)
+            if torn is not None and logs(root):
+                which, kept = torn
+                with open(logs(root)[which % len(logs(root))], "ab") as fh:
+                    fh.write(LINE[:kept])
+            assert state(root) == full_scan_state(root, tmp)
+        today = [log for log in logs(root) if log.stem == TODAY]
+        spies.reset()
+        state(root)
+        assert spies.decoded == sum(log.read_bytes().count(b"\n") for log in today)
+
+
+# -------------------------------------------------------------- faults
+
+def hinted_store(root) -> tuple:
+    """A past-day store, opened once so that every log has its hint; the
+    state that full scan found."""
+    past_store(root)
+    want = state(root)
+    assert len(hints(root)) == len(logs(root))
+    return want
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda p: p.write_bytes(bytes([p.read_bytes()[0] ^ 1]) + p.read_bytes()[1:]),
+                 id="magic-bit"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:40]), id="cut-short"),
+    pytest.param(lambda p: p.write_bytes(b""), id="empty"),
+    pytest.param(lambda p: rewrite_hint(p, lambda b: b.extend(b"\0")), id="longer-resealed"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:-1] + bytes([p.read_bytes()[-1] ^ 4])),
+                 id="crc-bit"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:50] + bytes([p.read_bytes()[50] ^ 1])
+                                         + p.read_bytes()[51:]), id="column-bit"),
+    pytest.param(lambda p: rewrite_hint(p, lambda b: b.__setitem__(slice(0, 4), b"HCGE")),
+                 id="wrong-magic"),
+    pytest.param(lambda p: rewrite_hint(p, lambda b: b.__setitem__(slice(4, 8), b"\2\0\0\0")),
+                 id="wrong-version"),
+])
+def test_a_damaged_or_foreign_hint_is_ignored(tmp_path, spies, damage):
+    root = tmp_path / "telemetry"
+    want = hinted_store(root)
+    hint = root / "pqrst" / "2026-01-13.hint"
+    good = hint.read_bytes()
+    damage(hint)
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 3                # that log's lines, decoded in full
+    assert hint.read_bytes() == good         # and its hint written again
+
+
+def test_a_log_cut_shorter_than_its_hint_is_scanned_in_full(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    hinted_store(root)
+    log = root / "status" / "2026-01-13.log"
+    data = log.read_bytes()
+    log.write_bytes(data[:data.index(b"\n") + 1])          # one line of three
+    spies.reset()
+    got = state(root)
+    assert spies.decoded == 1
+    assert got == full_scan_state(root, tmp_path)
+    assert len(got[0]["status", "p1"]) == 3 and len(got[0]["status", "p2"]) == 2
+
+
+def test_a_log_appended_past_its_hint_scans_only_the_tail(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    hinted_store(root)
+    with RecordStore(root) as store:
+        put(store, "pqrst", "p4", 5, day=-2)
+        put(store, "pqrst", "p1", 6, day=-2)
+    hint = root / "pqrst" / "2026-01-13.hint"
+    before = hint.read_bytes()
+    spies.reset()
+    got = state(root)
+    assert spies.decoded == 2
+    assert got == full_scan_state(root, tmp_path)
+    assert [e[0] for e in got[0]["pqrst", "p4"]] == [37]
+    assert len(hint.read_bytes()) > len(before)
+    spies.reset()
+    state(root)
+    assert spies.decoded == 0
+
+
+def test_a_flipped_byte_under_a_hint_is_still_corruption(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    hinted_store(root)
+    log = root / "heartbeat" / "2026-01-13.log"
+    data = log.read_bytes()
+    offset = data.index(b"\n") + 1                       # the second of three lines
+    log.write_bytes(data[:offset + 20] + bytes([data[offset + 20] ^ 0xFF]) + data[offset + 21:])
+    with pytest.raises(StoreError, match=f"corrupt log line mid-file in {log} at offset {offset}$"):
+        RecordStore(root)
+
+
+def test_an_unconvertible_record_no_in_a_tail_is_still_an_error(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    hinted_store(root)
+    log = root / "pqrst" / "2026-01-13.log"
+    offset = log.stat().st_size
+    with open(log, "ab") as fh:
+        fh.write(reference_encode_line({
+            "seq": 99, "topic": "clinic/p1/ecg/pqrst", "patient_id": "p1",
+            "received_at": NOW - 2 * DAY_MS, "message_id": None,
+            "payload": pqrst(record_no=10**400)}))
+    with pytest.raises(StoreError, match=f"{log}.* at offset {offset}$"):
+        RecordStore(root)
+
+
+def test_a_failed_hint_write_leaves_the_open_and_its_acks_unchanged(tmp_path, spies):
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    acks = {}
+    for root in (tmp_path / "failing", tmp_path / "plain"):
+        past_store(root)
+        with pytest.MonkeyPatch.context() as mp:
+            if root.name == "failing":
+                mp.setattr(store_mod.os, "replace", refuse)
+            with RecordStore(root) as store:
+                acks[root.name] = [put(store, "heartbeat", "p1", 9, day) for day in (-1, 0, -1)]
+                acks[root.name] += [put(store, "status", "p2", 9, 0, message_id=3) for _ in "ab"]
+    assert acks["failing"] == acks["plain"] == [37, 38, 39, 40, 40]
+    assert hints(tmp_path / "failing") == [] and list(tmp_path.rglob("*.tmp")) == []
+    assert state(tmp_path / "failing") == state(tmp_path / "plain")
+
+
+def test_a_patient_id_holding_a_nul_keeps_its_log_on_the_full_scan(tmp_path, spies):
+    """The hint's patient table is NUL-separated; a log written before
+    patient ids were checked may hold one with a NUL, and never opens from
+    its hint."""
+    root = tmp_path / "telemetry"
+    past_store(root)
+    log = root / "status" / "2026-01-13.log"
+    with open(log, "ab") as fh:
+        for seq, pid in ((37, "a\0b"), (38, "p1")):
+            fh.write(reference_encode_line({
+                "seq": seq, "topic": f"clinic/{pid}/status", "patient_id": pid,
+                "received_at": NOW - 2 * DAY_MS, "message_id": None, "payload": status("old", pid)}))
+    want = state(root)
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 5                 # that log's lines, each open
+    assert want == full_scan_state(root, tmp_path)
+    assert [e[0] for e in want[0]["status", "a\0b"]] == [37]
+
+
+def test_entries_of_one_log_share_one_path_str(tmp_path, clock):
+    """Reads group a window's entries by path; one str per log compares by
+    identity, for entries from the hint and for those appended since."""
+    root = tmp_path / "telemetry"
+    past_store(root)
+    state(root)
+    with RecordStore(root) as store:
+        put(store, "heartbeat", "p1", 5, day=-1)
+        put(store, "heartbeat", "p1", 6, day=0)
+        paths = [e.path for e in store._index["heartbeat", "p1"]]
+        assert all(type(p) is str for p in paths)
+        assert [p.rsplit("/", 1)[1] for p in paths] == [
+            "2026-01-12.log", "2026-01-14.log", "2026-01-13.log", "2026-01-14.log", "2026-01-15.log"]
+        assert paths[1] is paths[3]
+        assert [d.sequence for d in store.read_class("heartbeat", "p1")] == [1, 13, 25, 37, 38]
+
+
+def test_a_log_over_a_mebibyte_opens_from_its_hint(tmp_path, spies):
+    """The covered bytes are checked a MiB at a time, the CRC running on."""
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for n in range(3):
+            store.append("clinic/p1/ecg/waveform", "p1",
+                         {"patient_id": "p1", "seq": n, "sample_rate": 250,
+                          "samples": [1023] * 40_000, "lead_off": [False] * 40_000},
+                         received_at=NOW - DAY_MS + n)
+    log = root / "waveform" / "2026-01-14.log"
+    assert log.stat().st_size > 1 << 20
+    want = state(root)
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 0
+    data = log.read_bytes()
+    offset = data.rindex(b"\n", 0, len(data) - 1) + 1    # the last line, past the first MiB
+    log.write_bytes(data[:-100] + bytes([data[-100] ^ 1]) + data[-99:])
+    spies.reset()
+    state(root)                          # a full scan: a damaged last line is cut, not an error
+    assert spies.decoded == 2 and log.stat().st_size == offset  # the lines before it
