@@ -163,8 +163,11 @@ def describe(dataset: Dataset) -> StatsSummary:
 def iqr_outliers(dataset: Dataset, column: str, k: float = 1.5) -> list[int]:
     """Row indices whose value falls outside quartile +/- k*IQR."""
     x = dataset.column(column)
-    q25 = quantile(x, 0.25)
-    q75 = quantile(x, 0.75)
+    if len(x) == 0:
+        raise ValueError("quantile of an empty sequence")
+    xs = np.sort(x)
+    q25 = _sorted_quantile(xs, 0.25)
+    q75 = _sorted_quantile(xs, 0.75)
     iqr = q75 - q25
     lo = q25 - k * iqr
     hi = q75 + k * iqr

@@ -1,9 +1,7 @@
 """Ordinary least squares for the score model R ~ S + T + Age.
 
-The solver goes through the normal equations (X'X) beta = X'y with
-Gaussian elimination under scaled partial pivoting; with three
-predictors and an intercept the system is 4x4, so no factorization
-library is warranted.
+The fit is numpy's least-squares solve of the design matrix, whose
+reported rank tells a rank-deficient design apart.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "design_from_dataset",
     "save_model",
     "load_model",
-    "solve_linear_system",
 ]
 
 DEFAULT_PREDICTORS = ("S", "T", "Age")
@@ -79,38 +76,6 @@ class EvalReport:
     pairs: tuple[tuple[float, float], ...]  # (actual, predicted)
 
 
-def solve_linear_system(a: np.ndarray, b: np.ndarray, pivot_tol: float = 1e-10) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with scaled partial pivoting.
-
-    Raises SingularDesignError when the best available pivot, scaled by
-    its row's largest entry, falls below `pivot_tol`.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = len(b)
-    scale = np.max(np.abs(a), axis=1)
-    if np.any(scale == 0):
-        raise SingularDesignError("zero row in system matrix")
-    for k in range(n):
-        ratios = np.abs(a[k:, k]) / scale[k:]
-        p = k + int(np.argmax(ratios))
-        if ratios[p - k] < pivot_tol:
-            raise SingularDesignError(f"pivot {ratios[p - k]:.3e} below tolerance at column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        for i in range(k + 1, n):
-            m = a[i, k] / a[k, k]
-            if m != 0.0:
-                a[i, k:] -= m * a[k, k:]
-                b[i] -= m * b[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - float(a[k, k + 1:] @ x[k + 1:])) / a[k, k]
-    return x
-
-
 def fit_ols(rows: Sequence[Sequence[float]], targets: Sequence[float],
             predictor_names: Sequence[str] = DEFAULT_PREDICTORS) -> LinearModel:
     """Least squares fit of targets on rows of predictor values.
@@ -127,7 +92,9 @@ def fit_ols(rows: Sequence[Sequence[float]], targets: Sequence[float],
     if len(x) < x.shape[1] + 1:
         raise ValueError(f"need at least {x.shape[1] + 1} rows, got {len(x)}")
     design = np.hstack([np.ones((len(x), 1)), x])
-    beta = solve_linear_system(design.T @ design, design.T @ y)
+    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        raise SingularDesignError(f"design matrix has rank {rank} of {design.shape[1]} columns")
     return LinearModel(
         intercept=float(beta[0]),
         coefficients=tuple(zip(predictor_names, (float(v) for v in beta[1:]))),

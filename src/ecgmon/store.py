@@ -9,12 +9,13 @@ and truncated away without touching earlier documents.  The numeric
 columns of every pqrst document are also kept in memory, as one float64
 matrix in sequence order, so dataset statistics need no log reads.  A
 scan of a log of another day than today leaves a `.hint` file beside it
-with what the scan put in the index, so the next open reads the hint and
-decodes only the lines appended after it.
+holding the log's index rows as they are in memory, so the next open loads
+the hint and decodes only the lines appended after it.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -27,7 +28,6 @@ import threading
 import time
 import zlib
 from array import array
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -55,6 +55,9 @@ PATIENT_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
 # The largest integer a JSON number carries exactly (RFC 7493, section 2.2),
 # so every record number is also exact in the float64 pqrst matrix.
 MAX_RECORD_NO = 2**53 - 1
+# A redelivery is recognised within this long of the first delivery: well
+# above the client's retry budget, max_retries x ack_timeout = 30 x 1 s.
+DEDUP_WINDOW_MS = 10 * 60 * 1000
 
 
 class StoreError(RuntimeError):
@@ -111,14 +114,20 @@ class StoredDocument:
             line[len(_SEQ_KEY):line.index(_MESSAGE_ID_KEY)], payload)
 
 
-# A tuple, so an open builds the entries of a hinted log in C, with
-# tuple.__new__ over the hint's columns.
-class _IndexEntry(NamedTuple):
-    sequence: int
-    received_at: int
-    path: str       # shared by every entry of one log, so runs compare in C
-    offset: int
-    length: int
+# The columns of an index row: a document's sequence, its received_at, and
+# its line's log (a place in `RecordStore._logs`), offset and length.
+_INDEX_WIDTH = 5
+_SEQ, _RECEIVED, _LOG, _OFFSET, _LENGTH = range(_INDEX_WIDTH)
+_NO_ENTRIES = np.empty((0, _INDEX_WIDTH), np.int64)
+
+
+def _appended(matrix: np.ndarray, rows: int, row) -> np.ndarray:
+    """`matrix` with `row` written after its first `rows` rows, in a copy of
+    twice the size when those fill it."""
+    if rows == len(matrix):
+        matrix = np.concatenate([matrix, np.empty((max(rows, 8), matrix.shape[1]), matrix.dtype)])
+    matrix[rows] = row
+    return matrix
 
 
 def parse_topic(topic: str) -> tuple[str, str]:
@@ -223,6 +232,16 @@ def _dedup_key(topic: str, message_id: int, payload: bytes) -> tuple[str, int, b
     return topic, message_id, hashlib.blake2b(payload, digest_size=8).digest()
 
 
+def _line_key(topic: str, line: bytes) -> Optional[tuple[str, int, bytes]]:
+    """The dedup key of a stored line, read from its bytes; None when it
+    was stored without a message id."""
+    start = line.index(_MESSAGE_ID_KEY) + len(_MESSAGE_ID_KEY)
+    end = line.index(_PAYLOAD_KEY, start)
+    if line[start:end] == b"null":
+        return None
+    return _dedup_key(topic, int(line[start:end]), line[end + len(_PAYLOAD_KEY):line.rindex(_CRC_KEY)])
+
+
 def _now_ms() -> int:
     return time.time_ns() // 1_000_000
 
@@ -275,48 +294,50 @@ def _decode_line(raw: bytes) -> Optional[dict]:
     return record if end == len(text) - 1 else None
 
 
-# A hint file: this header, then each column, then the CRC-32 of all that.
-# Native byte order throughout: on a machine of the other order the version
-# reads wrong and the hint is ignored.
+# A hint file: this header, each patient's line count, the log's index rows
+# grouped by patient in file order, the patient ids joined by NUL, a pqrst
+# log's rows in the same order, then the CRC-32 of all that.  Native byte
+# order throughout: on a machine of the other order the version reads wrong.
 _HINT_MAGIC = b"ECGH"
-_HINT_VERSION = 1
+_HINT_VERSION = 3
 # magic, version, covered log bytes, their CRC-32, lines, patients, bytes of
 # patient ids, pqrst rows
 _HINT_HEADER = struct.Struct("=4sIQIIIII")
 _HINT_CRC = struct.Struct("=I")
 
 
-@dataclass(slots=True)
-class _Hint:
+class _Hint(NamedTuple):
     """What a scan of a log's first `covered` bytes puts in the index; the
     content of the log's `.hint` file."""
     covered: int = 0
     crc: int = 0            # CRC-32 of the covered bytes
-    # patient id -> that patient's index entries in the log, in file order
-    entries: dict = field(default_factory=dict)
-    # the pqrst lines' sequences and `device.pqrst_row` values, in file
-    # order; none in a log of another class
-    row_seqs: array = field(default_factory=lambda: array("q"))
-    rows: np.ndarray = field(default_factory=lambda: np.empty((0, len(analytics.COLUMNS))))
+    ids: list = []          # the log's patient ids
+    owners: np.ndarray = np.empty(0, np.int64)      # each line's patient, as its place in `ids`
+    # an index row per line; the log column is set again on open
+    entries: np.ndarray = _NO_ENTRIES
+    # a pqrst log's `device.pqrst_row` values, one per index row; none in a
+    # log of another class
+    rows: np.ndarray = np.empty((0, len(analytics.COLUMNS)))
 
     def encode(self) -> bytes:
-        """The header; the entries' sequence, received_at, offset and length
-        columns, grouped by patient; each patient's entry count; the row
-        sequences; the patient ids joined by NUL; the rows; the CRC-32."""
-        ids = "\0".join(self.entries).encode("utf-8", "surrogatepass")
-        lines = list(itertools.chain.from_iterable(self.entries.values()))
-        seqs, received, _, offsets, lengths = zip(*lines) if lines else [()] * 5
+        order = np.argsort(self.owners, kind="stable")
+        ids = "\0".join(self.ids).encode("utf-8", "surrogatepass")
         body = b"".join([
-            _HINT_HEADER.pack(_HINT_MAGIC, _HINT_VERSION, self.covered, self.crc, len(lines),
-                              len(self.entries), len(ids), len(self.rows)),
-            *(array("q", column) for column in (seqs, received, offsets, lengths)),
-            array("q", map(len, self.entries.values())), self.row_seqs, ids, self.rows.tobytes()])
+            _HINT_HEADER.pack(_HINT_MAGIC, _HINT_VERSION, self.covered, self.crc, len(self.entries),
+                              len(self.ids), len(ids), len(self.rows)),
+            np.bincount(self.owners, minlength=len(self.ids)).tobytes(), self.entries[order].tobytes(),
+            ids, (self.rows[order] if len(self.rows) else self.rows).tobytes()])
         return body + _HINT_CRC.pack(zlib.crc32(body))
 
     @classmethod
-    def decode(cls, data: bytes, path: str) -> Optional["_Hint"]:
-        """The hint a file holds for the log at `path`; None unless its CRC,
-        magic, version and length all check."""
+    def read(cls, path: str) -> Optional["_Hint"]:
+        """The hint a file holds; None unless it reads and its CRC, magic,
+        version and length all check.  Its arrays are views of the file's bytes."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            return None
         body = memoryview(data)[:-_HINT_CRC.size]
         if len(data) < _HINT_HEADER.size + _HINT_CRC.size or (
                 _HINT_CRC.unpack_from(data, len(body))[0] != zlib.crc32(body)):
@@ -324,31 +345,17 @@ class _Hint:
         magic, version, covered, crc, lines, patients, id_bytes, rows = _HINT_HEADER.unpack_from(body)
         width = len(analytics.COLUMNS)
         if (magic != _HINT_MAGIC or version != _HINT_VERSION or len(body) != _HINT_HEADER.size
-                + 32 * lines + 8 * patients + id_bytes + 8 * (1 + width) * rows):
+                + 8 * (patients + _INDEX_WIDTH * lines + width * rows) + id_bytes):
             return None
-        columns, pos = [], _HINT_HEADER.size
-        for count in (lines, lines, lines, lines, patients, rows):
-            columns.append(array("q"))
-            columns[-1].frombytes(body[pos:pos + 8 * count])
-            pos += 8 * count
-        seqs, received, offsets, lengths, counts, row_seqs = columns
+        ints = np.frombuffer(body, np.int64, patients + _INDEX_WIDTH * lines, _HINT_HEADER.size)
+        pos = _HINT_HEADER.size + ints.nbytes
         # a patient id of an old log may hold a NUL; its hint splits into too many
         ids = str(body[pos:pos + id_bytes], "utf-8", "surrogatepass").split("\0") if patients else []
         if len(ids) != patients:
             return None
-        # built in C: tuple.__new__ over the columns
-        built = map(tuple.__new__, itertools.repeat(_IndexEntry),
-                    zip(seqs, received, itertools.repeat(path), offsets, lengths))
-        return cls(covered, crc, {pid: list(itertools.islice(built, n)) for pid, n in zip(ids, counts)},
-                   row_seqs, np.frombuffer(body[pos + id_bytes:], dtype=float).reshape(rows, width))
-
-
-def _read_hint(path: str, log_path: str) -> Optional[_Hint]:
-    try:
-        with open(path, "rb") as fh:
-            return _Hint.decode(fh.read(), log_path)
-    except OSError:
-        return None
+        return cls(covered, crc, ids, np.repeat(np.arange(patients), ints[:patients]),
+                   ints[patients:].reshape(lines, _INDEX_WIDTH),
+                   np.frombuffer(body, float, width * rows, pos + id_bytes).reshape(rows, width))
 
 
 def _crc_of_first(fh, size: int) -> int:
@@ -383,52 +390,77 @@ class RecordStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        # (topic class, patient id) -> that patient's entries in sequence order
-        self._index: dict[tuple[str, str], list[_IndexEntry]] = {}
+        # (topic class, patient id) -> (its index rows in sequence order, how many are in use)
+        self._index: dict[tuple[str, str], tuple[np.ndarray, int]] = {}
         self._dedup: dict[tuple[str, int, bytes], int] = {}
-        # (topic class, day) -> its log's path, one str shared by its index entries
-        self._paths: dict[tuple[str, str], str] = {}
-        # topic class -> (day, path, handle) of the one day file it appends to
-        self._write_handles: dict[str, tuple[str, str, object]] = {}
+        # (received_at, key) of each key in `_dedup`, oldest first
+        self._dedup_times: collections.deque = collections.deque()
+        self._logs: list[str] = []      # the path of each log an index row names
+        # topic class -> (day, log, handle) of the one day file it appends to
+        self._write_handles: dict[str, tuple[str, int, object]] = {}
         self._closed = False
         self._rebuild()
 
     # ----------------------------------------------------------- open
 
     def _rebuild(self) -> None:
-        """Index every log and set the next sequence and today's dedup keys."""
-        self._dedup_day = _day_of(_now_ms())
-        seqs: list[array] = []          # of the pqrst documents, per log
-        rows: list[np.ndarray] = []     # their `device.pqrst_row` values
+        """Index every log and set the next sequence and the dedup keys of
+        the lines received within the last window."""
+        now = _now_ms()
+        today, cutoff = _day_of(now), now - DEDUP_WINDOW_MS
+        recent: list = []           # (received_at, sequence, topic, line) since cutoff
+        self._matrix = np.empty((0, len(analytics.COLUMNS)))
         for klass in TOPIC_CLASSES:
-            for path in sorted(self.root.glob(f"{klass}/*.log")):
-                self._scan_file(klass, path.stem, seqs, rows)
-        # appends dated out of day order put later sequences in earlier files
-        for entries in self._index.values():
-            entries.sort(key=lambda e: e.sequence)
-        # pqrst rows in sequence order: the first _rows rows of _matrix
-        order = np.argsort(np.frombuffer(b"".join(seqs), dtype=np.int64))
-        self._matrix = np.concatenate([np.empty((0, len(analytics.COLUMNS)))] + rows)[order]
-        self._rows = len(order)
-        self._next_seq = max((e[-1].sequence for e in self._index.values()), default=0) + 1
+            first = len(self._logs)
+            self._logs += map(str, sorted(self.root.glob(f"{klass}/*.log")))
+            numbers = range(first, len(self._logs))
+            logs = [self._scan_file(klass, n, today, cutoff, recent) for n in numbers]
+            entries = np.concatenate([_NO_ENTRIES] + [log.entries for log in logs])
+            entries[:, _LOG] = np.repeat(numbers, [len(log.entries) for log in logs])
+            ids: dict[str, int] = {}         # patient id -> its number within the class
+            patients = np.concatenate([np.empty(0, np.int64)] + [
+                np.array([ids.setdefault(pid, len(ids)) for pid in log.ids], np.int64)[log.owners] for log in logs])
+            if klass == "pqrst":    # in sequence order: the first _rows rows of _matrix
+                rows = np.concatenate([self._matrix] + [log.rows for log in logs])
+                self._matrix = rows[np.argsort(entries[:, _SEQ])]
+            # each patient's rows in sequence order, with one sort and split: appends
+            # dated out of day order put later sequences in earlier files
+            order = np.lexsort((entries[:, _SEQ], patients))
+            starts = np.searchsorted(patients[order], range(1, len(ids)))
+            for pid, rows in zip(ids, np.split(entries[order], starts)):
+                self._index[klass, pid] = rows, len(rows)
+        self._rows = len(self._matrix)
+        self._next_seq = max((int(rows[n - 1, _SEQ]) for rows, n in self._index.values()), default=0) + 1
+        for received_at, seq, topic, line in sorted(recent):
+            key = _line_key(topic, line)
+            if key is not None and key not in self._dedup:
+                self._dedup[key] = seq
+                self._dedup_times.append((received_at, key))
 
-    def _scan_file(self, klass: str, day: str, seqs: list, rows: list) -> None:
+    def _scan_file(self, klass: str, number: int, today: str, cutoff: int, recent: list) -> _Hint:
         """Index one log: from its hint, when the hint's CRC and that of
         the log bytes it covers both check, then by decoding each line
-        after them.  A log of another day than today ends with its hint
-        rewritten whenever a line was decoded."""
-        path = self._paths[klass, day] = str(self.root / klass / f"{day}.log")
+        after them.  Returns what the scan found, as the log's hint holds
+        it, and adds to `recent` each line received since `cutoff`.  A log
+        of another day than today ends with its hint rewritten whenever a
+        line was decoded."""
+        path = self._logs[number]
         hint_path = path.removesuffix(".log") + ".hint"
-        # a file holds the documents received on the day it is named after,
-        # so only today's file can hold keys a redelivery may still hit
-        today = day == self._dedup_day
-        hint = None if today else _read_hint(hint_path, path)
-        tail = []       # the pqrst rows of the decoded lines
+        day = Path(path).stem
+        hint = None if day == today else _Hint.read(hint_path)
+        tail, owners, tail_rows = array("q"), array("q"), []   # of the decoded lines
         with open(path, "rb") as fh:
             if hint is not None and _crc_of_first(fh, hint.covered) != hint.crc:
                 hint = None
                 fh.seek(0)
             log = hint or _Hint()
+            ids = dict(zip(log.ids, itertools.count()))
+            # the hinted lines inside the dedup window, each read with one pread
+            inside = np.flatnonzero(log.entries[:, _RECEIVED] >= cutoff)
+            for (seq, received_at, _, offset, length), owner in zip(log.entries[inside].tolist(),
+                                                                    log.owners[inside].tolist()):
+                recent.append((received_at, seq, device.topic(log.ids[owner], klass),
+                               os.pread(fh.fileno(), length, offset)))
             offset, crc = log.covered, log.crc
             for raw in fh:
                 record = _decode_line(raw) if raw.endswith(b"\n") else None
@@ -439,9 +471,9 @@ class RecordStore:
                         os.truncate(path, offset)
                         break
                     raise StoreError(f"corrupt log line mid-file in {path} at offset {offset}")
-                seq = record["seq"]
-                log.entries.setdefault(record["patient_id"], []).append(
-                    _IndexEntry(seq, record["received_at"], path, offset, len(raw)))
+                seq, received_at = record["seq"], record["received_at"]
+                tail.extend((seq, received_at, number, offset, len(raw)))
+                owners.append(ids.setdefault(record["patient_id"], len(ids)))
                 if klass == "pqrst":
                     row = device.pqrst_row(record["payload"])
                     # the other columns were range-checked when written, but
@@ -449,24 +481,18 @@ class RecordStore:
                     if row[0] > sys.float_info.max:
                         raise StoreError(f"record_no beyond float64 range in {path} "
                                          f"at offset {offset}")
-                    tail.append(row)
-                    log.row_seqs.append(seq)
-                if today and record.get("message_id") is not None:
-                    # the payload's bytes, as hashed on append; no header field can hold its key
-                    body = raw[raw.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):raw.rindex(_CRC_KEY)]
-                    self._dedup[_dedup_key(record["topic"], record["message_id"], body)] = seq
+                    tail_rows.append(row)
+                if received_at >= cutoff:
+                    recent.append((received_at, seq, record["topic"], raw))
                 crc = zlib.crc32(raw, crc)
                 offset += len(raw)
         if tail:
-            log.rows = np.concatenate([log.rows, np.array(tail, dtype=float)])
-        if klass == "pqrst":
-            seqs.append(log.row_seqs)
-            rows.append(log.rows)
-        for pid, entries in log.entries.items():
-            self._index.setdefault((klass, pid), []).extend(entries)
-        if not today and (hint is None or offset > hint.covered):
-            log.covered, log.crc = offset, crc
+            log = _Hint(offset, crc, list(ids), np.concatenate([log.owners, owners]),
+                        np.concatenate([log.entries, np.reshape(tail, (-1, _INDEX_WIDTH))]),
+                        np.concatenate([log.rows, np.reshape(tail_rows, (-1, log.rows.shape[1]))]))
+        if day != today and (hint is None or offset > hint.covered):
             _write_hint(hint_path, log)
+        return log
 
     # ----------------------------------------------------------- write
 
@@ -475,8 +501,9 @@ class RecordStore:
                received_at: Optional[int] = None) -> int:
         """Validate, persist, and index one document; returns its sequence.
 
-        A redelivery (same topic, message id and payload within the current
-        UTC day) returns the original sequence without writing anything.
+        A redelivery (same topic, message id and payload received within
+        DEDUP_WINDOW_MS of the first) returns the original sequence without
+        writing anything.
         """
         topic_pid, klass = parse_topic(topic)
         if topic_pid != patient_id:
@@ -498,9 +525,8 @@ class RecordStore:
                 raise StoreError("store is closed")
             ts = _now_ms() if received_at is None else int(received_at)
             day = _day_of(ts)
-            if day != self._dedup_day:
-                self._dedup = {}
-                self._dedup_day = day
+            while self._dedup_times and self._dedup_times[0][0] < ts - DEDUP_WINDOW_MS:
+                del self._dedup[self._dedup_times.popleft()[1]]
             if key in self._dedup:
                 return self._dedup[key]
 
@@ -508,7 +534,7 @@ class RecordStore:
             line = _encode_line({"seq": seq, "topic": topic, "patient_id": patient_id,
                                  "received_at": ts, "message_id": message_id}, body)
             try:
-                path, fh = self._day_file(klass, day)
+                log, fh = self._day_file(klass, day)
                 offset = fh.tell()
             except OSError as exc:
                 raise StoreError(f"append failed: {exc}") from exc
@@ -517,16 +543,18 @@ class RecordStore:
                 fh.flush()
                 os.fsync(fh.fileno())
             except OSError as exc:
-                self._discard_failed_write(klass, path, offset)
+                self._discard_failed_write(klass, self._logs[log], offset)
                 raise StoreError(f"append failed: {exc}") from exc
 
             self._next_seq = seq + 1
-            self._index.setdefault((klass, patient_id), []).append(
-                _IndexEntry(seq, ts, path, offset, len(line)))
+            entries, n = self._index.get((klass, patient_id), (_NO_ENTRIES, 0))
+            self._index[klass, patient_id] = _appended(entries, n, (seq, ts, log, offset, len(line))), n + 1
             if row is not None:
-                self._add_row(row)
+                self._matrix = _appended(self._matrix, self._rows, row)
+                self._rows += 1
             if key is not None:
                 self._dedup[key] = seq
+                self._dedup_times.append((ts, key))
             return seq
 
     def _discard_failed_write(self, klass: str, path: str, offset: int) -> None:
@@ -555,17 +583,8 @@ class RecordStore:
             raise StoreError(f"append failed and {path} could not be cut back to "
                              f"offset {offset}: {exc}; store closed") from exc
 
-    def _add_row(self, row: np.ndarray) -> None:
-        """Append one pqrst row, doubling the matrix when it is full."""
-        if self._rows == len(self._matrix):
-            grown = np.empty((max(2 * self._rows, 1024), self._matrix.shape[1]))
-            grown[:self._rows] = self._matrix[:self._rows]
-            self._matrix = grown
-        self._matrix[self._rows] = row
-        self._rows += 1
-
-    def _day_file(self, klass: str, day: str) -> tuple[str, object]:
-        """The class's append handle for one day; a new day closes the old one."""
+    def _day_file(self, klass: str, day: str) -> tuple[int, object]:
+        """The class's log and append handle for one day; a new day closes the old."""
         current = self._write_handles.get(klass)
         if current is not None and current[0] == day:
             return current[1:]
@@ -573,7 +592,9 @@ class RecordStore:
             # dropped first: if opening the new day fails, no closed handle is left
             self._write_handles.pop(klass)[2].close()
         class_dir = self.root / klass
-        path = self._paths.setdefault((klass, day), str(class_dir / f"{day}.log"))
+        path = str(class_dir / f"{day}.log")
+        if path not in self._logs:
+            self._logs.append(path)
         class_dir.mkdir(parents=True, exist_ok=True)
         Path(path).touch()
         # A new file is lost with its directory entry, so the class directory
@@ -586,22 +607,23 @@ class RecordStore:
             finally:
                 os.close(fd)
         fh = open(path, "ab")
-        self._write_handles[klass] = (day, path, fh)
-        return path, fh
+        self._write_handles[klass] = (day, self._logs.index(path), fh)
+        return self._write_handles[klass][1:]
 
     # ----------------------------------------------------------- read
 
-    def _entries(self, patient_id: Optional[str], topic_class: str) -> list[_IndexEntry]:
-        """A copy of one patient's entries, or of the whole class's, by sequence."""
+    def _entries(self, patient_id: Optional[str], topic_class: str) -> np.ndarray:
+        """One patient's index rows, or the whole class's, by sequence."""
         if topic_class not in TOPIC_CLASSES:
             raise ValidationError("topic", f"unrecognized topic class {topic_class!r}")
         with self._lock:
             if patient_id is not None:
-                return list(self._index.get((topic_class, patient_id), ()))
-            entries = [e for (klass, _), listed in self._index.items()
-                       if klass == topic_class for e in listed]
-        entries.sort(key=lambda e: e.sequence)
-        return entries
+                entries, n = self._index.get((topic_class, patient_id), (_NO_ENTRIES, 0))
+                return entries[:n]
+            listed = [entries[:n] for (klass, _), (entries, n) in self._index.items()
+                      if klass == topic_class]
+        entries = np.concatenate([_NO_ENTRIES, *listed])
+        return entries[np.argsort(entries[:, _SEQ])]
 
     def read_range(self, patient_id: Optional[str], topic_class: str,
                    from_ts: float, to_ts: float) -> list[StoredDocument]:
@@ -611,8 +633,9 @@ class RecordStore:
         """
         if from_ts > to_ts:
             raise ValueError("from_ts must be <= to_ts")
-        return self._load([e for e in self._entries(patient_id, topic_class)
-                           if from_ts <= e.received_at < to_ts])
+        entries = self._entries(patient_id, topic_class)
+        received = entries[:, _RECEIVED]
+        return self._load(entries[(from_ts <= received) & (received < to_ts)])
 
     def read_class(self, topic_class: str, patient_id: Optional[str] = None) -> list[StoredDocument]:
         """Every stored document of one class, oldest first."""
@@ -620,9 +643,10 @@ class RecordStore:
 
     def latest(self, patient_id: str, topic_class: str) -> Optional[StoredDocument]:
         """The most recently received document of a class for one patient."""
-        best = max(self._entries(patient_id, topic_class),
-                   key=lambda e: (e.received_at, e.sequence), default=None)
-        return None if best is None else self._load([best])[0]
+        entries = self._entries(patient_id, topic_class)
+        # the largest received_at, and of those the largest sequence
+        latest = self._load(entries[np.lexsort((entries[:, _SEQ], entries[:, _RECEIVED]))[-1:]])
+        return latest[0] if latest else None
 
     def pqrst_matrix(self) -> np.ndarray:
         """An (n, 7) float64 copy of every pqrst document's `device.pqrst_row`,
@@ -631,22 +655,22 @@ class RecordStore:
         with self._lock:
             return self._matrix[:self._rows].copy()
 
-    def _load(self, entries: list[_IndexEntry]) -> list[StoredDocument]:
-        """Read entries back, opening each file once per run of entries in it.
+    def _load(self, entries: np.ndarray) -> list[StoredDocument]:
+        """Read index rows back, opening each log once per run of rows in it.
         Each line's CRC and sequence are checked; nothing is decoded."""
         docs = []
         try:
-            for path, run in itertools.groupby(entries, key=lambda e: e.path):
+            for log, run in itertools.groupby(entries.tolist(), key=lambda e: e[_LOG]):
                 # unbuffered: each line is one pread of its own length
-                with open(path, "rb", buffering=0) as fh:
-                    for entry in run:
-                        line = os.pread(fh.fileno(), entry.length, entry.offset)
+                with open(self._logs[log], "rb", buffering=0) as fh:
+                    for sequence, received_at, _, offset, length in run:
+                        line = os.pread(fh.fileno(), length, offset)
                         if not _crc_checks(line):
-                            raise StoreError(f"checksum failure in {path} at offset {entry.offset}")
-                        if not line.startswith(b"%s%d," % (_SEQ_KEY, entry.sequence)):
-                            raise StoreError(f"line in {path} at offset {entry.offset} is not "
-                                             f"sequence {entry.sequence}")
-                        docs.append(StoredDocument(entry.sequence, entry.received_at, line))
+                            raise StoreError(f"checksum failure in {fh.name} at offset {offset}")
+                        if not line.startswith(b"%s%d," % (_SEQ_KEY, sequence)):
+                            raise StoreError(f"line in {fh.name} at offset {offset} is not "
+                                             f"sequence {sequence}")
+                        docs.append(StoredDocument(sequence, received_at, line))
         except OSError as exc:
             raise StoreError(f"read failed: {exc}") from exc
         return docs

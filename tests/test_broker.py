@@ -381,6 +381,36 @@ def test_retransmit_after_sink_outage(broker, tmp_path):
         store.close()
 
 
+def test_redelivery_across_midnight_is_stored_once(broker, tmp_path, monkeypatch):
+    """A message first stored 1 ms before UTC midnight and delivered again
+    1 ms after it, because its PUBACK came late, is stored once."""
+    store = RecordStore(tmp_path / "telemetry")
+    midnight = 1_768_521_600_000                # 2026-01-16T00:00:00Z
+    appends = []
+
+    def clock():
+        appends.append(None)
+        return midnight - 1 if len(appends) == 1 else midnight + 1
+
+    monkeypatch.setattr(store_mod, "_now_ms", clock)
+    sink = IngestionSink(store, queue_size=4)
+    broker.sink = sink  # not started yet: the copies pile up in its queue
+    try:
+        with connected(broker, ack_timeout=0.3, max_retries=40) as client:
+            publisher = threading.Thread(target=client.publish,
+                                         args=("clinic/p1/heartbeat", heartbeat(72), 1))
+            publisher.start()
+            time.sleep(1.0)
+            sink.start()
+            publisher.join(timeout=10)
+            assert not publisher.is_alive()
+            assert wait_for(lambda: len(appends) >= 2)     # a copy appended after midnight
+            assert [d.sequence for d in store.read_class("heartbeat", "p1")] == [1]
+    finally:
+        sink.stop()
+        store.close()
+
+
 def test_publish_unacked_while_fsync_fails_then_stored_once(broker, tmp_path, monkeypatch):
     """A failed fsync leaves the message unacked; the retransmits made
     while the fault lasts leave nothing behind, and the one made after it

@@ -21,7 +21,6 @@ from ecgmon.regression import (
     load_model,
     predict,
     save_model,
-    solve_linear_system,
     split,
 )
 
@@ -29,31 +28,6 @@ from ecgmon.regression import (
 @pytest.fixture(scope="module")
 def clinic():
     return sample_data.sample_dataset()
-
-
-# ------------------------------------------------------------------ solver
-
-def test_solver_matches_numpy():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        n = int(rng.integers(1, 8))
-        a = rng.normal(0, 1, (n, n)) + np.eye(n) * 0.5
-        b = rng.normal(0, 1, n)
-        x = solve_linear_system(a, b)
-        assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
-
-
-def test_solver_needs_pivoting():
-    # zero pivot in the (0, 0) position forces a row swap
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    b = np.array([2.0, 3.0])
-    assert np.allclose(solve_linear_system(a, b), [3.0, 2.0])
-
-
-def test_solver_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularDesignError):
-        solve_linear_system(a, np.array([1.0, 2.0]))
 
 
 # --------------------------------------------------------------------- fit

@@ -5,6 +5,7 @@ covers falls back to that full scan.
 """
 
 import builtins
+import json
 import os
 import shutil
 import struct
@@ -18,11 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from ecgmon import store as store_mod
 from ecgmon.store import TOPIC_CLASSES, RecordStore, StoreError
-from test_store import heartbeat, pqrst, reference_encode_line, status
+from test_store import heartbeat, pqrst, reference_dedup_key, reference_encode_line, status
 
 DAY_MS = 86_400_000
 NOW = 1_767_600_000_000 + 10 * DAY_MS          # 2026-01-15T08:00:00Z
 TODAY = "2026-01-15"
+MIDNIGHT = NOW + 16 * 3_600_000                 # 2026-01-16T00:00:00Z
+WINDOW = store_mod.DEDUP_WINDOW_MS
 DOCS = {
     "heartbeat": lambda pid, n: heartbeat(pid, bpm=60 + n),
     "pqrst": lambda pid, n: pqrst(pid, record_no=n + 1, p=50.0 + n),
@@ -81,8 +84,9 @@ def spies(monkeypatch, clock):
 def state(root) -> tuple:
     """An open's index, pqrst matrix bytes, next sequence and dedup map."""
     with RecordStore(root) as store:
-        index = {key: [(e.sequence, e.received_at, os.path.relpath(e.path, root), e.offset, e.length)
-                       for e in entries] for key, entries in store._index.items()}
+        index = {key: [(seq, received_at, os.path.relpath(store._logs[log], root), offset, length)
+                       for seq, received_at, log, offset, length in entries[:n].tolist()]
+                 for key, (entries, n) in store._index.items()}
         return index, store.pqrst_matrix().tobytes(), store._next_seq, dict(store._dedup)
 
 
@@ -183,6 +187,64 @@ def test_a_day_change_hints_yesterday_and_forgets_its_dedup_keys(tmp_path, spies
     assert spies.decoded == 1                    # today's line; yesterday's hint covers both
 
 
+# --------------------------------------------------------- dedup window
+
+def test_a_redelivery_across_midnight_is_stored_once(tmp_path, monkeypatch):
+    now = [MIDNIGHT - 1]
+    monkeypatch.setattr(store_mod, "_now_ms", lambda: now[0])
+    doc = heartbeat("p1", bpm=70)
+    with RecordStore(tmp_path / "telemetry") as store:
+        assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 1
+        assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 1
+        now[0] = MIDNIGHT + 1
+        assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 1
+        assert [d.sequence for d in store.read_class("heartbeat")] == [1]
+
+
+def test_a_reopen_after_midnight_reads_only_yesterdays_lines_inside_the_window(tmp_path, monkeypatch):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for bpm, received_at, message_id in ((60, MIDNIGHT - 2 * WINDOW, 5), (61, MIDNIGHT - WINDOW // 2, 6),
+                                             (62, MIDNIGHT - 2, None), (63, MIDNIGHT - 1, 7)):
+            store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", bpm), message_id=message_id,
+                         received_at=received_at)
+    monkeypatch.setattr(store_mod, "_now_ms", lambda: MIDNIGHT + 1)
+    spies = Spies(monkeypatch)
+    preads = []
+    real_pread = os.pread
+    monkeypatch.setattr(store_mod.os, "pread",
+                        lambda fd, n, offset: preads.append(offset) or real_pread(fd, n, offset))
+    want = {reference_dedup_key("clinic/p1/heartbeat", message_id, heartbeat("p1", bpm)): seq
+            for bpm, message_id, seq in ((61, 6, 2), (63, 7, 4))}
+    assert state(root)[3] == want                # a full scan of yesterday's log, which hints it
+    assert spies.decoded == 4 and preads == []
+    spies.reset()
+    assert state(root)[3] == want
+    yesterday = root / "heartbeat" / f"{TODAY}.log"
+    sizes = [len(line) for line in yesterday.read_bytes().splitlines(keepends=True)]
+    assert spies.decoded == 0 and spies.opened[str(yesterday)] == 1
+    assert preads == [sum(sizes[:1]), sum(sizes[:2]), sum(sizes[:3])]    # the lines inside it
+    with RecordStore(root) as store:
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", 63), message_id=7) == 4
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", 60), message_id=5) == 5
+
+
+def test_keys_older_than_the_window_are_forgotten(tmp_path, monkeypatch):
+    now = [NOW]
+    monkeypatch.setattr(store_mod, "_now_ms", lambda: now[0])
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for seq, (note, at) in enumerate((("a", NOW), ("b", NOW + WINDOW // 2), ("c", NOW + WINDOW + 1)), 1):
+            now[0] = at
+            assert store.append("clinic/p1/status", "p1", status(note), message_id=seq) == seq
+        # "a" is older than the window; its redelivery is a new document
+        assert sorted(store._dedup.values()) == [2, 3]
+        assert store.append("clinic/p1/status", "p1", status("a"), message_id=1) == 4
+        assert store.append("clinic/p1/status", "p1", status("b"), message_id=2) == 2
+        kept = dict(store._dedup)
+    assert state(root)[3] == kept
+
+
 # -------------------------------------------------------- equivalence
 
 APPEND = st.tuples(st.sampled_from(TOPIC_CLASSES), st.sampled_from(("p1", "p2", "p-3")),
@@ -255,6 +317,43 @@ def test_a_damaged_or_foreign_hint_is_ignored(tmp_path, spies, damage):
     assert state(root) == want
     assert spies.decoded == 3                # that log's lines, decoded in full
     assert hint.read_bytes() == good         # and its hint written again
+
+
+def version_1_hint(log: Path) -> bytes:
+    """The hint of a log as version 1 wrote it: the lines' sequence,
+    received_at, offset and length columns grouped by patient, each
+    patient's line count, the pqrst lines' sequences, the patient ids
+    joined by NUL, the pqrst rows, and the CRC-32 of all that."""
+    data, offset = log.read_bytes(), 0
+    entries, row_seqs, rows = {}, [], []
+    for raw in data.splitlines(keepends=True):
+        record = json.loads(raw)
+        entries.setdefault(record["patient_id"], []).append(
+            (record["seq"], record["received_at"], offset, len(raw)))
+        if log.parent.name == "pqrst":
+            row_seqs.append(record["seq"])
+            rows.extend(store_mod.device.pqrst_row(record["payload"]))
+        offset += len(raw)
+    lines = [entry for listed in entries.values() for entry in listed]
+    ids = "\0".join(entries).encode()
+    body = struct.pack("=4sIQIIIII", b"ECGH", 1, len(data), zlib.crc32(data), len(lines),
+                       len(entries), len(ids), len(row_seqs))
+    body += b"".join(struct.pack(f"={len(lines)}q", *(entry[i] for entry in lines)) for i in range(4))
+    body += struct.pack(f"={len(entries)}q", *map(len, entries.values()))
+    body += struct.pack(f"={len(row_seqs)}q", *row_seqs) + ids + struct.pack(f"={len(rows)}d", *rows)
+    return body + struct.pack("=I", zlib.crc32(body))
+
+
+def test_a_version_1_hint_is_ignored_and_rewritten(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    want = hinted_store(root)
+    hint = root / "pqrst" / "2026-01-13.hint"
+    good = hint.read_bytes()
+    hint.write_bytes(version_1_hint(hint.with_suffix(".log")))
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 3
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 3)
 
 
 def test_a_log_cut_shorter_than_its_hint_is_scanned_in_full(tmp_path, spies):
@@ -353,19 +452,18 @@ def test_a_patient_id_holding_a_nul_keeps_its_log_on_the_full_scan(tmp_path, spi
 
 
 def test_entries_of_one_log_share_one_path_str(tmp_path, clock):
-    """Reads group a window's entries by path; one str per log compares by
-    identity, for entries from the hint and for those appended since."""
+    """Reads group a window's entries by log, for entries from the hint and
+    for those appended since."""
     root = tmp_path / "telemetry"
     past_store(root)
     state(root)
     with RecordStore(root) as store:
         put(store, "heartbeat", "p1", 5, day=-1)
         put(store, "heartbeat", "p1", 6, day=0)
-        paths = [e.path for e in store._index["heartbeat", "p1"]]
-        assert all(type(p) is str for p in paths)
+        entries, n = store._index["heartbeat", "p1"]
+        paths = [store._logs[log] for log in entries[:n, 2]]
         assert [p.rsplit("/", 1)[1] for p in paths] == [
             "2026-01-12.log", "2026-01-14.log", "2026-01-13.log", "2026-01-14.log", "2026-01-15.log"]
-        assert paths[1] is paths[3]
         assert [d.sequence for d in store.read_class("heartbeat", "p1")] == [1, 13, 25, 37, 38]
 
 
