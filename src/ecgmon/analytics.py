@@ -187,12 +187,9 @@ def correlation_matrix(dataset: Dataset) -> np.ndarray:
     """Pearson correlation; entries touching a zero-variance column are NaN."""
     cov = covariance_matrix(dataset)
     std = np.sqrt(np.diag(cov))
-    out = np.full_like(cov, np.nan)
-    for i in range(len(COLUMNS)):
-        for j in range(len(COLUMNS)):
-            if std[i] > 0 and std[j] > 0:
-                out[i, j] = cov[i, j] / (std[i] * std[j])
-    return out
+    positive = std > 0
+    return np.divide(cov, np.outer(std, std), out=np.full_like(cov, np.nan),
+                     where=np.outer(positive, positive))
 
 
 def rank_against(dataset: Dataset, target: str = "R") -> list[tuple[str, float]]:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytics, device, regression, synth
-from .config import GatewayConfig, load_config, load_synth_config
+from .config import GatewayConfig, load_config, load_synth_config, split_address
 from .gateway import Gateway
 from .ingest import IngestionSink
 from .mqtt.broker import Broker
@@ -83,6 +83,7 @@ def _cmd_serve(args) -> int:
 # ------------------------------------------------------- simulate-device
 
 def _cmd_simulate_device(args) -> int:
+    host, port = split_address(args.broker)
     if args.synth_config:
         cfg, template = load_synth_config(args.synth_config)
     else:
@@ -90,9 +91,8 @@ def _cmd_simulate_device(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
 
-    host, _, port = args.broker.rpartition(":")
     client = MqttClient(client_id=f"device-{args.patient}")
-    client.connect(host or "127.0.0.1", int(port))
+    client.connect(host, port)
     agent = device.DeviceAgent(args.patient, args.age, client.publish,
                                next_record_no=args.record_no)
     try:

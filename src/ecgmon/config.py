@@ -16,7 +16,7 @@ from typing import Optional
 
 from .synth import DEFAULT_TEMPLATE, BeatTemplate, ConfigError, SynthConfig, Wave
 
-__all__ = ["GatewayConfig", "load_config", "parse_kv", "load_synth_config",
+__all__ = ["GatewayConfig", "load_config", "parse_kv", "load_synth_config", "split_address",
            "DEFAULT_HTTP", "DEFAULT_MQTT"]
 
 DEFAULT_HTTP = ("127.0.0.1", 8080)
@@ -57,12 +57,13 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _split_listen(value: str) -> tuple[str, int]:
+def split_address(value: str) -> tuple[str, int]:
+    """(host, port) of a "host:port" address, for a listen address and the
+    broker a device connects to alike."""
     host, _, port = value.rpartition(":")
     # isdecimal, not isdigit: int() refuses digits such as "²"
     if not host or not port.isdecimal() or int(port) > 65535:
-        raise ConfigError(f"listen address must be host:port with a port in 0..65535, "
-                          f"got {value!r}")
+        raise ConfigError(f"address must be host:port with a port in 0..65535, got {value!r}")
     return host, int(port)
 
 
@@ -91,7 +92,7 @@ def load_config(path=None, overrides: Optional[dict] = None) -> GatewayConfig:
     cfg = GatewayConfig()
     for name in ("http", "mqtt"):
         if f"{name}_listen" in kv:
-            host, port = _split_listen(kv.pop(f"{name}_listen"))
+            host, port = split_address(kv.pop(f"{name}_listen"))
             cfg = replace(cfg, **{f"{name}_host": host, f"{name}_port": port})
     simple = {
         "store_root": str,

@@ -15,8 +15,6 @@ the hint and decodes only the lines appended after it.
 
 from __future__ import annotations
 
-import collections
-import hashlib
 import itertools
 import json
 import math
@@ -105,7 +103,7 @@ class StoredDocument:
         """{"sequence", "topic", "patient_id", "received_at", "payload"} as
         compact JSON: the line's header up to "message_id", then its payload."""
         line = self.line
-        payload = line[line.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):line.rindex(_CRC_KEY)]
+        payload = _payload_of(line)
         # a NaN or an infinity in a line written before they were refused;
         # decoded and encoded again, it serves as null
         if b"NaN" in payload or b"Infinity" in payload:
@@ -114,11 +112,16 @@ class StoredDocument:
             line[len(_SEQ_KEY):line.index(_MESSAGE_ID_KEY)], payload)
 
 
-# The columns of an index row: a document's sequence, its received_at, and
-# its line's log (a place in `RecordStore._logs`), offset and length.
-_INDEX_WIDTH = 5
-_SEQ, _RECEIVED, _LOG, _OFFSET, _LENGTH = range(_INDEX_WIDTH)
+# The columns of an index row: a document's sequence, its received_at, its
+# line's log (a place in `RecordStore._logs`), offset and length, and its
+# message id, -1 for none.
+_INDEX_WIDTH = 6
+_SEQ, _RECEIVED, _LOG, _OFFSET, _LENGTH, _MESSAGE_ID = range(_INDEX_WIDTH)
 _NO_ENTRIES = np.empty((0, _INDEX_WIDTH), np.int64)
+
+
+def _by_sequence(entries: np.ndarray) -> np.ndarray:
+    return entries[np.argsort(entries[:, _SEQ])]
 
 
 def _appended(matrix: np.ndarray, rows: int, row) -> np.ndarray:
@@ -226,22 +229,6 @@ def load_document(raw: bytes) -> dict:
     return doc
 
 
-def _dedup_key(topic: str, message_id: int, payload: bytes) -> tuple[str, int, bytes]:
-    """A redelivery repeats the topic, the packet id and the payload; a new
-    message that reuses the packet id differs in the payload's digest."""
-    return topic, message_id, hashlib.blake2b(payload, digest_size=8).digest()
-
-
-def _line_key(topic: str, line: bytes) -> Optional[tuple[str, int, bytes]]:
-    """The dedup key of a stored line, read from its bytes; None when it
-    was stored without a message id."""
-    start = line.index(_MESSAGE_ID_KEY) + len(_MESSAGE_ID_KEY)
-    end = line.index(_PAYLOAD_KEY, start)
-    if line[start:end] == b"null":
-        return None
-    return _dedup_key(topic, int(line[start:end]), line[end + len(_PAYLOAD_KEY):line.rindex(_CRC_KEY)])
-
-
 def _now_ms() -> int:
     return time.time_ns() // 1_000_000
 
@@ -269,6 +256,11 @@ def _encode_line(header: dict, payload: bytes) -> bytes:
     as is, then "crc", the CRC-32 of the line without it."""
     body = _ENCODER.encode(header)[:-1].encode("utf-8") + _PAYLOAD_KEY + payload
     return body + b'%s%d}\n' % (_CRC_KEY, zlib.crc32(b"}", zlib.crc32(body)))
+
+
+def _payload_of(line: bytes) -> bytes:
+    """The bytes of a log line's "payload" value, as the append wrote them."""
+    return line[line.index(_PAYLOAD_KEY) + len(_PAYLOAD_KEY):line.rindex(_CRC_KEY)]
 
 
 def _crc_checks(raw: bytes) -> bool:
@@ -299,7 +291,7 @@ def _decode_line(raw: bytes) -> Optional[dict]:
 # log's rows in the same order, then the CRC-32 of all that.  Native byte
 # order throughout: on a machine of the other order the version reads wrong.
 _HINT_MAGIC = b"ECGH"
-_HINT_VERSION = 3
+_HINT_VERSION = 4
 # magic, version, covered log bytes, their CRC-32, lines, patients, bytes of
 # patient ids, pqrst rows
 _HINT_HEADER = struct.Struct("=4sIQIIIII")
@@ -390,11 +382,9 @@ class RecordStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        # (topic class, patient id) -> (its index rows in sequence order, how many are in use)
+        # (topic class, patient id) -> (its index rows in (received_at, sequence)
+        # order, how many are in use)
         self._index: dict[tuple[str, str], tuple[np.ndarray, int]] = {}
-        self._dedup: dict[tuple[str, int, bytes], int] = {}
-        # (received_at, key) of each key in `_dedup`, oldest first
-        self._dedup_times: collections.deque = collections.deque()
         self._logs: list[str] = []      # the path of each log an index row names
         # topic class -> (day, log, handle) of the one day file it appends to
         self._write_handles: dict[str, tuple[str, int, object]] = {}
@@ -404,17 +394,15 @@ class RecordStore:
     # ----------------------------------------------------------- open
 
     def _rebuild(self) -> None:
-        """Index every log and set the next sequence and the dedup keys of
-        the lines received within the last window."""
-        now = _now_ms()
-        today, cutoff = _day_of(now), now - DEDUP_WINDOW_MS
-        recent: list = []           # (received_at, sequence, topic, line) since cutoff
+        """Index every log and set the next sequence."""
+        today = _day_of(_now_ms())
         self._matrix = np.empty((0, len(analytics.COLUMNS)))
+        self._next_seq = 1
         for klass in TOPIC_CLASSES:
             first = len(self._logs)
             self._logs += map(str, sorted(self.root.glob(f"{klass}/*.log")))
             numbers = range(first, len(self._logs))
-            logs = [self._scan_file(klass, n, today, cutoff, recent) for n in numbers]
+            logs = [self._scan_file(klass, n, today) for n in numbers]
             entries = np.concatenate([_NO_ENTRIES] + [log.entries for log in logs])
             entries[:, _LOG] = np.repeat(numbers, [len(log.entries) for log in logs])
             ids: dict[str, int] = {}         # patient id -> its number within the class
@@ -423,27 +411,20 @@ class RecordStore:
             if klass == "pqrst":    # in sequence order: the first _rows rows of _matrix
                 rows = np.concatenate([self._matrix] + [log.rows for log in logs])
                 self._matrix = rows[np.argsort(entries[:, _SEQ])]
-            # each patient's rows in sequence order, with one sort and split: appends
-            # dated out of day order put later sequences in earlier files
-            order = np.lexsort((entries[:, _SEQ], patients))
+            # each patient's rows in (received_at, sequence) order, with one sort and split
+            order = np.lexsort((entries[:, _SEQ], entries[:, _RECEIVED], patients))
             starts = np.searchsorted(patients[order], range(1, len(ids)))
             for pid, rows in zip(ids, np.split(entries[order], starts)):
                 self._index[klass, pid] = rows, len(rows)
+            self._next_seq = max(self._next_seq, int(entries[:, _SEQ].max(initial=0)) + 1)
         self._rows = len(self._matrix)
-        self._next_seq = max((int(rows[n - 1, _SEQ]) for rows, n in self._index.values()), default=0) + 1
-        for received_at, seq, topic, line in sorted(recent):
-            key = _line_key(topic, line)
-            if key is not None and key not in self._dedup:
-                self._dedup[key] = seq
-                self._dedup_times.append((received_at, key))
 
-    def _scan_file(self, klass: str, number: int, today: str, cutoff: int, recent: list) -> _Hint:
+    def _scan_file(self, klass: str, number: int, today: str) -> _Hint:
         """Index one log: from its hint, when the hint's CRC and that of
         the log bytes it covers both check, then by decoding each line
         after them.  Returns what the scan found, as the log's hint holds
-        it, and adds to `recent` each line received since `cutoff`.  A log
-        of another day than today ends with its hint rewritten whenever a
-        line was decoded."""
+        it.  A log of another day than today ends with its hint rewritten
+        whenever a line was decoded."""
         path = self._logs[number]
         hint_path = path.removesuffix(".log") + ".hint"
         day = Path(path).stem
@@ -455,12 +436,6 @@ class RecordStore:
                 fh.seek(0)
             log = hint or _Hint()
             ids = dict(zip(log.ids, itertools.count()))
-            # the hinted lines inside the dedup window, each read with one pread
-            inside = np.flatnonzero(log.entries[:, _RECEIVED] >= cutoff)
-            for (seq, received_at, _, offset, length), owner in zip(log.entries[inside].tolist(),
-                                                                    log.owners[inside].tolist()):
-                recent.append((received_at, seq, device.topic(log.ids[owner], klass),
-                               os.pread(fh.fileno(), length, offset)))
             offset, crc = log.covered, log.crc
             for raw in fh:
                 record = _decode_line(raw) if raw.endswith(b"\n") else None
@@ -471,8 +446,12 @@ class RecordStore:
                         os.truncate(path, offset)
                         break
                     raise StoreError(f"corrupt log line mid-file in {path} at offset {offset}")
-                seq, received_at = record["seq"], record["received_at"]
-                tail.extend((seq, received_at, number, offset, len(raw)))
+                message_id = record["message_id"]
+                # a line an older version wrote with a message id beyond int64
+                # is never a redelivery's original: append refuses such an id
+                if message_id is None or not 0 <= message_id < 2**63:
+                    message_id = -1
+                tail.extend((record["seq"], record["received_at"], number, offset, len(raw), message_id))
                 owners.append(ids.setdefault(record["patient_id"], len(ids)))
                 if klass == "pqrst":
                     row = device.pqrst_row(record["payload"])
@@ -482,8 +461,6 @@ class RecordStore:
                         raise StoreError(f"record_no beyond float64 range in {path} "
                                          f"at offset {offset}")
                     tail_rows.append(row)
-                if received_at >= cutoff:
-                    recent.append((received_at, seq, record["topic"], raw))
                 crc = zlib.crc32(raw, crc)
                 offset += len(raw)
         if tail:
@@ -501,9 +478,10 @@ class RecordStore:
                received_at: Optional[int] = None) -> int:
         """Validate, persist, and index one document; returns its sequence.
 
-        A redelivery (same topic, message id and payload received within
-        DEDUP_WINDOW_MS of the first) returns the original sequence without
-        writing anything.
+        A redelivery (same topic, message id and payload bytes as a stored
+        document received at most DEDUP_WINDOW_MS before it, or after it)
+        returns the original sequence without writing anything.  A message
+        id is a non-negative int64.
         """
         topic_pid, klass = parse_topic(topic)
         if topic_pid != patient_id:
@@ -516,28 +494,32 @@ class RecordStore:
             body = _ENCODER.encode(payload).encode("utf-8")
         except ValueError as exc:   # a NaN or an infinity
             raise ValidationError("payload", str(exc)) from exc
-        key = None if message_id is None else _dedup_key(topic, message_id, body)
+        if message_id is not None and not 0 <= message_id < 2**63:
+            raise ValidationError("message_id", "must be in [0, 2**63 - 1]", out_of_range=True)
         # converted before the write, so no valid document can fail after its fsync
-        row = np.array(device.pqrst_row(payload), dtype=float) if klass == "pqrst" else None
+        pqrst = np.array(device.pqrst_row(payload), dtype=float) if klass == "pqrst" else None
 
         with self._lock:
             if self._closed:
                 raise StoreError("store is closed")
             ts = _now_ms() if received_at is None else int(received_at)
-            day = _day_of(ts)
-            while self._dedup_times and self._dedup_times[0][0] < ts - DEDUP_WINDOW_MS:
-                del self._dedup[self._dedup_times.popleft()[1]]
-            if key in self._dedup:
-                return self._dedup[key]
+            entries, n = self._index.get((klass, patient_id), (_NO_ENTRIES, 0))
+            received = entries[:n, _RECEIVED]
+            if message_id is not None:
+                since = entries[received.searchsorted(ts - DEDUP_WINDOW_MS):n]
+                for doc in self._load(since[since[:, _MESSAGE_ID] == message_id]):
+                    if _payload_of(doc.line) == body:
+                        return doc.sequence
 
             seq = self._next_seq
             line = _encode_line({"seq": seq, "topic": topic, "patient_id": patient_id,
                                  "received_at": ts, "message_id": message_id}, body)
             try:
-                log, fh = self._day_file(klass, day)
+                log, fh = self._day_file(klass, _day_of(ts))
                 offset = fh.tell()
             except OSError as exc:
                 raise StoreError(f"append failed: {exc}") from exc
+            row = (seq, ts, log, offset, len(line), -1 if message_id is None else message_id)
             try:
                 fh.write(line)
                 fh.flush()
@@ -547,14 +529,14 @@ class RecordStore:
                 raise StoreError(f"append failed: {exc}") from exc
 
             self._next_seq = seq + 1
-            entries, n = self._index.get((klass, patient_id), (_NO_ENTRIES, 0))
-            self._index[klass, patient_id] = _appended(entries, n, (seq, ts, log, offset, len(line))), n + 1
-            if row is not None:
-                self._matrix = _appended(self._matrix, self._rows, row)
+            # a row dated before the patient's newest goes into a copy, so a
+            # row once written never changes
+            at = received.searchsorted(ts, "right")
+            self._index[klass, patient_id] = (_appended(entries, n, row) if at == n else
+                                              np.insert(entries[:n], at, row, axis=0)), n + 1
+            if pqrst is not None:
+                self._matrix = _appended(self._matrix, self._rows, pqrst)
                 self._rows += 1
-            if key is not None:
-                self._dedup[key] = seq
-                self._dedup_times.append((ts, key))
             return seq
 
     def _discard_failed_write(self, klass: str, path: str, offset: int) -> None:
@@ -613,7 +595,8 @@ class RecordStore:
     # ----------------------------------------------------------- read
 
     def _entries(self, patient_id: Optional[str], topic_class: str) -> np.ndarray:
-        """One patient's index rows, or the whole class's, by sequence."""
+        """One patient's index rows, or the whole class's, by received_at and
+        then sequence."""
         if topic_class not in TOPIC_CLASSES:
             raise ValidationError("topic", f"unrecognized topic class {topic_class!r}")
         with self._lock:
@@ -623,7 +606,7 @@ class RecordStore:
             listed = [entries[:n] for (klass, _), (entries, n) in self._index.items()
                       if klass == topic_class]
         entries = np.concatenate([_NO_ENTRIES, *listed])
-        return entries[np.argsort(entries[:, _SEQ])]
+        return entries[np.lexsort((entries[:, _SEQ], entries[:, _RECEIVED]))]
 
     def read_range(self, patient_id: Optional[str], topic_class: str,
                    from_ts: float, to_ts: float) -> list[StoredDocument]:
@@ -634,18 +617,17 @@ class RecordStore:
         if from_ts > to_ts:
             raise ValueError("from_ts must be <= to_ts")
         entries = self._entries(patient_id, topic_class)
-        received = entries[:, _RECEIVED]
-        return self._load(entries[(from_ts <= received) & (received < to_ts)])
+        start, end = np.searchsorted(entries[:, _RECEIVED], (from_ts, to_ts))
+        return self._load(_by_sequence(entries[start:end]))
 
     def read_class(self, topic_class: str, patient_id: Optional[str] = None) -> list[StoredDocument]:
         """Every stored document of one class, oldest first."""
-        return self._load(self._entries(patient_id, topic_class))
+        return self._load(_by_sequence(self._entries(patient_id, topic_class)))
 
     def latest(self, patient_id: str, topic_class: str) -> Optional[StoredDocument]:
-        """The most recently received document of a class for one patient."""
-        entries = self._entries(patient_id, topic_class)
-        # the largest received_at, and of those the largest sequence
-        latest = self._load(entries[np.lexsort((entries[:, _SEQ], entries[:, _RECEIVED]))[-1:]])
+        """The most recently received document of a class for one patient:
+        the largest received_at, and of those the largest sequence."""
+        latest = self._load(self._entries(patient_id, topic_class)[-1:])
         return latest[0] if latest else None
 
     def pqrst_matrix(self) -> np.ndarray:
@@ -663,7 +645,7 @@ class RecordStore:
             for log, run in itertools.groupby(entries.tolist(), key=lambda e: e[_LOG]):
                 # unbuffered: each line is one pread of its own length
                 with open(self._logs[log], "rb", buffering=0) as fh:
-                    for sequence, received_at, _, offset, length in run:
+                    for sequence, received_at, _, offset, length, _ in run:
                         line = os.pread(fh.fileno(), length, offset)
                         if not _crc_checks(line):
                             raise StoreError(f"checksum failure in {fh.name} at offset {offset}")

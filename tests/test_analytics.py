@@ -260,6 +260,28 @@ def test_correlation_hand_computed_three_rows():
     assert corr[COLUMNS.index("Q"), COLUMNS.index("R")] == pytest.approx(num / den, abs=1e-12)
 
 
+def reference_correlation_matrix(dataset):
+    """The element-by-element loop that `correlation_matrix` replaced."""
+    cov = covariance_matrix(dataset)
+    std = np.sqrt(np.diag(cov))
+    out = np.full_like(cov, np.nan)
+    for i in range(len(COLUMNS)):
+        for j in range(len(COLUMNS)):
+            if std[i] > 0 and std[j] > 0:
+                out[i, j] = cov[i, j] / (std[i] * std[j])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.sets(st.integers(0, len(COLUMNS) - 1)), st.integers(0, 2**32 - 1))
+def test_correlation_matrix_matches_the_loop_bit_for_bit(rows, constant, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(50.0, 20.0, (rows, len(COLUMNS))) * rng.uniform(1e-3, 1e3, len(COLUMNS))
+    data[:, sorted(constant)] = 42.5             # zero-variance columns
+    dataset = Dataset(data)
+    assert correlation_matrix(dataset).tobytes() == reference_correlation_matrix(dataset).tobytes()
+
+
 # ----------------------------------------------------------------- ranking
 
 def test_rank_against_r(clinic):

@@ -5,6 +5,7 @@ configuration file loaders they feed on.
 import http.client
 import json
 import re
+import socket
 
 import pytest
 
@@ -296,6 +297,17 @@ def test_simulate_device_heartbeat(system, capsys):
     docs = store.read_class("heartbeat")
     assert len(docs) == 1
     assert docs[0].payload["bpm"] == 72
+
+
+@pytest.mark.parametrize("broker", ["127.0.0.1:99999", "127.0.0.1:65536", "127.0.0.1:²", "127.0.0.1"])
+def test_simulate_device_refuses_a_bad_broker_address_before_connecting(broker, monkeypatch, capsys):
+    connects = []
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: connects.append(a))
+    rc = cli.main(["simulate-device", "--patient", "p7", "--age", "30",
+                   "--mode", "heartbeat", "--broker", broker])
+    assert rc == 1
+    assert "host:port with a port in 0..65535" in capsys.readouterr().err
+    assert connects == []
 
 
 def test_simulate_device_synth_config_override(system, tmp_path, capsys):

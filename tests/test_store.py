@@ -5,7 +5,6 @@ dedup, schema checks, range reads, and CSV export.
 import builtins
 import errno
 import fcntl
-import hashlib
 import json
 import math
 import os
@@ -658,18 +657,13 @@ def test_append_after_close_raises(tmp_path):
         store.append("clinic/p1/heartbeat", "p1", heartbeat())
 
 
-# The line encoder and dedup digest of the store before each payload was
-# serialized once per append, kept as the reference for the bytes on disk.
+# The line encoder of the store before each payload was serialized once per
+# append, kept as the reference for the bytes on disk.
 
 def reference_encode_line(record: dict) -> bytes:
     body = json.dumps(record, separators=(",", ":"), sort_keys=False)
     crc = zlib.crc32(body.encode("utf-8"))
     return (body[:-1] + f',"crc":{crc}}}\n').encode("utf-8")
-
-
-def reference_dedup_key(topic, message_id, payload):
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return topic, message_id, hashlib.blake2b(body, digest_size=8).digest()
 
 
 def test_old_log_with_unconvertible_record_no_names_file_and_offset(tmp_path):
@@ -717,12 +711,12 @@ def test_append_writes_the_reference_line(klass, extra, special, message_id, rec
                       "payload": payload}
             [log] = Path(root).glob(f"{klass}/*.log")
             assert log.read_bytes() == reference_encode_line(record)
-            keys = {} if message_id is None else {reference_dedup_key(topic, message_id, payload): seq}
-            assert store._dedup == keys
-        # a reopen takes the same keys from the stored line, for today's file
-        # only; a drawn received_at is before 2023-11-15, so never today
-        with RecordStore(root) as store:
-            assert store._dedup == (keys if received_at is None else {})
+        # after a reopen, a redelivery is recognised by the stored line's
+        # payload bytes, whatever day it was received
+        if message_id is not None:
+            with RecordStore(root) as store:
+                assert store.append(topic, "p1", payload, message_id=message_id,
+                                    received_at=doc.received_at) == seq
 
 
 def test_log_written_by_the_reference_encoder_opens_unchanged(tmp_path):
@@ -756,12 +750,11 @@ def test_log_written_by_the_reference_encoder_opens_unchanged(tmp_path):
             (2, now, 5, pqrst()),
             (5, now, 7, {"patient_id": "p1", "event": "online", "x": [None, {"y": None}, None]}),
         ]
-        assert store._dedup == {reference_dedup_key(device.topic("p1", klass), message_id, payload): seq
-                                for klass, seq, ts, message_id, payload in records
-                                if ts == now and message_id is not None}
-        # a redelivery of each of today's messages is recognised
+        # a redelivery of each message is recognised, yesterday's at its own received_at
         assert store.append("clinic/p1/heartbeat", "p1", heartbeat(), message_id=5) == 1
         assert store.append("clinic/p1/ecg/pqrst", "p1", pqrst(), message_id=5) == 2
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=90), message_id=6,
+                            received_at=now - day_ms) == 4
 
 
 def refuse_constant(name):
@@ -803,8 +796,10 @@ def test_append_serializes_the_payload_once_and_open_serializes_nothing(tmp_path
     assert sum(o is payload for o in encoded) == 1
     encoded.clear()
     with RecordStore(root) as store:
-        assert len(store._dedup) == 1
-    assert encoded == []
+        assert encoded == []
+        # a redelivery is recognised, and serializes its payload once
+        assert store.append("clinic/p1/ecg/pqrst", "p1", payload, message_id=9) == 1
+    assert sum(o is payload for o in encoded) == 1
 
 
 # ------------------------------------------------------------ fsync faults

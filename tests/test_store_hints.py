@@ -1,6 +1,6 @@
 """Tests for the store's per-log hint files: an open that reads a log's
-hint builds the same index, pqrst matrix, next sequence and dedup map as
-one that decodes every line, and any damage to a hint or to the bytes it
+hint builds the same index, pqrst matrix and next sequence as one that
+decodes every line, and any damage to a hint or to the bytes it
 covers falls back to that full scan.
 """
 
@@ -15,11 +15,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecgmon import store as store_mod
 from ecgmon.store import TOPIC_CLASSES, RecordStore, StoreError
-from test_store import heartbeat, pqrst, reference_dedup_key, reference_encode_line, status
+from test_store import heartbeat, pqrst, reference_encode_line, status
 
 DAY_MS = 86_400_000
 NOW = 1_767_600_000_000 + 10 * DAY_MS          # 2026-01-15T08:00:00Z
@@ -82,12 +82,12 @@ def spies(monkeypatch, clock):
 
 
 def state(root) -> tuple:
-    """An open's index, pqrst matrix bytes, next sequence and dedup map."""
+    """An open's index, pqrst matrix bytes and next sequence."""
     with RecordStore(root) as store:
-        index = {key: [(seq, received_at, os.path.relpath(store._logs[log], root), offset, length)
-                       for seq, received_at, log, offset, length in entries[:n].tolist()]
+        index = {key: [(seq, received_at, os.path.relpath(store._logs[log], root), offset, length, message_id)
+                       for seq, received_at, log, offset, length, message_id in entries[:n].tolist()]
                  for key, (entries, n) in store._index.items()}
-        return index, store.pqrst_matrix().tobytes(), store._next_seq, dict(store._dedup)
+        return index, store.pqrst_matrix().tobytes(), store._next_seq
 
 
 def full_scan_state(root, scratch) -> tuple:
@@ -151,10 +151,11 @@ def test_todays_log_is_always_decoded_and_never_hinted(tmp_path, spies):
     assert not (root / "heartbeat" / f"{TODAY}.hint").exists()
     assert len(hints(root)) == 12
     spies.reset()
-    index, _, _, dedup = state(root)
+    index, _, _ = state(root)
     assert spies.decoded == 3
-    assert len(dedup) == 3
     assert [e[0] for e in index["heartbeat", "p1"]][-3:] == [37, 38, 39]
+    with RecordStore(root) as store:
+        assert [put(store, "heartbeat", "p1", n, day=0, message_id=n + 1) for n in range(3)] == [37, 38, 39]
 
 
 def test_a_day_change_hints_yesterday_and_forgets_its_dedup_keys(tmp_path, spies, monkeypatch):
@@ -168,7 +169,6 @@ def test_a_day_change_hints_yesterday_and_forgets_its_dedup_keys(tmp_path, spies
     assert not yesterday.exists()
     with RecordStore(root) as store:
         assert yesterday.exists()
-        assert store._dedup == {}
         # a redelivery of yesterday's message is a new document, as it is today
         assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 2
     spies.reset()
@@ -183,7 +183,7 @@ def test_a_day_change_hints_yesterday_and_forgets_its_dedup_keys(tmp_path, spies
     assert yesterday.read_bytes() != hinted
     assert got == full_scan_state(root, tmp_path)
     spies.reset()
-    assert [e[0] for e in state(root)[0]["heartbeat", "p1"]] == [1, 2, 3]
+    assert [e[0] for e in state(root)[0]["heartbeat", "p1"]] == [1, 3, 2]    # by received_at
     assert spies.decoded == 1                    # today's line; yesterday's hint covers both
 
 
@@ -214,19 +214,19 @@ def test_a_reopen_after_midnight_reads_only_yesterdays_lines_inside_the_window(t
     real_pread = os.pread
     monkeypatch.setattr(store_mod.os, "pread",
                         lambda fd, n, offset: preads.append(offset) or real_pread(fd, n, offset))
-    want = {reference_dedup_key("clinic/p1/heartbeat", message_id, heartbeat("p1", bpm)): seq
-            for bpm, message_id, seq in ((61, 6, 2), (63, 7, 4))}
-    assert state(root)[3] == want                # a full scan of yesterday's log, which hints it
+    want = state(root)                           # a full scan of yesterday's log, which hints it
     assert spies.decoded == 4 and preads == []
     spies.reset()
-    assert state(root)[3] == want
+    assert state(root) == want
     yesterday = root / "heartbeat" / f"{TODAY}.log"
     sizes = [len(line) for line in yesterday.read_bytes().splitlines(keepends=True)]
-    assert spies.decoded == 0 and spies.opened[str(yesterday)] == 1
-    assert preads == [sum(sizes[:1]), sum(sizes[:2]), sum(sizes[:3])]    # the lines inside it
+    assert spies.decoded == 0 and spies.opened[str(yesterday)] == 1 and preads == []
     with RecordStore(root) as store:
         assert store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", 63), message_id=7) == 4
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", 61), message_id=6) == 2
         assert store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", 60), message_id=5) == 5
+    # only the lines inside the window with the redelivered message id are read
+    assert preads == [sum(sizes[:3]), sum(sizes[:1])]
 
 
 def test_keys_older_than_the_window_are_forgotten(tmp_path, monkeypatch):
@@ -238,11 +238,59 @@ def test_keys_older_than_the_window_are_forgotten(tmp_path, monkeypatch):
             now[0] = at
             assert store.append("clinic/p1/status", "p1", status(note), message_id=seq) == seq
         # "a" is older than the window; its redelivery is a new document
-        assert sorted(store._dedup.values()) == [2, 3]
         assert store.append("clinic/p1/status", "p1", status("a"), message_id=1) == 4
         assert store.append("clinic/p1/status", "p1", status("b"), message_id=2) == 2
-        kept = dict(store._dedup)
-    assert state(root)[3] == kept
+    # a reopen answers as the store that stayed open
+    with RecordStore(root) as store:
+        assert [store.append("clinic/p1/status", "p1", status(note), message_id=message_id)
+                for note, message_id in (("a", 1), ("b", 2), ("c", 3))] == [4, 2, 3]
+
+
+REDELIVERY = st.tuples(st.sampled_from(("heartbeat", "status")), st.sampled_from(("p1", "p2")),
+                       st.sampled_from((None, 1, 2)), st.integers(0, 1),    # message id, which payload
+                       # received_at from the last append's: back, level, within and beyond the window
+                       st.sampled_from((-WINDOW, -1, 0, 1, WINDOW - 1, WINDOW, WINDOW + 1)),
+                       st.booleans())                                       # reopen first
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(REDELIVERY, min_size=1, max_size=25))
+# a redelivery dated inside the window of its original after a later append
+# dated beyond it, and the same after a reopen
+@example([("status", "p1", 1, 0, 0, False), ("status", "p2", None, 0, WINDOW + 1, False),
+          ("status", "p1", 1, 0, -1, False)])
+def test_a_redelivery_is_found_by_its_received_at_and_a_reopen_changes_nothing(appends):
+    """Appends across a UTC midnight against a model: a document is stored
+    unless an earlier stored one has the same topic, message id and payload
+    and a received_at at or after its own less the window, and then the
+    earliest received of those is its sequence.  A store reopened at drawn
+    appends and one reopened before every append answer as the store that
+    stayed open."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        now = [MIDNIGHT - WINDOW - 3]
+        mp.setattr(store_mod, "_now_ms", lambda: now[0])
+        mp.setattr(store_mod.os, "fsync", lambda fd: None)      # durability is not under test
+        roots = [Path(tmp) / name for name in ("stays-open", "drawn", "every")]
+        stores = [RecordStore(root) for root in roots]
+        stored = []             # (topic, message id, payload, received_at, sequence)
+        try:
+            for klass, pid, message_id, which, step, reopen in appends:
+                now[0] += step
+                topic, doc = TOPICS[klass].format(pid), DOCS[klass](pid, which)
+                originals = sorted((at, seq) for t, m, d, at, seq in stored if message_id is not None
+                                   and (t, m, d) == (topic, message_id, doc) and at >= now[0] - WINDOW)
+                want = originals[0][1] if originals else len(stored) + 1
+                for n, again in ((1, reopen), (2, True)):
+                    if again:
+                        stores[n].close()
+                        stores[n] = RecordStore(roots[n])
+                assert [store.append(topic, pid, doc, message_id=message_id, received_at=now[0])
+                        for store in stores] == [want] * 3
+                if not originals:
+                    stored.append((topic, message_id, doc, now[0], want))
+        finally:
+            for store in stores:
+                store.close()
 
 
 # -------------------------------------------------------- equivalence
@@ -353,7 +401,44 @@ def test_a_version_1_hint_is_ignored_and_rewritten(tmp_path, spies):
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 3)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 4)
+
+
+def version_3_hint(log: Path, number: int) -> bytes:
+    """The hint of log `number` as version 3 wrote it: each patient's line
+    count, the lines' sequence, received_at, log number, offset and length
+    rows grouped by patient in file order, the patient ids joined by NUL, a
+    pqrst log's rows in the same order, and the CRC-32 of all that."""
+    data, offset = log.read_bytes(), 0
+    entries, rows = {}, {}
+    for raw in data.splitlines(keepends=True):
+        record = json.loads(raw)
+        entries.setdefault(record["patient_id"], []).append(
+            (record["seq"], record["received_at"], number, offset, len(raw)))
+        if log.parent.name == "pqrst":
+            rows.setdefault(record["patient_id"], []).extend(store_mod.device.pqrst_row(record["payload"]))
+        offset += len(raw)
+    lines = [value for listed in entries.values() for entry in listed for value in entry]
+    values = [value for listed in rows.values() for value in listed]
+    ids = "\0".join(entries).encode()
+    body = struct.pack("=4sIQIIIII", b"ECGH", 3, len(data), zlib.crc32(data), len(lines) // 5,
+                       len(entries), len(ids), len(values) // 7)
+    body += struct.pack(f"={len(entries)}q", *map(len, entries.values()))
+    body += struct.pack(f"={len(lines)}q", *lines) + ids + struct.pack(f"={len(values)}d", *values)
+    return body + struct.pack("=I", zlib.crc32(body))
+
+
+def test_a_version_3_hint_is_ignored_and_rewritten(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    want = hinted_store(root)
+    hint = root / "pqrst" / "2026-01-13.hint"
+    good = hint.read_bytes()
+    in_open_order = [log for klass in TOPIC_CLASSES for log in sorted((root / klass).glob("*.log"))]
+    hint.write_bytes(version_3_hint(hint.with_suffix(".log"), in_open_order.index(hint.with_suffix(".log"))))
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 3
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 4)
 
 
 def test_a_log_cut_shorter_than_its_hint_is_scanned_in_full(tmp_path, spies):
@@ -463,7 +548,7 @@ def test_entries_of_one_log_share_one_path_str(tmp_path, clock):
         entries, n = store._index["heartbeat", "p1"]
         paths = [store._logs[log] for log in entries[:n, 2]]
         assert [p.rsplit("/", 1)[1] for p in paths] == [
-            "2026-01-12.log", "2026-01-14.log", "2026-01-13.log", "2026-01-14.log", "2026-01-15.log"]
+            "2026-01-12.log", "2026-01-13.log", "2026-01-14.log", "2026-01-14.log", "2026-01-15.log"]
         assert [d.sequence for d in store.read_class("heartbeat", "p1")] == [1, 13, 25, 37, 38]
 
 
