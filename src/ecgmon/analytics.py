@@ -171,7 +171,7 @@ def iqr_outliers(dataset: Dataset, column: str, k: float = 1.5) -> list[int]:
     iqr = q75 - q25
     lo = q25 - k * iqr
     hi = q75 + k * iqr
-    return [i for i, v in enumerate(x) if v < lo or v > hi]
+    return np.flatnonzero((x < lo) | (x > hi)).tolist()
 
 
 def covariance_matrix(dataset: Dataset) -> np.ndarray:

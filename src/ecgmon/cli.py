@@ -177,8 +177,7 @@ def _cmd_analyze(args) -> int:
         flagged = set()
         for column in analytics.COLUMNS:
             flagged.update(analytics.iqr_outliers(dataset, column))
-        kept = [dataset.row(i) for i in range(len(dataset)) if i not in flagged]
-        dataset = analytics.Dataset(kept)
+        dataset = analytics.Dataset(np.delete(dataset.rows, list(flagged), axis=0))
         print(f"dropped {len(flagged)} outlier rows, {len(dataset)} remain")
 
     digits = args.round

@@ -221,10 +221,14 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _post_ingest(self) -> None:
+        # RFC 9110 §8.6: the value is 1*DIGIT; RFC 9112 §6.3: differing
+        # repeated values are as invalid as a malformed one
+        values = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ["0"])}
+        text = values.pop() if len(values) == 1 else ""
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
+            length = int(text) if text.isascii() and text.isdigit() else -1
+        except ValueError:  # more digits than int() converts, so far over the limit
+            length = MAX_BODY_BYTES + 1
         if not 0 <= length <= MAX_BODY_BYTES:
             # the body stays unread, so the connection cannot carry another request
             self.close_connection = True

@@ -8,8 +8,10 @@ DUP set.  When the connection has dropped, the old socket is closed and
 the client reconnects with a clean session before it sends again.
 After `max_retries` attempts `publish` raises MqttError.  The only
 other thread is the pinger, which sends a PINGREQ every half keep-alive
-period.  The store's dedup key (topic, message id, payload digest)
-absorbs the duplicate deliveries these retries cause.
+period.  The store absorbs the duplicate deliveries these retries cause:
+it looks in its index for the patient's rows of the same topic class and
+packet id received within `store.DEDUP_WINDOW_MS` (10 minutes), and
+compares their payload bytes with the redelivery's.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ class MqttClient:
         self.ack_timeout = ack_timeout
         self.max_retries = max_retries
         # Packet ids start at a random point, so a new session of the same
-        # device rarely reuses an id the store saw today; a reused id is
-        # only deduplicated when the payload repeats too.
+        # device rarely reuses an id the store saw within its 10-minute
+        # dedup window; a reused id is only deduplicated when the payload
+        # repeats too.
         self._pid = random.randrange(1, 0x10000)
         self._sock: Optional[socket.socket] = None
         self._buf = bytearray()          # received bytes not yet decoded

@@ -3,14 +3,17 @@
 Bit layout follows the public 3.1.1 standard: one fixed-header byte
 (type in the high nibble, flags in the low), a base-128 variable-length
 remaining-length field, then the type-specific variable header and
-payload.  QoS 2, retained delivery, wills and persistent sessions are
-outside the subset; packets requesting them are protocol errors.
+payload.  A packet checks its own fields when built, so `encode_packet`
+only lays out bytes and a decoder checks only what the wire shows.  QoS
+2, retained delivery and wills are outside the subset; packets
+requesting them are protocol errors.  CleanSession 0 is accepted and
+served as a clean session, with CONNACK session-present 0.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Union
 
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 MAX_REMAINING_LENGTH = 268_435_455
+_PACKET_IDS = range(1, 0x10000)
 
 
 class ProtocolError(ValueError):
@@ -65,11 +69,25 @@ class Connect:
     username: Optional[str] = None
     password: Optional[bytes] = None
 
+    def __post_init__(self) -> None:
+        _check_string(self.client_id, "client id")
+        _check_int(self.keep_alive, range(0x10000), "keep-alive")
+        if self.username is not None:
+            _check_string(self.username, "username")
+        if self.password is not None:
+            if self.username is None:
+                raise ProtocolError("password requires a username")
+            if not isinstance(self.password, (bytes, bytearray)) or len(self.password) > 0xFFFF:
+                raise ProtocolError("password must be bytes, at most 65535 of them")
+
 
 @dataclass(frozen=True)
 class Connack:
     session_present: bool = False
     return_code: int = 0
+
+    def __post_init__(self) -> None:
+        _check_int(self.return_code, range(0x100), "CONNACK return code")
 
 
 @dataclass(frozen=True)
@@ -80,10 +98,29 @@ class Publish:
     packet_id: Optional[int] = None
     dup: bool = False
 
+    def __post_init__(self) -> None:
+        _check_string(self.topic, "publish topic")
+        if not self.topic:
+            raise ProtocolError("publish topic must be non-empty")
+        if "+" in self.topic or "#" in self.topic:
+            raise ProtocolError("publish topic must not contain wildcards")
+        _check_int(self.qos, (0, 1), "QoS")
+        if self.qos:
+            _check_int(self.packet_id, _PACKET_IDS, "QoS 1 publish packet id")
+        elif self.packet_id is not None:
+            raise ProtocolError("QoS 0 publish must not carry a packet id")
+        elif self.dup:
+            raise ProtocolError("DUP must be zero for QoS 0 publishes")
+        if not isinstance(self.payload, (bytes, bytearray)):
+            raise ProtocolError("publish payload must be bytes")
+
 
 @dataclass(frozen=True)
 class Puback:
     packet_id: int
+
+    def __post_init__(self) -> None:
+        _check_int(self.packet_id, _PACKET_IDS, "PUBACK packet id")
 
 
 @dataclass(frozen=True)
@@ -91,11 +128,26 @@ class Subscribe:
     packet_id: int
     topics: tuple[tuple[str, int], ...] = ()
 
+    def __post_init__(self) -> None:
+        _check_int(self.packet_id, _PACKET_IDS, "SUBSCRIBE packet id")
+        if not self.topics:
+            raise ProtocolError("SUBSCRIBE requires at least one topic filter")
+        for topic_filter, qos in self.topics:
+            _check_string(topic_filter, "topic filter")
+            if not topic_filter:
+                raise ProtocolError("empty topic filter")
+            _check_int(qos, (0, 1), "QoS")
+
 
 @dataclass(frozen=True)
 class Suback:
     packet_id: int
     return_codes: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_int(self.packet_id, _PACKET_IDS, "SUBACK packet id")
+        for rc in self.return_codes:
+            _check_int(rc, (0x00, 0x01, 0x80), "SUBACK return code")
 
 
 @dataclass(frozen=True)
@@ -152,13 +204,26 @@ def decode_remaining_length(buf, offset: int = 0) -> Optional[tuple[int, int]]:
     raise ProtocolError("malformed remaining length (more than 4 bytes)")
 
 
-# ---------------------------------------------------------------- strings
+# ---------------------------------------------------------------- fields
 
 def _encode_string(s: str) -> bytes:
     data = s.encode("utf-8")
-    if len(data) > 0xFFFF:
-        raise ProtocolError("string longer than 65535 bytes")
     return struct.pack(">H", len(data)) + data
+
+
+def _check_int(value, allowed, what: str) -> None:
+    if not isinstance(value, int) or value not in allowed:
+        raise ProtocolError(f"invalid {what} {value!r}")
+
+
+def _check_string(value, what: str) -> None:
+    """A length-prefixed field: a str of at most 65535 UTF-8 bytes."""
+    try:
+        ok = isinstance(value, str) and len(value.encode("utf-8")) <= 0xFFFF
+    except UnicodeEncodeError:  # a lone surrogate
+        ok = False
+    if not ok:
+        raise ProtocolError(f"{what} must be a str of at most 65535 UTF-8 bytes")
 
 
 def _read_bytes(body: bytes, i: int) -> tuple[bytes, int]:
@@ -171,6 +236,12 @@ def _read_bytes(body: bytes, i: int) -> tuple[bytes, int]:
     return body[i:i + length], i + length
 
 
+def _read_packet_id(body: bytes, i: int, kind: str) -> tuple[int, int]:
+    if i + 2 > len(body):
+        raise ProtocolError(f"truncated {kind} packet id")
+    return struct.unpack_from(">H", body, i)[0], i + 2
+
+
 def _read_string(body: bytes, i: int) -> tuple[str, int]:
     raw, i = _read_bytes(body, i)
     try:
@@ -179,87 +250,42 @@ def _read_string(body: bytes, i: int) -> tuple[str, int]:
         raise ProtocolError(f"malformed UTF-8 string: {exc}") from exc
 
 
-def _check_qos(qos: int) -> None:
-    if qos == 2:
-        raise ProtocolError("QoS 2 is outside the supported subset")
-    if qos not in (0, 1):
-        raise ProtocolError(f"invalid QoS {qos}")
-
-
-def _check_publish_topic(topic: str) -> None:
-    if not topic:
-        raise ProtocolError("publish topic must be non-empty")
-    if "+" in topic or "#" in topic:
-        raise ProtocolError("publish topic must not contain wildcards")
-
-
 # ---------------------------------------------------------------- encode
 
 def encode_packet(p: Packet) -> bytes:
-    """Serialize a packet to its exact wire bytes."""
+    """Lay out a packet, whose fields were checked when it was built, as its wire bytes."""
     if isinstance(p, Connect):
         flags = 0x02 if p.clean_session else 0x00
         payload = _encode_string(p.client_id)
         if p.username is not None:
             flags |= 0x80
             payload += _encode_string(p.username)
-            if p.password is not None:
-                flags |= 0x40
-                if len(p.password) > 0xFFFF:
-                    raise ProtocolError("password longer than 65535 bytes")
-                payload += struct.pack(">H", len(p.password)) + p.password
-        elif p.password is not None:
-            raise ProtocolError("password requires a username")
-        if not 0 <= p.keep_alive <= 0xFFFF:
-            raise ProtocolError("keep_alive out of range")
+        if p.password is not None:
+            flags |= 0x40
+            payload += struct.pack(">H", len(p.password)) + p.password
         vh = _encode_string("MQTT") + bytes([4, flags]) + struct.pack(">H", p.keep_alive)
         return _fixed(PacketType.CONNECT, 0, vh + payload)
 
     if isinstance(p, Connack):
-        vh = bytes([1 if p.session_present else 0, p.return_code])
-        return _fixed(PacketType.CONNACK, 0, vh)
+        return _fixed(PacketType.CONNACK, 0, bytes([1 if p.session_present else 0, p.return_code]))
 
     if isinstance(p, Publish):
-        _check_publish_topic(p.topic)
-        _check_qos(p.qos)
-        flags = (0x08 if p.dup else 0) | (p.qos << 1)
         vh = _encode_string(p.topic)
-        if p.qos > 0:
-            if not p.packet_id or not 1 <= p.packet_id <= 0xFFFF:
-                raise ProtocolError("QoS 1 publish requires a non-zero packet id")
+        if p.qos:
             vh += struct.pack(">H", p.packet_id)
-        elif p.packet_id is not None:
-            raise ProtocolError("QoS 0 publish must not carry a packet id")
-        if not isinstance(p.payload, (bytes, bytearray)):
-            raise ProtocolError("publish payload must be bytes")
-        return _fixed(PacketType.PUBLISH, flags, vh + bytes(p.payload))
+        return _fixed(PacketType.PUBLISH, (0x08 if p.dup else 0) | (p.qos << 1), vh + p.payload)
 
     if isinstance(p, Puback):
-        if not 1 <= p.packet_id <= 0xFFFF:
-            raise ProtocolError("PUBACK requires a non-zero packet id")
         return _fixed(PacketType.PUBACK, 0, struct.pack(">H", p.packet_id))
 
     if isinstance(p, Subscribe):
-        if not p.topics:
-            raise ProtocolError("SUBSCRIBE requires at least one topic filter")
-        if not 1 <= p.packet_id <= 0xFFFF:
-            raise ProtocolError("SUBSCRIBE requires a non-zero packet id")
         body = struct.pack(">H", p.packet_id)
         for topic_filter, qos in p.topics:
-            if not topic_filter:
-                raise ProtocolError("empty topic filter")
-            _check_qos(qos)
             body += _encode_string(topic_filter) + bytes([qos])
         return _fixed(PacketType.SUBSCRIBE, 0x02, body)
 
     if isinstance(p, Suback):
-        if not 1 <= p.packet_id <= 0xFFFF:
-            raise ProtocolError("SUBACK requires a non-zero packet id")
-        for rc in p.return_codes:
-            if rc not in (0x00, 0x01, 0x80):
-                raise ProtocolError(f"invalid SUBACK return code {rc:#x}")
-        body = struct.pack(">H", p.packet_id) + bytes(p.return_codes)
-        return _fixed(PacketType.SUBACK, 0, body)
+        return _fixed(PacketType.SUBACK, 0, struct.pack(">H", p.packet_id) + bytes(p.return_codes))
 
     if isinstance(p, Pingreq):
         return _fixed(PacketType.PINGREQ, 0, b"")
@@ -307,9 +333,7 @@ def decode_packet(buf, max_remaining: Optional[int] = None) -> Optional[tuple[Pa
         return None
     body = bytes(buf[1 + rl_bytes:total])
 
-    decoder = _DECODERS.get(kind)
-    packet = decoder(flags, body)
-    return packet, total
+    return _DECODERS[kind](flags, body), total
 
 
 def _expect_flags(flags: int, expected: int, kind: str) -> None:
@@ -334,18 +358,15 @@ def _decode_connect(flags: int, body: bytes) -> Connect:
         raise ProtocolError("CONNECT reserved flag must be zero")
     if cflags & 0x04:
         raise ProtocolError("will messages are outside the supported subset")
-    clean_session = bool(cflags & 0x02)
     client_id, i = _read_string(body, i)
     username = password = None
     if cflags & 0x80:
         username, i = _read_string(body, i)
-        if cflags & 0x40:
-            password, i = _read_bytes(body, i)
-    elif cflags & 0x40:
-        raise ProtocolError("password flag without username flag")
+    if cflags & 0x40:
+        password, i = _read_bytes(body, i)
     if i != len(body):
         raise ProtocolError("trailing bytes after CONNECT payload")
-    return Connect(client_id, keep_alive, clean_session, username, password)
+    return Connect(client_id, keep_alive, bool(cflags & 0x02), username, password)
 
 
 def _decode_connack(flags: int, body: bytes) -> Connack:
@@ -358,72 +379,40 @@ def _decode_connack(flags: int, body: bytes) -> Connack:
 
 
 def _decode_publish(flags: int, body: bytes) -> Publish:
-    dup = bool(flags & 0x08)
-    qos = (flags >> 1) & 0x03
     if flags & 0x01:
         raise ProtocolError("retained publishes are not supported")
-    _check_qos(qos)
-    if qos == 0 and dup:
-        raise ProtocolError("DUP must be zero for QoS 0 publishes")
+    qos = (flags >> 1) & 0x03
     topic, i = _read_string(body, 0)
-    _check_publish_topic(topic)
     packet_id = None
-    if qos > 0:
-        if i + 2 > len(body):
-            raise ProtocolError("truncated PUBLISH packet id")
-        (packet_id,) = struct.unpack_from(">H", body, i)
-        i += 2
-        if packet_id == 0:
-            raise ProtocolError("QoS 1 publish requires a non-zero packet id")
-    return Publish(topic, body[i:], qos, packet_id, dup)
+    if qos:
+        packet_id, i = _read_packet_id(body, i, "PUBLISH")
+    return Publish(topic, body[i:], qos, packet_id, bool(flags & 0x08))
 
 
-def _decode_packet_id_only(flags: int, body: bytes, kind: str) -> int:
-    _expect_flags(flags, 0, kind)
+def _decode_puback(flags: int, body: bytes) -> Puback:
+    _expect_flags(flags, 0, "PUBACK")
     if len(body) != 2:
-        raise ProtocolError(f"{kind} body must be exactly 2 bytes")
-    (packet_id,) = struct.unpack(">H", body)
-    if packet_id == 0:
-        raise ProtocolError(f"{kind} requires a non-zero packet id")
-    return packet_id
+        raise ProtocolError("PUBACK body must be exactly 2 bytes")
+    return Puback(*struct.unpack(">H", body))
 
 
 def _decode_subscribe(flags: int, body: bytes) -> Subscribe:
     _expect_flags(flags, 0x02, "SUBSCRIBE")
-    if len(body) < 2:
-        raise ProtocolError("truncated SUBSCRIBE")
-    (packet_id,) = struct.unpack_from(">H", body, 0)
-    if packet_id == 0:
-        raise ProtocolError("SUBSCRIBE requires a non-zero packet id")
-    i = 2
+    packet_id, i = _read_packet_id(body, 0, "SUBSCRIBE")
     topics = []
     while i < len(body):
         topic_filter, i = _read_string(body, i)
-        if not topic_filter:
-            raise ProtocolError("empty topic filter")
         if i >= len(body):
             raise ProtocolError("topic filter without requested QoS byte")
-        qos = body[i]
+        topics.append((topic_filter, body[i]))
         i += 1
-        _check_qos(qos)
-        topics.append((topic_filter, qos))
-    if not topics:
-        raise ProtocolError("SUBSCRIBE requires at least one topic filter")
     return Subscribe(packet_id, tuple(topics))
 
 
 def _decode_suback(flags: int, body: bytes) -> Suback:
     _expect_flags(flags, 0, "SUBACK")
-    if len(body) < 2:
-        raise ProtocolError("truncated SUBACK")
-    (packet_id,) = struct.unpack_from(">H", body, 0)
-    if packet_id == 0:
-        raise ProtocolError("SUBACK requires a non-zero packet id")
-    codes = tuple(body[2:])
-    for rc in codes:
-        if rc not in (0x00, 0x01, 0x80):
-            raise ProtocolError(f"invalid SUBACK return code {rc:#x}")
-    return Suback(packet_id, codes)
+    packet_id, i = _read_packet_id(body, 0, "SUBACK")
+    return Suback(packet_id, tuple(body[i:]))
 
 
 def _decode_empty(flags: int, body: bytes, kind: str, cls) -> Packet:
@@ -437,7 +426,7 @@ _DECODERS = {
     PacketType.CONNECT: _decode_connect,
     PacketType.CONNACK: _decode_connack,
     PacketType.PUBLISH: _decode_publish,
-    PacketType.PUBACK: lambda f, b: Puback(_decode_packet_id_only(f, b, "PUBACK")),
+    PacketType.PUBACK: _decode_puback,
     PacketType.SUBSCRIBE: _decode_subscribe,
     PacketType.SUBACK: _decode_suback,
     PacketType.PINGREQ: lambda f, b: _decode_empty(f, b, "PINGREQ", Pingreq),

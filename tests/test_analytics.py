@@ -177,6 +177,17 @@ def test_iqr_outliers_wider_fence(clinic):
     assert iqr_outliers(clinic, "R", k=10.0) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=30), st.sampled_from([0.0, 0.5, 1.5]))
+def test_iqr_outliers_match_the_per_value_loop(values, k):
+    # small integers put values on the fences and tie them
+    ds = Dataset([(i, 30, v, 0, 0, 0, 0) for i, v in enumerate(values)])
+    x = ds.column("P")
+    q25, q75 = quantile(x, 0.25), quantile(x, 0.75)
+    lo, hi = q25 - k * (q75 - q25), q75 + k * (q75 - q25)
+    assert iqr_outliers(ds, "P", k=k) == [i for i, v in enumerate(x) if v < lo or v > hi]
+
+
 # ------------------------------------------------------- covariance matrix
 
 def test_covariance_known_cells(clinic):

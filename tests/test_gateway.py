@@ -428,6 +428,48 @@ def test_ingest_bad_content_length_answered_without_reading_body(gw, length, sta
     assert resp.getheader("Connection") == "close"
 
 
+INGEST_BODY = json.dumps(heartbeat_body()).encode("utf-8")
+BODY_LEN = str(len(INGEST_BODY))
+
+
+@pytest.mark.parametrize("lengths,status,code", [
+    ([f"+{BODY_LEN}"], 400, "bad_length"),
+    ([f"{BODY_LEN[0]}_{BODY_LEN[1:]}"], 400, "bad_length"),
+    (["-0"], 400, "bad_length"),
+    ([BODY_LEN, str(len(INGEST_BODY) + 1)], 400, "bad_length"),
+    (["9" * 5000], 413, "body_too_large"),
+], ids=["plus", "underscore", "minus-zero", "two-differing", "5000-digits"])
+def test_ingest_content_length_other_than_digits_is_refused_and_closes(gw, store, lengths,
+                                                                      status, code):
+    # RFC 9110 §8.6 (1*DIGIT) and RFC 9112 §6.3 (differing values); the
+    # whole body is sent, so only the header decides
+    headers = "".join(f"Content-Length: {value}\r\n" for value in lengths)
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        sock.sendall(f"POST /ingest HTTP/1.1\r\nHost: localhost\r\n"
+                     f"Connection: keep-alive\r\n{headers}\r\n".encode() + INGEST_BODY)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        problem = json.loads(resp.read())
+        assert (resp.status, problem["code"]) == (status, code)
+        assert resp.getheader("Connection") == "close"
+        try:
+            assert sock.recv(1) == b""
+        except ConnectionResetError:  # closed with the unread body still queued
+            pass
+    assert store.latest("p1", "heartbeat") is None
+
+
+def test_ingest_content_length_with_surrounding_whitespace_or_repeated_is_read(gw, store):
+    headers = f"Content-Length: \t{BODY_LEN} \r\nContent-Length: {BODY_LEN}\r\n"
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        sock.sendall(f"POST /ingest HTTP/1.1\r\nHost: localhost\r\n{headers}\r\n".encode()
+                     + INGEST_BODY)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert (resp.status, json.loads(resp.read())) == (201, {"sequence": 1})
+    assert store.latest("p1", "heartbeat").payload["bpm"] == 72
+
+
 
 def test_stalled_connections_are_closed_and_release_their_threads(gw, monkeypatch, caplog):
     monkeypatch.setattr("ecgmon.gateway._Handler.read_timeout_s", 0.5)

@@ -4,7 +4,7 @@ import random
 import typing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecgmon.mqtt.codec import (
     MAX_REMAINING_LENGTH,
@@ -284,6 +284,39 @@ def test_subscribe_empty_topic_list_rejected():
         encode_packet(Subscribe(packet_id=1, topics=()))
 
 
+@pytest.mark.parametrize("fields", [
+    (Publish, ("t", b"", 0, None, True)),
+    (Publish, ("t", b"", 0, 5)),
+    (Publish, ("t", b"", 1, 70_000)),
+    (Publish, ("t", b"", 1.0, 1)),
+    (Publish, ("t", "text")),
+    (Publish, ("\ud800",)),
+    (Publish, ("t" * 0x10000,)),
+    (Connack, (False, 300)),
+    (Connect, ("c", 1.5)),
+    (Connect, ("c", 60.0)),
+    (Connect, ("c", -1)),
+    (Connect, ("c", 60, True, None, b"pw")),
+    (Connect, ("c", 60, True, "u", b"p" * 0x10000)),
+    (Puback, (0,)),
+    (Subscribe, (1, (("", 0),))),
+    (Subscribe, (1, (("a", 2),))),
+    (Suback, (1, (2,))),
+    (Suback, (0, ())),
+], ids=lambda f: f"{f[0].__name__}{f[1]!r:.40}")
+def test_a_packet_outside_the_subset_is_refused_when_built(fields):
+    cls, args = fields
+    with pytest.raises(ProtocolError):
+        cls(*args)
+
+
+def test_qos0_publish_with_dup_on_the_wire_rejected():
+    raw = bytearray(encode_packet(Publish("t", b"")))
+    raw[0] |= 0x08
+    with pytest.raises(ProtocolError, match="DUP"):
+        decode_packet(bytes(raw))
+
+
 def test_subscribe_bad_filter_passes_codec():
     # syntactically broken filters still travel the wire; the broker
     # answers them with a 0x80 return code rather than a decode error
@@ -309,4 +342,49 @@ def test_decode_arbitrary_bytes_returns_packet_none_or_protocol_error(data):
         packet, consumed = decoded
         assert isinstance(packet, typing.get_args(Packet))
         assert 2 <= consumed <= len(data)
+        raw = encode_packet(packet)
+        assert decode_packet(raw) == (packet, len(raw))
+
+
+# Fields inside and outside the subset, for every packet type.
+_IDS = st.integers(-1, 70_000)
+_QOS = st.integers(0, 1) | st.integers(0, 3)  # mostly inside the subset
+_TOPICS = st.sampled_from(["", "a", "a/b", "clinic/p1/ecg/pqrst", "+", "a/+/b", "#", "a/#/b"]) \
+    | st.text(max_size=8)
+_FIELDS = st.one_of(
+    st.tuples(st.just(Connect), st.fixed_dictionaries({
+        "client_id": st.text(max_size=8),
+        "keep_alive": st.integers(-2, 70_000) | st.floats(),
+        "clean_session": st.booleans(),
+        "username": st.none() | st.text(max_size=8),
+        "password": st.none() | st.binary(max_size=8)})),
+    st.tuples(st.just(Connack), st.fixed_dictionaries({
+        "session_present": st.booleans(), "return_code": st.integers(0, 300)})),
+    st.tuples(st.just(Publish), st.fixed_dictionaries({
+        "topic": _TOPICS, "payload": st.binary(max_size=16), "qos": _QOS,
+        "packet_id": st.none() | _IDS, "dup": st.booleans()})),
+    st.tuples(st.just(Puback), st.fixed_dictionaries({"packet_id": _IDS})),
+    st.tuples(st.just(Subscribe), st.fixed_dictionaries({
+        "packet_id": _IDS,
+        "topics": st.lists(st.tuples(_TOPICS, _QOS), max_size=3).map(tuple)})),
+    st.tuples(st.just(Suback), st.fixed_dictionaries({
+        "packet_id": _IDS,
+        "return_codes": st.lists(st.integers(0, 300), max_size=3).map(tuple)})),
+    st.tuples(st.sampled_from([Pingreq, Pingresp, Disconnect]), st.just({})),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_FIELDS)
+@example((Publish, {"topic": "t", "qos": 0, "dup": True}))
+@example((Connack, {"return_code": 300}))
+@example((Connect, {"client_id": "c", "keep_alive": 1.5}))
+def test_a_packet_is_refused_when_built_or_encodes_to_bytes_that_decode_to_it(fields):
+    cls, kwargs = fields
+    try:
+        packet = cls(**kwargs)
+        raw = encode_packet(packet)
+    except ProtocolError:
+        return
+    assert decode_packet(raw) == (packet, len(raw))
 
