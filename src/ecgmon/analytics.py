@@ -22,7 +22,6 @@ __all__ = [
     "SCORE_COLUMNS",
     "Dataset",
     "ColumnStats",
-    "StatsSummary",
     "THETA_EXCELLENT",
     "THETA_ACCEPTABLE",
     "describe",
@@ -99,14 +98,6 @@ class ColumnStats:
     max: float
 
 
-@dataclass(frozen=True)
-class StatsSummary:
-    columns: dict  # name -> ColumnStats
-
-    def __getitem__(self, name: str) -> ColumnStats:
-        return self.columns[name]
-
-
 def quantile(values: Sequence[float], fraction: float) -> float:
     """Quantile by linear interpolation at index fraction*(n-1).
 
@@ -137,8 +128,8 @@ def _sample_std(x: np.ndarray) -> float:
     return math.sqrt(float(((x - mean) ** 2).sum()) / (n - 1))
 
 
-def describe(dataset: Dataset) -> StatsSummary:
-    """Per-column count, mean, sample std, min, quartiles, max."""
+def describe(dataset: Dataset) -> dict[str, ColumnStats]:
+    """Per-column count, mean, sample std, min, quartiles, max, by column name."""
     if len(dataset) == 0:
         raise ValueError("cannot describe an empty dataset")
     out = {}
@@ -157,7 +148,7 @@ def describe(dataset: Dataset) -> StatsSummary:
             q75=_sorted_quantile(xs, 0.75),
             max=float(x.max()),
         )
-    return StatsSummary(out)
+    return out
 
 
 def iqr_outliers(dataset: Dataset, column: str, k: float = 1.5) -> list[int]:

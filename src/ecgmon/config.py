@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
+from .analytics import THETA_ACCEPTABLE, THETA_EXCELLENT
 from .synth import DEFAULT_TEMPLATE, BeatTemplate, ConfigError, SynthConfig, Wave
 
 __all__ = ["GatewayConfig", "load_config", "parse_kv", "load_synth_config", "split_address",
@@ -30,8 +31,8 @@ class GatewayConfig:
     mqtt_host: str = DEFAULT_MQTT[0]
     mqtt_port: int = DEFAULT_MQTT[1]
     store_root: str = "./telemetry"
-    theta_excellent: float = 96.0
-    theta_acceptable: float = 85.0
+    theta_excellent: float = THETA_EXCELLENT
+    theta_acceptable: float = THETA_ACCEPTABLE
     model_path: Optional[str] = None
     mqtt_username: Optional[str] = None
     mqtt_password: Optional[str] = None

@@ -356,7 +356,8 @@ def _decode_connect(flags: int, body: bytes) -> Connect:
         raise ProtocolError(f"unsupported protocol level {level}")
     if cflags & 0x01:
         raise ProtocolError("CONNECT reserved flag must be zero")
-    if cflags & 0x04:
+    # the will flag, and Will QoS and Will Retain: zero without it (MQTT-3.1.2-13, -15)
+    if cflags & 0x3C:
         raise ProtocolError("will messages are outside the supported subset")
     client_id, i = _read_string(body, i)
     username = password = None

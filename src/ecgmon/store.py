@@ -516,16 +516,19 @@ class RecordStore:
                                  "received_at": ts, "message_id": message_id}, body)
             try:
                 log, fh = self._day_file(klass, _day_of(ts))
-                offset = fh.tell()
+                # not tell(): after a cut, an O_APPEND handle's position
+                # stays past the new end until its next write
+                offset = fh.seek(0, os.SEEK_END)
             except OSError as exc:
                 raise StoreError(f"append failed: {exc}") from exc
             row = (seq, ts, log, offset, len(line), -1 if message_id is None else message_id)
             try:
-                fh.write(line)
-                fh.flush()
+                # unbuffered: one write(2), which may write only part of the line
+                if fh.write(line) != len(line):
+                    raise OSError(f"short write to {self._logs[log]}")
                 os.fsync(fh.fileno())
             except OSError as exc:
-                self._discard_failed_write(klass, self._logs[log], offset)
+                self._discard_failed_write(self._logs[log], offset)
                 raise StoreError(f"append failed: {exc}") from exc
 
             self._next_seq = seq + 1
@@ -539,20 +542,14 @@ class RecordStore:
                 self._rows += 1
             return seq
 
-    def _discard_failed_write(self, klass: str, path: str, offset: int) -> None:
+    def _discard_failed_write(self, path: str, offset: int) -> None:
         """Cut the log back to where a failed append started.
 
         The unacked message is retransmitted, so a line left behind would
-        come back as a duplicate on the next open.  The handle is dropped
-        (closing it may flush buffered bytes, which the cut removes) and
-        the next append reopens the file.  When the cut fails too, the
-        store closes, so nothing more is written or acked.
+        come back as a duplicate on the next open.  The append handle is
+        unbuffered and stays open for the retransmit.  When the cut fails
+        too, the store closes, so nothing more is written or acked.
         """
-        *_, fh = self._write_handles.pop(klass)
-        try:
-            fh.close()
-        except OSError:
-            pass
         try:
             fd = os.open(path, os.O_WRONLY)
             try:
@@ -588,7 +585,7 @@ class RecordStore:
                 os.fsync(fd)
             finally:
                 os.close(fd)
-        fh = open(path, "ab")
+        fh = open(path, "ab", buffering=0)
         self._write_handles[klass] = (day, self._logs.index(path), fh)
         return self._write_handles[klass][1:]
 
@@ -631,11 +628,14 @@ class RecordStore:
         return latest[0] if latest else None
 
     def pqrst_matrix(self) -> np.ndarray:
-        """An (n, 7) float64 copy of every pqrst document's `device.pqrst_row`,
-        in `analytics.COLUMNS` order, one row per document in sequence order
-        (the order of `read_class("pqrst")`)."""
+        """An (n, 7) float64 read-only view of every pqrst document's
+        `device.pqrst_row`, in `analytics.COLUMNS` order, one row per document
+        in sequence order (the order of `read_class("pqrst")`).  Its rows stay
+        as they are: an append writes after them or into a new matrix."""
         with self._lock:
-            return self._matrix[:self._rows].copy()
+            view = self._matrix[:self._rows]
+        view.flags.writeable = False
+        return view
 
     def _load(self, entries: np.ndarray) -> list[StoredDocument]:
         """Read index rows back, opening each log once per run of rows in it.

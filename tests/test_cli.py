@@ -10,6 +10,7 @@ import socket
 import pytest
 
 from ecgmon import analytics, cli, device, regression, sample_data, synth
+from ecgmon import store as store_mod
 from ecgmon.config import GatewayConfig, load_config, load_synth_config, parse_kv
 from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
@@ -346,6 +347,67 @@ def test_start_system_wires_everything(tmp_path):
         assert body["payload"]["bpm"] == 72
     finally:
         system.stop()
+
+
+MIDNIGHT_MS = 1_767_657_600_000      # 2026-01-06T00:00:00Z
+
+
+def get_json(port, path):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+def test_system_across_utc_midnight_answers_the_same_after_a_restart(tmp_path, monkeypatch):
+    now = [MIDNIGHT_MS - 1]
+    monkeypatch.setattr(store_mod, "_now_ms", lambda: now[0])
+    root = tmp_path / "telemetry"
+    config = GatewayConfig(http_port=0, mqtt_port=0, store_root=str(root))
+
+    def answers(system):
+        port = system.gateway.port
+        return (get_json(port, "/patients/p1/ecg?from=2026-01-05T23:59:59Z&to=2026-01-06T00:00:01Z"),
+                get_json(port, "/patients/p1/heartbeat/latest"),
+                get_json(port, "/stats"))
+
+    system = cli.start_system(config)
+    try:
+        client = MqttClient(client_id="probe")
+        client.connect("127.0.0.1", system.broker.port)
+        for record_no, bpm in ((1, 60), (2, 61)):
+            score = {"record_no": record_no, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0,
+                     "s": 96.0, "t": 95.0, "patient_id": "p1"}
+            beat = {"patient_id": "p1", "bpm": bpm, "window_seconds": 20,
+                    "measured_at": "2026-01-05T23:59:59Z"}
+            client.publish("clinic/p1/ecg/pqrst", json.dumps(score).encode(), qos=1)
+            client.publish("clinic/p1/heartbeat", json.dumps(beat).encode(), qos=1)
+            now[0] = MIDNIGHT_MS + 1
+        client.disconnect()
+        before = answers(system)
+    finally:
+        system.stop()
+
+    (status, ecg), (_, beat), (_, stats) = before
+    assert status == 200
+    assert [(d["sequence"], d["payload"]["record_no"]) for d in ecg] == [(1, 1), (3, 2)]
+    assert [d["received_at"] for d in ecg] == [MIDNIGHT_MS - 1, MIDNIGHT_MS + 1]
+    assert (beat["sequence"], beat["payload"]["bpm"]) == (4, 61)
+    assert stats["count"] == 2
+    for klass in ("pqrst", "heartbeat"):
+        assert sorted(p.name for p in (root / klass).iterdir()) == ["2026-01-05.log", "2026-01-06.log"]
+
+    system = cli.start_system(config)
+    try:
+        assert answers(system) == before
+    finally:
+        system.stop()
+    for klass in ("pqrst", "heartbeat"):
+        assert (root / klass / "2026-01-05.hint").exists()
+        assert not (root / klass / "2026-01-06.hint").exists()
 
 
 # ----------------------------------------------------------- configuration

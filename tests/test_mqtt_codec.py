@@ -234,6 +234,15 @@ def test_connect_will_flag_rejected():
         decode_packet(bytes(raw))
 
 
+@pytest.mark.parametrize("bit", [0x08, 0x10, 0x20])
+def test_connect_will_qos_and_retain_bits_rejected(bit):
+    # Will QoS (bits 3-4) and Will Retain (bit 5) must be zero without a will
+    raw = bytearray(encode_packet(Connect(client_id="c")))
+    raw[9] |= bit
+    with pytest.raises(ProtocolError, match="will"):
+        decode_packet(bytes(raw))
+
+
 def test_connect_bad_protocol_name():
     raw = bytearray(encode_packet(Connect(client_id="c")))
     raw[4:8] = b"MQXX"

@@ -863,6 +863,74 @@ def test_failed_cut_after_failed_fsync_closes_the_store(tmp_path, monkeypatch):
     store.close()
 
 
+def test_retransmit_after_failed_fsync_opens_no_file_and_syncs_no_directory(store, opened,
+                                                                            monkeypatch):
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60), message_id=1)
+    fail_append_fsync(monkeypatch)
+    with pytest.raises(StoreError, match="injected"):
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=61), message_id=2)
+    opened.clear()
+    directories = []
+    fsync = os.fsync
+
+    def spy(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            directories.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(store_mod.os, "fsync", spy)
+    # the failed append kept its handle: the retransmit writes through it
+    assert store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=61), message_id=2) == 2
+    assert opened == []
+    assert directories == []
+    assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [60, 61]
+
+
+def test_short_write_is_a_failed_append(tmp_path, monkeypatch):
+    root = tmp_path / "telemetry"
+    short = [0]
+
+    class ShortWriter:
+        """An append handle whose write stores half the line while `short` counts."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def write(self, data):
+            if short[0]:
+                short[0] -= 1
+                return self._fh.write(data[:len(data) // 2])
+            return self._fh.write(data)
+
+    def open_short(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return ShortWriter(fh) if "a" in mode else fh
+
+    monkeypatch.setattr(store_mod, "open", open_short, raising=False)
+    first, second = pqrst(record_no=1), pqrst(record_no=2, r=90.0)
+    with RecordStore(root) as store:
+        assert store.append("clinic/p1/ecg/pqrst", "p1", first, message_id=1) == 1
+        log = next((root / "pqrst").glob("*.log"))
+        size = log.stat().st_size
+        short[0] = 1
+        with pytest.raises(StoreError, match="short write"):
+            store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2)
+        assert log.stat().st_size == size
+        assert [d.sequence for d in store.read_class("pqrst")] == [1]
+        assert len(store.pqrst_matrix()) == 1
+        assert store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2) == 2
+        assert store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2) == 2
+        docs = [(d.sequence, d.payload) for d in store.read_class("pqrst")]
+    assert docs == [(1, first), (2, second)]
+    with RecordStore(root) as store:
+        assert [(d.sequence, d.payload) for d in store.read_class("pqrst")] == docs
+        assert store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2) == 2
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat()) == 3
+
+
 def test_failed_directory_fsync_on_a_day_change_leaves_no_closed_handle(store, monkeypatch):
     store.append("clinic/p1/heartbeat", "p1", heartbeat(), received_at=1_767_600_000_000)
     real_fsync = os.fsync
@@ -914,7 +982,8 @@ def test_pqrst_matrix_matches_read_class_interleaved(store):
             store.append(f"clinic/{pid}/heartbeat", pid, heartbeat(pid), received_at=ts)
             store.append(f"clinic/{pid}/status", pid, status("x", pid), received_at=ts)
             assert_matrix_matches_read_class(store)
-    store.pqrst_matrix()[:] = 0.0            # a copy: the store's rows stay
+    with pytest.raises(ValueError):
+        store.pqrst_matrix()[:] = 0.0        # a read-only view: the store's rows stay
     assert_matrix_matches_read_class(store)
 
 
