@@ -9,6 +9,7 @@ or a store directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 import threading
@@ -41,19 +42,23 @@ class System:
 
     def stop(self) -> None:
         self.broker.stop()
-        self.sink.stop()
-        self.gateway.stop()
+        self.gateway.stop()     # and its sink, which the broker shares
         self.store.close()
 
 
 def start_system(config: GatewayConfig) -> System:
-    store = RecordStore(config.store_root)
-    sink = IngestionSink(store).start()
-    password = config.mqtt_password.encode() if config.mqtt_password else None
-    broker = Broker(config.mqtt_host, config.mqtt_port, sink=sink,
-                    username=config.mqtt_username, password=password).start()
-    gateway = Gateway(store, config).start()
-    return System(config, store, sink, broker, gateway)
+    """The gateway and its sink, then a broker over that same sink; a failed
+    start stops what started and closes the store."""
+    with contextlib.ExitStack() as undo:
+        store = RecordStore(config.store_root)
+        undo.callback(store.close)
+        gateway = Gateway(store, config).start()
+        undo.callback(gateway.stop)
+        password = config.mqtt_password.encode() if config.mqtt_password else None
+        broker = Broker(config.mqtt_host, config.mqtt_port, sink=gateway.sink,
+                        username=config.mqtt_username, password=password).start()
+        undo.pop_all()
+    return System(config, store, gateway.sink, broker, gateway)
 
 
 # ---------------------------------------------------------------- serve

@@ -2,8 +2,8 @@
 
 Pull-only JSON API: latest heartbeat, ECG records by time window,
 dataset statistics, model prediction for a patient's latest record, and
-an ingest endpoint equivalent to the MQTT path.  Every error response
-is a problem document {status, code, detail}.
+an ingest endpoint that appends through the ingestion sink, as the MQTT
+path does.  Every error response is a problem document {status, code, detail}.
 """
 
 from __future__ import annotations
@@ -22,13 +22,16 @@ from urllib.parse import parse_qs, urlparse
 
 from . import analytics, device, regression
 from .config import GatewayConfig
-from .store import PATIENT_ID, RecordStore, ValidationError, load_document
+from .ingest import IngestionSink
+from .store import PATIENT_ID, RecordStore, StoreError, ValidationError, load_document
 
 __all__ = ["Gateway"]
 
 log = logging.getLogger("ecgmon.gateway")
 
 MAX_BODY_BYTES = 1 << 20   # a valid ingest body is under 1 KB
+_NO_WAIT = threading.Event()   # POST /ingest's `abort`: one try to queue, then 503
+_NO_WAIT.set()
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -257,21 +260,31 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(patient_id, str) or not PATIENT_ID.fullmatch(patient_id):
             self._problem(400, "bad_patient_id", "payload patient_id is missing or invalid")
             return
+        outcome = self.gateway.sink.submit(device.topic(patient_id, kind),
+                                           json.dumps(body).encode(), None, lambda: None,
+                                           abort=_NO_WAIT)
+        if outcome is None:
+            return self._problem(503, "busy", "the ingestion queue is full; nothing was stored")
         try:
-            seq = self.gateway.store.append(device.topic(patient_id, kind), patient_id, body)
+            seq = outcome.result()   # once queued, wait: nothing is stored after a 503
         except ValidationError as exc:
             status = 422 if exc.out_of_range else 400
             self._problem(status, "invalid_document", str(exc))
             return
+        except StoreError as exc:
+            return self._problem(503, "store_unavailable", str(exc))
         self._send_json(201, {"sequence": seq})
 
 
 class Gateway:
-    """ThreadingHTTPServer wrapper bound to a store and a config."""
+    """ThreadingHTTPServer wrapper bound to a store and a config.  `POST
+    /ingest` appends through `sink`, its own `IngestionSink`, which
+    `start_system` shares with the broker: the store's one writer."""
 
     def __init__(self, store: RecordStore, config: Optional[GatewayConfig] = None):
         self.store = store
         self.config = config or GatewayConfig()
+        self.sink = IngestionSink(store)
         self.model: Optional[regression.LinearModel] = None
         if self.config.model_path:
             try:
@@ -294,6 +307,7 @@ class Gateway:
         return self._server.server_address[1]
 
     def start(self) -> "Gateway":
+        self.sink.start()
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05),
             daemon=True)
@@ -306,3 +320,4 @@ class Gateway:
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=2)
+        self.sink.stop()

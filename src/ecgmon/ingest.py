@@ -1,11 +1,11 @@
-"""Ingestion sink: drains QoS 1 publishes from the broker into the store.
+"""Ingestion sink: the store's one writer, behind both doors.
 
-The broker hands (topic, payload, packet id, ack callback) tuples into a
-bounded queue; a worker thread parses, validates and durably appends each
-one, then fires the ack so the broker can send PUBACK.  Schema-violating
-payloads are acknowledged and dropped (poison messages would otherwise be
-retried forever); a storage failure leaves the message unacknowledged so
-the publisher retransmits it.
+The broker (each PUBLISH) and the gateway (each `POST /ingest`) hand
+(topic, payload, message id, ack) into one bounded queue; one worker thread
+parses, validates and durably appends each item, resolves the `Future` that
+`submit` returned with its sequence or error, then fires the ack (PUBACK).
+Invalid payloads are acked and dropped (they would be retried forever); a
+storage failure is not acked, so the publisher retransmits the message.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import queue
 import threading
+from concurrent.futures import Future
 from typing import Callable, Optional
 
 from . import store as store_mod
@@ -50,20 +51,21 @@ class IngestionSink:
             worker.join(timeout=STOP_JOIN_S)
 
     def submit(self, topic: str, payload: bytes, message_id: Optional[int],
-               ack: Callable[[], None], abort: Optional[threading.Event] = None) -> None:
-        """Blocking hand-off into the bounded queue (broker back-pressure).
-
-        Gives up quietly when `abort` (the publisher's connection-closed
-        event) is set while waiting; the unacked message will be retried.
-        """
-        item = (topic, payload, message_id, ack)
+               ack: Callable[[], None],
+               abort: Optional[threading.Event] = None) -> Optional[Future]:
+        """Blocking hand-off into the bounded queue (back-pressure); returns
+        the item's outcome as a `Future`, or None with nothing queued once
+        `abort` (the publisher's connection-closed event) is set while
+        waiting, so that an unacked message is retried."""
+        outcome: Future = Future()
+        item = (topic, payload, message_id, ack, outcome)
         while True:
             try:
                 self._queue.put(item, timeout=0.2)
-                return
+                return outcome
             except queue.Full:
                 if abort is not None and abort.is_set():
-                    return
+                    return None
 
     def _drain(self) -> None:
         while True:
@@ -72,20 +74,22 @@ class IngestionSink:
                     self._worker = None
                     return
             try:
-                topic, payload, message_id, ack = self._queue.get(timeout=0.2)
+                topic, payload, message_id, ack, outcome = self._queue.get(timeout=0.2)
             except queue.Empty:
                 continue
             try:
-                self._process(topic, payload, message_id)
+                outcome.set_result(self._process(topic, payload, message_id))
             except store_mod.ValidationError as exc:
                 # Poison message: ack it away, it will never become valid.
                 log.warning("dropping invalid payload on %s: %s", topic, exc)
+                outcome.set_exception(exc)
             except store_mod.StoreError as exc:
                 log.error("store append failed, leaving message unacked: %s", exc)
+                outcome.set_exception(exc)
                 continue
             ack()
 
-    def _process(self, topic: str, payload: bytes, message_id: Optional[int]) -> None:
+    def _process(self, topic: str, payload: bytes, message_id: Optional[int]) -> int:
         doc = store_mod.load_document(payload)
         patient_id, _ = store_mod.parse_topic(topic)
-        self.store.append(topic, patient_id, doc, message_id=message_id)
+        return self.store.append(topic, patient_id, doc, message_id=message_id)

@@ -176,10 +176,8 @@ class Broker:
     # --------------------------------------------------------- lifecycle
 
     def start(self) -> "Broker":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(64)
+        # SO_REUSEADDR set, and the socket closed if the port is taken
+        listener = socket.create_server((self.host, self._requested_port), backlog=64)
         listener.settimeout(0.25)
         self._listener = listener
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -210,8 +208,11 @@ class Broker:
                 sock, addr = self._listener.accept()
             except socket.timeout:
                 continue
-            except OSError:
-                break
+            except OSError as exc:
+                if not self._stopping.is_set():     # stop() closes the listener
+                    log.warning("accept failed, retrying: %s", exc)   # EMFILE, say
+                    self._stopping.wait(0.1)
+                continue
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Connection(self, sock, addr)
             with self._lock:

@@ -91,14 +91,15 @@ class MqttClient:
 
         Retries with DUP set after each ack timeout, reconnecting first
         when the connection has gone away; raises MqttError once the
-        retry budget is spent.
+        retry budget is spent.  Any other QoS raises `codec.ProtocolError`
+        before anything is sent.
         """
         if qos == 0:
             self._send(Publish(topic, payload, 0))
             return
         self._pid = self._pid % 0xFFFF + 1
         pid = self._pid
-        packet = Publish(topic, payload, 1, pid)
+        packet = Publish(topic, payload, qos, pid)   # ProtocolError unless qos is 1
         for _ in range(self.max_retries):
             if self._stop.is_set():
                 break

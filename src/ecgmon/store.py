@@ -376,7 +376,8 @@ def _write_hint(path: str, hint: _Hint) -> None:
 
 
 class RecordStore:
-    """Single-writer, many-reader document log over a directory tree."""
+    """Single-writer, many-reader document log over a directory tree; in a
+    running system the writer is the ingestion sink's one worker thread."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)

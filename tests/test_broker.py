@@ -171,6 +171,33 @@ def test_connection_without_connect_is_closed(broker, monkeypatch):
         assert isinstance(read_packet(sock), codec.Pingresp)
         assert wait_for(lambda: len(threads & connection_threads()) == 1)
 
+
+class FailOnceListener:
+    """A listening socket whose first accept() fails with EMFILE."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.failed = threading.Event()
+
+    def accept(self):
+        if not self.failed.is_set():
+            self.failed.set()
+            raise OSError(errno.EMFILE, "Too many open files")
+        return self.inner.accept()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_accept_loop_survives_a_transient_accept_error(broker):
+    listener = FailOnceListener(broker._listener)
+    broker._listener = listener
+    assert listener.failed.wait(5)
+    # the CONNACK comes only if the accept loop is still running
+    client = MqttClient(client_id="after-emfile").connect("127.0.0.1", broker.port, timeout=2)
+    client.disconnect()
+
+
 def test_keep_alive_idle_drop(broker):
     # 1 s keep-alive and no pings: the broker drops us after ~1.5 s
     with raw_connect(broker.port, keep_alive=1) as sock:
@@ -600,3 +627,20 @@ def test_publish_raises_after_max_retries_with_one_packet_id():
     assert [p.dup for p in publishes] == [False, True, True, True]
     assert len({p.packet_id for p in publishes}) == 1
     assert received[len(publishes):] == [codec.Disconnect()]
+
+
+@pytest.mark.parametrize("qos", [2, 7])
+def test_publish_with_an_unsupported_qos_raises_before_sending(qos):
+    received = []
+
+    def script(conn, incoming):
+        received.extend(incoming)
+
+    with scripted_broker(script) as port:
+        client = MqttClient(client_id="dev").connect("127.0.0.1", port)
+        try:
+            with pytest.raises(codec.ProtocolError, match="QoS"):
+                client.publish("clinic/p1/heartbeat", b"{}", qos=qos)
+        finally:
+            client.disconnect()
+    assert received == [codec.Disconnect()]

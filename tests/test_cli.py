@@ -6,6 +6,7 @@ import http.client
 import json
 import re
 import socket
+import threading
 
 import pytest
 
@@ -347,6 +348,94 @@ def test_start_system_wires_everything(tmp_path):
         assert body["payload"]["bpm"] == 72
     finally:
         system.stop()
+
+
+def test_only_the_sink_worker_appends_for_both_doors(tmp_path, monkeypatch):
+    appenders = []
+    real_append = RecordStore.append
+
+    def spy(self, *args, **kwargs):
+        appenders.append(threading.current_thread())
+        return real_append(self, *args, **kwargs)
+
+    monkeypatch.setattr(RecordStore, "append", spy)
+    config = GatewayConfig(http_port=0, mqtt_port=0, store_root=str(tmp_path / "telemetry"))
+    system = cli.start_system(config)
+
+    def beat(patient_id, bpm):
+        return {"patient_id": patient_id, "bpm": bpm, "window_seconds": 20,
+                "measured_at": "2026-01-01T00:00:00Z"}
+
+    statuses = []
+
+    def post_all():
+        conn = http.client.HTTPConnection("127.0.0.1", system.gateway.port, timeout=5)
+        try:
+            for bpm in range(60, 70):
+                conn.request("POST", "/ingest", body=json.dumps(dict(beat("p2", bpm), kind="heartbeat")))
+                resp = conn.getresponse()
+                resp.read()
+                statuses.append(resp.status)
+        finally:
+            conn.close()
+
+    try:
+        poster = threading.Thread(target=post_all)
+        client = MqttClient(client_id="probe").connect("127.0.0.1", system.broker.port)
+        try:
+            poster.start()
+            for bpm in range(60, 70):
+                client.publish("clinic/p1/heartbeat", json.dumps(beat("p1", bpm)).encode(), qos=1)
+            poster.join(timeout=10)
+        finally:
+            client.disconnect()
+        assert statuses == [201] * 10
+        for patient_id in ("p1", "p2"):
+            assert [d.payload["bpm"] for d in system.store.read_class("heartbeat", patient_id)] \
+                == list(range(60, 70))
+        assert len(appenders) == 20
+        assert len(set(appenders)) == 1
+        assert appenders[0].name.endswith("(_drain)")
+    finally:
+        system.stop()
+
+
+def serving_threads():
+    return {t for t in threading.enumerate()
+            if t.name.endswith(("(_drain)", "(_accept_loop)", "(<lambda>)"))}
+
+
+@pytest.mark.parametrize("door", ["http", "mqtt"])
+def test_start_system_with_a_port_taken_leaves_nothing_running(tmp_path, monkeypatch, door):
+    opened = []
+
+    class Store(RecordStore):
+        def __init__(self, root):
+            super().__init__(root)
+            opened.append(self)
+
+    monkeypatch.setattr(cli, "RecordStore", Store)
+    root = str(tmp_path / "telemetry")
+    before = serving_threads()
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        config = GatewayConfig(http_port=port if door == "http" else 0,
+                               mqtt_port=port if door == "mqtt" else 0, store_root=root)
+        with pytest.raises(OSError):
+            cli.start_system(config)
+    assert serving_threads() - before == set()
+    with pytest.raises(store_mod.StoreError, match="closed"):
+        opened[0].append("clinic/p1/heartbeat", "p1", {
+            "patient_id": "p1", "bpm": 60, "window_seconds": 20, "measured_at": "x"})
+    # the same store root starts again
+    system = cli.start_system(GatewayConfig(http_port=0, mqtt_port=0, store_root=root))
+    try:
+        client = MqttClient(client_id="probe").connect("127.0.0.1", system.broker.port)
+        client.disconnect()
+        assert get_json(system.gateway.port, "/stats")[0] == 404
+    finally:
+        system.stop()
+    assert serving_threads() - before == set()
 
 
 MIDNIGHT_MS = 1_767_657_600_000      # 2026-01-06T00:00:00Z

@@ -25,7 +25,7 @@ from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
 from ecgmon.store import RecordStore
-from test_store import reference_encode_line, reference_served, stored_lines
+from test_store import fail_append_fsync, reference_encode_line, reference_served, stored_lines
 
 # received_at used by the window tests: 2023-11-14T22:13:20Z exactly
 EPOCH_MS = 1_700_000_000_000
@@ -512,6 +512,46 @@ def test_ingest_bad_payload_patient_id_400(gw):
     status, problem = request(gw, "POST", "/ingest", body=body)
     assert status == 400
     assert problem["code"] == "bad_patient_id"
+
+
+def test_ingest_with_the_sink_stopped_and_its_queue_full_is_503_busy(gw, store):
+    gw.sink.stop()
+    no_wait = threading.Event()
+    no_wait.set()
+    # invalid payloads, so that the backlog is dropped at once when the sink restarts
+    while gw.sink.submit("clinic/p9/heartbeat", b"not json", None, lambda: None,
+                         abort=no_wait) is not None:
+        pass
+    started = time.monotonic()
+    status, body = request(gw, "POST", "/ingest", body=heartbeat_body(bpm=72))
+    assert time.monotonic() - started < 1
+    assert (status, body["code"]) == (503, "busy")
+    assert store.read_class("heartbeat") == []
+    gw.sink.start()
+    status, body = request(gw, "POST", "/ingest", body=heartbeat_body(bpm=72))
+    assert (status, body) == (201, {"sequence": 1})
+    assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [72]
+
+
+def test_ingest_during_an_fsync_failure_is_503_and_the_retry_is_stored_once(tmp_path, monkeypatch):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+        try:
+            fail_append_fsync(monkeypatch)
+            status, body = request(gateway, "POST", "/ingest", body=heartbeat_body(bpm=72))
+            assert (status, body["code"]) == (503, "store_unavailable")
+            assert "injected fsync failure" in body["detail"]
+            assert store.read_class("heartbeat") == []
+            status, body = request(gateway, "POST", "/ingest", body=heartbeat_body(bpm=72))
+            assert (status, body) == (201, {"sequence": 1})
+        finally:
+            gateway.stop()
+        served = [(d.sequence, d.payload) for d in store.read_class("heartbeat")]
+    payload = {k: v for k, v in heartbeat_body(bpm=72).items() if k != "kind"}
+    assert served == [(1, payload)]
+    with RecordStore(root) as store:
+        assert [(d.sequence, d.payload) for d in store.read_class("heartbeat")] == served
 
 
 # ----------------------------------------------------------------- windows
