@@ -178,6 +178,13 @@ class _Handler(BaseHTTPRequestHandler):
         if not len(rows):
             self._problem(404, "empty_store", "no score records stored yet")
             return
+        count, body = self.gateway.stats_memo
+        if count != len(rows):
+            body = self._stats_body(rows)
+            self.gateway.stats_memo = len(rows), body
+        self._send_bytes(200, body)
+
+    def _stats_body(self, rows) -> bytes:
         dataset = analytics.Dataset(rows)
         summary = analytics.describe(dataset)
         # correlation is undefined on a single row; the field goes null
@@ -194,14 +201,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.gateway.config.theta_excellent,
             self.gateway.config.theta_acceptable,
         )
-        self._send_json(200, {
+        return _ENCODER.encode({
             "count": len(dataset),
             "stats": {
                 name: vars(summary[name]) for name in analytics.COLUMNS
             },
             "correlation": correlation,
             "quality": quality,
-        })
+        }).encode("utf-8")
 
     def _get_prediction(self, patient_id: str) -> None:
         model = self.gateway.model
@@ -285,6 +292,9 @@ class Gateway:
         self.store = store
         self.config = config or GatewayConfig()
         self.sink = IngestionSink(store)
+        # (pqrst rows, /stats body over them): the rows never change and the
+        # thresholds are frozen, so the body stands until a row is added
+        self.stats_memo: tuple[int, bytes] = (0, b"")
         self.model: Optional[regression.LinearModel] = None
         if self.config.model_path:
             try:

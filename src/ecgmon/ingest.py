@@ -48,6 +48,12 @@ class IngestionSink:
         self._running.clear()
         worker = self._worker
         if worker is not None:
+            # wakes an idle worker; a full queue means it is busy, and it
+            # sees the stop after its current message
+            try:
+                self._queue.put_nowait(None)
+            except queue.Full:
+                pass
             worker.join(timeout=STOP_JOIN_S)
 
     def submit(self, topic: str, payload: bytes, message_id: Optional[int],
@@ -73,10 +79,10 @@ class IngestionSink:
                 if not self._running.is_set():
                     self._worker = None
                     return
-            try:
-                topic, payload, message_id, ack, outcome = self._queue.get(timeout=0.2)
-            except queue.Empty:
+            item = self._queue.get()
+            if item is None:    # stop()'s wake-up
                 continue
+            topic, payload, message_id, ack, outcome = item
             try:
                 outcome.set_result(self._process(topic, payload, message_id))
             except store_mod.ValidationError as exc:

@@ -10,7 +10,9 @@ columns of every pqrst document are also kept in memory, as one float64
 matrix in sequence order, so dataset statistics need no log reads.  A
 scan of a log of another day than today leaves a `.hint` file beside it
 holding the log's index rows as they are in memory, so the next open loads
-the hint and decodes only the lines appended after it.
+the hint and decodes only the lines appended after it.  Reads go through
+one cached read descriptor per log, opened by the first read that needs it
+and kept for every later one, at most MAX_READ_HANDLES of them.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ MAX_RECORD_NO = 2**53 - 1
 # A redelivery is recognised within this long of the first delivery: well
 # above the client's retry budget, max_retries x ack_timeout = 30 x 1 s.
 DEDUP_WINDOW_MS = 10 * 60 * 1000
+# The most logs a store keeps open for reading; past it, the first opened of
+# them is dropped and opened again by its next read.
+MAX_READ_HANDLES = 256
 
 
 class StoreError(RuntimeError):
@@ -375,6 +380,19 @@ def _write_hint(path: str, hint: _Hint) -> None:
             pass
 
 
+class _ReadHandle(int):
+    """A read-only descriptor of one log, closed when the last reference to
+    it goes.  A read holds one across its preads, so a handle dropped from
+    the cache meanwhile is not closed under it, nor its number reused.  It
+    is a copy of a file object's descriptor: a file object left to the
+    collector unclosed would warn."""
+
+    __slots__ = ()
+
+    def __del__(self, _close=os.close):
+        _close(self)
+
+
 class RecordStore:
     """Single-writer, many-reader document log over a directory tree; in a
     running system the writer is the ingestion sink's one worker thread."""
@@ -389,7 +407,12 @@ class RecordStore:
         self._logs: list[str] = []      # the path of each log an index row names
         # topic class -> (day, log, handle) of the one day file it appends to
         self._write_handles: dict[str, tuple[str, int, object]] = {}
+        # log -> its read handle, in the order they were opened; only a miss
+        # takes _read_lock, never _lock, which append holds while it reads
+        self._read_handles: dict[int, _ReadHandle] = {}
+        self._read_lock = threading.Lock()
         self._closed = False
+        self._reads_closed = False
         self._rebuild()
 
     # ----------------------------------------------------------- open
@@ -639,24 +662,40 @@ class RecordStore:
         return view
 
     def _load(self, entries: np.ndarray) -> list[StoredDocument]:
-        """Read index rows back, opening each log once per run of rows in it.
-        Each line's CRC and sequence are checked; nothing is decoded."""
+        """Read index rows back, each line with one pread through its log's
+        read handle.  Each line's CRC and sequence are checked; nothing is
+        decoded."""
         docs = []
+        handles = self._read_handles
         try:
             for log, run in itertools.groupby(entries.tolist(), key=lambda e: e[_LOG]):
-                # unbuffered: each line is one pread of its own length
-                with open(self._logs[log], "rb", buffering=0) as fh:
-                    for sequence, received_at, _, offset, length, _ in run:
-                        line = os.pread(fh.fileno(), length, offset)
-                        if not _crc_checks(line):
-                            raise StoreError(f"checksum failure in {fh.name} at offset {offset}")
-                        if not line.startswith(b"%s%d," % (_SEQ_KEY, sequence)):
-                            raise StoreError(f"line in {fh.name} at offset {offset} is not "
-                                             f"sequence {sequence}")
-                        docs.append(StoredDocument(sequence, received_at, line))
+                handle = handles.get(log)
+                if handle is None:
+                    handle = self._open_read_handle(log)
+                for sequence, received_at, _, offset, length, _ in run:
+                    line = os.pread(handle, length, offset)
+                    if not _crc_checks(line):
+                        raise StoreError(f"checksum failure in {self._logs[log]} at offset {offset}")
+                    if not line.startswith(b"%s%d," % (_SEQ_KEY, sequence)):
+                        raise StoreError(f"line in {self._logs[log]} at offset {offset} is not "
+                                         f"sequence {sequence}")
+                    docs.append(StoredDocument(sequence, received_at, line))
         except OSError as exc:
             raise StoreError(f"read failed: {exc}") from exc
         return docs
+
+    def _open_read_handle(self, log: int) -> _ReadHandle:
+        """A log's read handle, opened and cached unless a read racing this
+        one just did; past MAX_READ_HANDLES the first opened is dropped."""
+        with self._read_lock:
+            if self._reads_closed:
+                raise StoreError("store is closed")
+            if log not in self._read_handles:
+                if len(self._read_handles) >= MAX_READ_HANDLES:
+                    del self._read_handles[next(iter(self._read_handles))]
+                with open(self._logs[log], "rb", buffering=0) as fh:
+                    self._read_handles[log] = _ReadHandle(os.dup(fh.fileno()))
+            return self._read_handles[log]
 
     # ----------------------------------------------------------- export
 
@@ -668,11 +707,17 @@ class RecordStore:
         return device.dump_csv(records)
 
     def close(self) -> None:
+        """Close the append handles and drop every read handle; a read that
+        needs a log after this raises `StoreError`.  A read already under
+        way keeps its handle until it is done."""
         with self._lock:
             self._close_locked()
+        with self._read_lock:
+            self._reads_closed = True
+            self._read_handles.clear()
 
     def _close_locked(self) -> None:
-        """`close` for a caller that holds the lock."""
+        """Stop appending, for a caller that holds the lock; reads go on."""
         self._closed = True
         for *_, fh in self._write_handles.values():
             try:

@@ -380,6 +380,31 @@ def test_restart_across_a_stalled_append_keeps_one_worker(tmp_path, monkeypatch)
         sink.stop()
         store.close()
 
+def test_stop_returns_at_once_when_the_worker_is_idle(tmp_path):
+    """stop() wakes a worker waiting on an empty queue instead of waiting
+    out its poll; a restarted worker skips the wake-up and drains on."""
+    store = RecordStore(tmp_path / "telemetry")
+    sink = IngestionSink(store)
+    try:
+        stopping = 0.0
+        for _ in range(5):
+            worker = sink.start()._worker
+            time.sleep(0.05)    # into its wait on the empty queue
+            started = time.monotonic()
+            sink.stop()
+            stopping += time.monotonic() - started
+            assert not worker.is_alive()
+        assert stopping < 0.25      # waiting out five 0.2 s polls takes about 0.75 s
+        acked = []
+        outcome = sink.start().submit("clinic/p1/heartbeat", heartbeat(60), None,
+                                      lambda: acked.append(60))
+        assert outcome.result(timeout=5) == 1
+        assert wait_for(lambda: acked == [60])
+    finally:
+        sink.stop()
+        store.close()
+
+
 def test_retransmit_after_sink_outage(broker, tmp_path):
     """A stalled sink delays the PUBACK; the publisher retries with DUP
     and the message lands exactly once when the sink comes back."""

@@ -788,6 +788,45 @@ def test_stats_reads_no_log_file(gw, store, monkeypatch):
     assert opened == []
 
 
+def get_raw(gateway, path):
+    conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=5)
+    try:
+        conn.request("GET", path)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+def test_stats_is_served_from_a_memo_until_a_record_is_added(gw, store, monkeypatch):
+    load_sample_records(store)
+    status, first = get_raw(gw, "/stats")
+    assert status == 200
+    calls = []
+    describe = analytics.describe
+
+    def spy(dataset):
+        calls.append(len(dataset))
+        return describe(dataset)
+
+    monkeypatch.setattr(analytics, "describe", spy)
+    assert get_raw(gw, "/stats") == (200, first)
+    assert calls == []
+    record = sample_data.sample_records()[0]
+    payload = {k: v for k, v in pqrst_body(record, r=12.5).items() if k != "kind"}
+    store.append("clinic/p1/ecg/pqrst", "p1", payload, received_at=EPOCH_MS + 20_000)
+    status, third = get_raw(gw, "/stats")
+    assert calls == [21]
+    assert json.loads(third)["count"] == 21
+    assert json.loads(third)["stats"]["R"]["min"] == 12.5
+    # what a gateway with no memo answers over the same rows
+    fresh = Gateway(store, GatewayConfig(http_port=0)).start()
+    try:
+        assert get_raw(fresh, "/stats") == (200, third)
+    finally:
+        fresh.stop()
+
+
 def test_stats_counts_a_publish_acked_just_before(store):
     sink = IngestionSink(store).start()
     broker = Broker("127.0.0.1", 0, sink=sink).start()

@@ -5,6 +5,7 @@ dedup, schema checks, range reads, and CSV export.
 import builtins
 import errno
 import fcntl
+import itertools
 import json
 import math
 import os
@@ -207,7 +208,8 @@ def test_patient_read_opens_only_its_files(store, opened):
     assert len(opened) == 1
     opened.clear()
     assert [d.sequence for d in store.read_range("p2", "pqrst", 0, 2**62)] == [2, 5, 8]
-    assert len(opened) == 3
+    # p9's read already opened the middle day's file
+    assert [Path(fh.name).name for fh in opened] == ["2026-01-05.log", "2026-01-07.log"]
 
 
 def test_reopen_keeps_sequence_order_for_days_appended_out_of_order(tmp_path):
@@ -1061,6 +1063,159 @@ def test_pqrst_matrix_under_concurrent_appends_and_reads(store, monkeypatch):
     assert len(final) == writers * per_writer
     assert_matrix_matches_read_class(store)
     assert snapshots and all(np.array_equal(s, final[:len(s)]) for s in snapshots)
+
+
+# ----------------------------------------------------------- read handles
+
+def held_logs(root) -> list[str]:
+    """The logs under `root` that this process holds a descriptor of."""
+    root = str(Path(root).resolve())
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:     # the listing's own descriptor, closed since
+            continue
+        if target.startswith(root) and target.endswith(".log"):
+            held.append(target)
+    return held
+
+
+def append_days(store, days, per_day, pid="p1"):
+    for day in range(days):
+        for n in range(per_day):
+            store.append(f"clinic/{pid}/ecg/pqrst", pid, pqrst(pid, record_no=day * per_day + n + 1),
+                         received_at=1_767_600_000_000 + day * DAY_MS + n)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_read_handles_stay_within_their_bound(tmp_path, monkeypatch, opened):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        append_days(store, 5, 2)
+    monkeypatch.setattr(store_mod, "MAX_READ_HANDLES", 2)
+    store = RecordStore(root)       # with no append handle open
+    try:
+        for first in range(5):
+            for last in range(first, 5):
+                docs = store.read_range("p1", "pqrst", 1_767_600_000_000 + first * DAY_MS,
+                                        1_767_600_000_000 + (last + 1) * DAY_MS)
+                assert [d.payload["record_no"] for d in docs] == list(range(2 * first + 1, 2 * last + 3))
+                assert len(held_logs(root)) <= 2
+        # a log dropped from the cache is opened again by its next read
+        opened.clear()
+        assert [d.sequence for d in store.read_class("pqrst")] == list(range(1, 11))
+        assert len(opened) == 5
+        assert len(held_logs(root)) == 2
+    finally:
+        store.close()
+    assert held_logs(root) == []
+
+
+def test_concurrent_reads_past_the_bound_beside_a_writer(tmp_path, monkeypatch):
+    """Readers on more threads than cores, each window over more day files
+    than the bound, while a writer appends across a day change: every read
+    returns its documents, and none fails a CRC or sequence check."""
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: None)
+    monkeypatch.setattr(store_mod, "MAX_READ_HANDLES", 2)
+    days, per_day, writes = 6, 3, 200
+    base = 1_767_600_000_000
+    store = RecordStore(tmp_path / "telemetry")
+    append_days(store, days, per_day)
+    errors = []
+    done = threading.Event()
+
+    def write():
+        # the writer's own patient, its appends crossing 2026-01-12T00:00Z
+        for n in range(writes):
+            store.append("clinic/w/ecg/pqrst", "w", pqrst("w", record_no=n + 1),
+                         received_at=1_768_176_000_000 - writes // 2 + n)
+
+    def read(r):
+        try:
+            for rounds in itertools.count():
+                if done.is_set() and rounds >= 20:
+                    break
+                for first in range(days):
+                    last = (first + r + 2) % days
+                    lo, hi = min(first, last), max(first, last)
+                    docs = store.read_range("p1", "pqrst", base + lo * DAY_MS, base + (hi + 1) * DAY_MS)
+                    assert [d.payload["record_no"] for d in docs] == list(
+                        range(lo * per_day + 1, (hi + 1) * per_day + 1))
+                written = [d.payload["record_no"] for d in store.read_class("pqrst", "w")]
+                assert written == list(range(1, len(written) + 1))
+        except Exception as exc:    # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read, args=(r,)) for r in range(4)]
+        writer = threading.Thread(target=write)
+        for t in readers + [writer]:
+            t.start()
+        writer.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        store.close()
+    assert not any(t.is_alive() for t in readers + [writer])
+    assert errors == []
+    assert len(list((tmp_path / "telemetry" / "pqrst").glob("*.log"))) == days + 2
+
+
+def test_read_after_close_raises(store):
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60), received_at=1_767_600_000_000)
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=61), received_at=1_767_600_000_000 + DAY_MS)
+    assert store.latest("p1", "heartbeat").payload["bpm"] == 61     # one log's handle cached
+    store.close()
+    with pytest.raises(StoreError, match="store is closed"):
+        store.latest("p1", "heartbeat")
+    with pytest.raises(StoreError, match="store is closed"):
+        store.read_range("p1", "heartbeat", 0, 1_767_600_000_001)
+
+
+def test_reads_go_on_after_a_failed_cut_closes_the_store(tmp_path, monkeypatch):
+    store = RecordStore(tmp_path / "telemetry")
+    store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60))
+    fail_append_fsync(monkeypatch)
+
+    def no_truncate(fd, length):
+        raise OSError(errno.EIO, "injected truncate failure")
+
+    monkeypatch.setattr(store_mod.os, "ftruncate", no_truncate)
+    with pytest.raises(StoreError, match="store closed"):
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=61))
+    assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [60]
+    store.close()
+
+
+def test_todays_handle_reads_later_appends_and_a_retransmit_after_a_cut(store, monkeypatch, opened):
+    first, second, third = (pqrst(record_no=n) for n in (1, 2, 3))
+    store.append("clinic/p1/ecg/pqrst", "p1", first, message_id=1)
+    assert [d.sequence for d in store.read_class("pqrst")] == [1]
+    opened.clear()
+    store.append("clinic/p1/ecg/pqrst", "p1", second, message_id=2)
+    assert [d.payload for d in store.read_class("pqrst")] == [first, second]
+    fail_append_fsync(monkeypatch)
+    with pytest.raises(StoreError, match="injected"):
+        store.append("clinic/p1/ecg/pqrst", "p1", third, message_id=3)
+    assert [d.payload for d in store.read_class("pqrst")] == [first, second]
+    assert store.append("clinic/p1/ecg/pqrst", "p1", third, message_id=3) == 3
+    assert [d.payload for d in store.read_class("pqrst")] == [first, second, third]
+    assert opened == []     # every read went through the handle the first one cached
+
+
+def test_redelivery_check_opens_no_file_once_cached(store, opened):
+    doc = pqrst(record_no=1)
+    assert store.append("clinic/p1/ecg/pqrst", "p1", doc, message_id=7) == 1
+    assert store.append("clinic/p1/ecg/pqrst", "p1", doc, message_id=7) == 1
+    opened.clear()
+    assert store.append("clinic/p1/ecg/pqrst", "p1", doc, message_id=7) == 1
+    assert opened == []
+    assert [d.sequence for d in store.read_class("pqrst")] == [1]
 
 
 # ------------------------------------------------------- served documents
