@@ -12,13 +12,18 @@ import json
 import logging
 import math
 import socket
+import socketserver
 import struct
 import threading
+import time
 import weakref
+from concurrent import futures
 from datetime import datetime, timedelta, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
 from typing import Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
 from . import analytics, device, regression
 from .config import GatewayConfig
@@ -30,6 +35,11 @@ __all__ = ["Gateway"]
 log = logging.getLogger("ecgmon.gateway")
 
 MAX_BODY_BYTES = 1 << 20   # a valid ingest body is under 1 KB
+MAX_LINE_BYTES = 8192      # request line and each header line (RFC 9112 §3: 8,000 at least)
+MAX_HEADER_LINES = 100
+_REASONS = {status.value: status.phrase.encode() for status in HTTPStatus}
+# the Date header's value for a second, formatted once (RFC 9110 §6.6.1)
+_http_date = lru_cache(maxsize=1)(lambda second: formatdate(second, usegmt=True).encode())
 _NO_WAIT = threading.Event()   # POST /ingest's `abort`: one try to queue, then 503
 _NO_WAIT.set()
 
@@ -63,14 +73,12 @@ def _finite_or_null(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "ecgmon"
+class _Handler(socketserver.StreamRequestHandler):
     # a response leaves in one write, but a body longer than one TCP segment
     # goes out in several; Nagle's algorithm would hold the last, partial one
     # until the client acknowledges the others, which a delayed ACK puts off
     disable_nagle_algorithm = True
-    # seconds a read may wait, so a stalled client releases its thread
+    # seconds a read or a queued POST /ingest may wait, so a stalled client releases its thread
     read_timeout_s = 60
 
     # set by Gateway when building the server
@@ -78,27 +86,70 @@ class _Handler(BaseHTTPRequestHandler):
 
     def setup(self) -> None:
         super().setup()
-        # a kernel receive timeout; the stdlib's `timeout` would poll() before
+        # a kernel receive timeout; a socket timeout would poll() before
         # every read and write, about 7% of dashboard-query's throughput
         seconds, fraction = divmod(self.read_timeout_s, 1)
         self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
                                    struct.pack("ll", int(seconds), int(fraction * 1e6)))
 
-    def log_message(self, fmt, *args):  # noqa: N802 - stdlib name
-        log.debug("%s " + fmt, self.address_string(), *args)
+    def handle(self) -> None:
+        self.close_connection = False
+        while not self.close_connection and self._read_request():
+            (self.do_GET if self.command == b"GET" else self.do_POST)()
+
+    def _read_request(self) -> bool:
+        """Read a request line and its header lines; False ends the connection."""
+        line = self.rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            return self._refuse(414, "uri_too_long", f"request line over {MAX_LINE_BYTES} bytes")
+        if not line.endswith(b"\n"):   # closed, or timed out, before the line ended
+            return False
+        words = line.split()
+        if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+            return self._refuse(400, "bad_request", "malformed request line")
+        self.command, target, self.request_version = words
+        self.path = target.decode("latin-1")
+        if self.request_version not in (b"HTTP/1.1", b"HTTP/1.0"):
+            return self._refuse(505, "version_not_supported", "only HTTP/1.0 and HTTP/1.1")
+        # a repeated field's values joined by commas, as RFC 9110 §5.3 allows
+        self.headers = headers = {}
+        for n in range(MAX_HEADER_LINES + 1):
+            line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if n == MAX_HEADER_LINES or len(line) > MAX_LINE_BYTES:
+                return self._refuse(431, "headers_too_large", "too many or too long header lines")
+            if not line.endswith(b"\n"):
+                return False
+            name, colon, value = line.partition(b":")
+            if not colon or not name or name != name.strip():   # RFC 9112 §5.1, §5.2
+                return self._refuse(400, "bad_request", "malformed header line")
+            key, value = name.decode("latin-1").title(), value.strip().decode("latin-1")
+            headers[key] = f"{headers[key]}, {value}" if key in headers else value
+        if self.request_version == b"HTTP/1.1" and "," in headers.get("Host", ","):
+            return self._refuse(400, "bad_request", "HTTP/1.1 needs one Host")  # RFC 9112 §3.2
+        if self.command not in (b"GET", b"POST"):
+            return self._refuse(501, "not_implemented", f"no method {self.command.decode('latin-1')}")
+        connection = {t.strip() for t in headers.get("Connection", "").lower().split(",")}
+        self.close_connection = ("close" in connection if self.request_version == b"HTTP/1.1"
+                                 else "keep-alive" not in connection)
+        return True
+
+    def _refuse(self, status: int, code: str, detail: str) -> bool:
+        self.close_connection = True
+        self._problem(status, code, detail)
+        return False
 
     # ------------------------------------------------------------ plumbing
 
     def _send_bytes(self, status: int, data: bytes) -> None:
         """Answer with a JSON body: status line, headers and body in one write."""
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(data)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        # what end_headers() adds, then the body, joined by flush_headers()
-        self._headers_buffer.extend((b"\r\n", data))
-        self.flush_headers()
+        self.wfile.write(b"HTTP/1.1 %d %s\r\nServer: ecgmon\r\nDate: %s\r\n"
+                         b"Content-Type: application/json; charset=utf-8\r\n"
+                         b"Content-Length: %d\r\n%s\r\n%s" % (
+                             status, _REASONS[status], _http_date(int(time.time())),
+                             len(data), b"Connection: close\r\n" if self.close_connection else b"",
+                             data))
 
     def _send_json(self, status: int, body) -> None:
         self._send_bytes(status, _ENCODER.encode(body).encode("utf-8"))
@@ -108,31 +159,31 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------ routing
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib name
+    def do_GET(self) -> None:  # noqa: N802 - the name the benchmark's tracer wraps
         try:
-            url = urlparse(self.path)
-            parts = [p for p in url.path.split("/") if p]
+            path, _, query = self.path.partition("?")
+            parts = [p for p in path.split("/") if p]
             if parts == ["stats"]:
                 return self._get_stats()
             if len(parts) == 4 and parts[0] == "patients" and parts[2:] == ["heartbeat", "latest"]:
                 return self._with_patient(parts[1], self._get_latest_heartbeat)
             if len(parts) == 3 and parts[0] == "patients" and parts[2] == "ecg":
-                return self._with_patient(parts[1], self._get_ecg, parse_qs(url.query))
+                return self._with_patient(parts[1], self._get_ecg, parse_qs(query))
             if len(parts) == 3 and parts[0] == "patients" and parts[2] == "prediction":
                 return self._with_patient(parts[1], self._get_prediction)
-            self._problem(404, "not_found", f"no route for {url.path}")
+            self._problem(404, "not_found", f"no route for {path}")
         except BrokenPipeError:
             pass
         except Exception as exc:  # noqa: BLE001 - last-resort handler
             log.exception("GET %s failed", self.path)
             self._problem(500, "internal_error", str(exc))
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib name
+    def do_POST(self) -> None:  # noqa: N802
         try:
-            url = urlparse(self.path)
-            if url.path.rstrip("/") == "/ingest":
+            path = self.path.partition("?")[0]
+            if path.rstrip("/") == "/ingest":
                 return self._post_ingest()
-            self._problem(404, "not_found", f"no route for {url.path}")
+            self._problem(404, "not_found", f"no route for {path}")
         except BrokenPipeError:
             pass
         except Exception as exc:  # noqa: BLE001
@@ -233,7 +284,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _post_ingest(self) -> None:
         # RFC 9110 §8.6: the value is 1*DIGIT; RFC 9112 §6.3: differing
         # repeated values are as invalid as a malformed one
-        values = {v.strip(" \t") for v in self.headers.get_all("Content-Length", ["0"])}
+        values = {v.strip(" \t") for v in self.headers.get("Content-Length", "0").split(",")}
         text = values.pop() if len(values) == 1 else ""
         try:
             length = int(text) if text.isascii() and text.isdigit() else -1
@@ -247,6 +298,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._problem(413, "body_too_large", f"body exceeds {MAX_BODY_BYTES} bytes")
             return
+        if (self.request_version == b"HTTP/1.1"
+                and self.headers.get("Expect", "").lower() == "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(length)
         if raw is None or len(raw) < length:  # the client stalled or hung up mid-body
             self.close_connection = True
@@ -272,8 +326,11 @@ class _Handler(BaseHTTPRequestHandler):
                                            abort=_NO_WAIT)
         if outcome is None:
             return self._problem(503, "busy", "the ingestion queue is full; nothing was stored")
+        # not taken in time, it is withdrawn, and the sink skips it
+        if not futures.wait((outcome,), self.read_timeout_s).done and outcome.cancel():
+            return self._problem(503, "busy", "the ingestion sink is stalled; nothing was stored")
         try:
-            seq = outcome.result()   # once queued, wait: nothing is stored after a 503
+            seq = outcome.result()   # the sink holds it: nothing is stored after a 503
         except ValidationError as exc:
             status = 422 if exc.out_of_range else 400
             self._problem(status, "invalid_document", str(exc))
@@ -283,8 +340,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(201, {"sequence": seq})
 
 
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
+
+
 class Gateway:
-    """ThreadingHTTPServer wrapper bound to a store and a config.  `POST
+    """Threading HTTP/1.1 server bound to a store and a config.  `POST
     /ingest` appends through `sink`, its own `IngestionSink`, which
     `start_system` shares with the broker: the store's one writer."""
 
@@ -307,9 +369,7 @@ class Gateway:
         # Weakly: a class is freed only by a full garbage collection, and
         # until then it would keep a stopped gateway, and its store, alive.
         handler = type("BoundHandler", (_Handler,), {"gateway": weakref.proxy(self)})
-        self._server = ThreadingHTTPServer(
-            (self.config.http_host, self.config.http_port), handler)
-        self._server.daemon_threads = True
+        self._server = _Server((self.config.http_host, self.config.http_port), handler)
         self._thread: Optional[threading.Thread] = None
 
     @property

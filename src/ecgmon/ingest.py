@@ -4,6 +4,7 @@ The broker (each PUBLISH) and the gateway (each `POST /ingest`) hand
 (topic, payload, message id, ack) into one bounded queue; one worker thread
 parses, validates and durably appends each item, resolves the `Future` that
 `submit` returned with its sequence or error, then fires the ack (PUBACK).
+An item whose `Future` its submitter cancelled while it waited is skipped.
 Invalid payloads are acked and dropped (they would be retried forever); a
 storage failure is not acked, so the publisher retransmits the message.
 """
@@ -83,6 +84,8 @@ class IngestionSink:
             if item is None:    # stop()'s wake-up
                 continue
             topic, payload, message_id, ack, outcome = item
+            if not outcome.set_running_or_notify_cancel():  # its submitter gave up waiting
+                continue
             try:
                 outcome.set_result(self._process(topic, payload, message_id))
             except store_mod.ValidationError as exc:

@@ -193,7 +193,8 @@ class Broker:
 
     def stop(self) -> None:
         self._stopping.set()
-        if self._listener is not None:
+        if self._listener is not None and self._listener.fileno() != -1:
+            self._listener.shutdown(socket.SHUT_RDWR)   # wakes accept(), which close() does not
             self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2)
@@ -209,7 +210,7 @@ class Broker:
             except socket.timeout:
                 continue
             except OSError as exc:
-                if not self._stopping.is_set():     # stop() closes the listener
+                if not self._stopping.is_set():     # stop() shuts the listener down
                     log.warning("accept failed, retrying: %s", exc)   # EMFILE, say
                     self._stopping.wait(0.1)
                 continue

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from ecgmon import store as store_mod
+from ecgmon.config import GatewayConfig
+from ecgmon.gateway import Gateway
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +47,25 @@ def test_traced_read_counts_one_open_per_day_file(tracing, tmp_path):
     reads = {s.sid for s in tracer.spans if s.name == "store.read_class"}
     opens = [s for s in tracer.spans if s.name == "store.open_file" and s.parent in reads]
     assert len(reads) == 1 and len(opens) == 2
+
+
+def test_traced_gets_carry_their_clients_request_ids(tracing, tmp_path):
+    """The tracer keys each gateway.get span by the X-Request-Id its
+    client sent, read from the handler's headers."""
+    from perfbench.common import Http
+    with store_mod.RecordStore(tmp_path) as store:
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+            web = Http(gateway.port, tracer)
+            try:
+                assert [web.get("/stats")[0] for _ in range(2)] == [404, 404]
+            finally:
+                web.close()
+                gateway.stop()
+    clients = [s.rid for s in tracer.spans if s.name == "client.http"]
+    gets = [s.rid for s in tracer.spans if s.name == "gateway.get"]
+    assert clients == gets == ["h1", "h2"]
 
 
 def test_dashboard_workload_passes_its_gate(tracing, tmp_path):

@@ -198,6 +198,20 @@ def test_accept_loop_survives_a_transient_accept_error(broker):
     client.disconnect()
 
 
+def test_stop_of_an_idle_broker_returns_at_once():
+    """stop() wakes the accept() waiting on the listener instead of
+    waiting out its timeout."""
+    stopping = 0.0
+    for _ in range(5):
+        broker = Broker(port=0).start()
+        time.sleep(0.05)    # into its accept()
+        started = time.monotonic()
+        broker.stop()
+        stopping += time.monotonic() - started
+        assert not broker._accept_thread.is_alive()
+    assert stopping < 0.25      # waiting out five 0.25 s timeouts takes about 1 s
+
+
 def test_keep_alive_idle_drop(broker):
     # 1 s keep-alive and no pings: the broker drops us after ~1.5 s
     with raw_connect(broker.port, keep_alive=1) as sock:

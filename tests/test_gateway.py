@@ -20,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ecgmon import analytics, regression, sample_data, store as store_mod
 from ecgmon.config import GatewayConfig
-from ecgmon.gateway import MAX_BODY_BYTES, Gateway, _parse_rfc3339
+from ecgmon.gateway import (MAX_BODY_BYTES, MAX_HEADER_LINES, MAX_LINE_BYTES, Gateway,
+                            _parse_rfc3339)
 from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
@@ -189,6 +190,113 @@ def test_post_to_unknown_route_404(gw):
     status, body = request(gw, "POST", "/patients/p1/ecg", body={})
     assert status == 404
     assert body["code"] == "not_found"
+
+
+# ----------------------------------------------------------------- framing
+
+def exchange(sock, data):
+    """Send raw request bytes; returns (status, JSON body, Connection header)."""
+    sock.sendall(data)
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp.status, json.loads(resp.read()), resp.getheader("Connection")
+
+
+def closed_by_server(sock):
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:  # closed with unread request bytes still queued
+        return True
+
+
+def wait_for_thread_count(count):
+    deadline = time.monotonic() + 5
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+def header_lines(n):
+    return b"Host: localhost\r\n" + b"".join(b"X-N: %d\r\n" % i for i in range(n - 1))
+
+
+LONG = b"a" * MAX_LINE_BYTES
+
+
+@pytest.mark.parametrize("data,status,code", [
+    (b"GET /stats HTTP/1.1\r\n" + header_lines(MAX_HEADER_LINES + 1) + b"\r\n",
+     431, "headers_too_large"),
+    (b"GET /" + LONG + b" HTTP/1.1\r\nHost: localhost\r\n\r\n", 414, "uri_too_long"),
+    (b"GET /stats HTTP/1.1\r\nHost: localhost\r\nX-Long: " + LONG + b"\r\n\r\n",
+     431, "headers_too_large"),
+    (b"hello\r\n\r\n", 400, "bad_request"),
+    (b"GET /stats\r\n\r\n", 400, "bad_request"),
+    (b"GET /stats HTTP/2.0\r\nHost: localhost\r\n\r\n", 505, "version_not_supported"),
+    (b"PUT /ingest HTTP/1.1\r\nHost: localhost\r\nContent-Length: 2\r\n\r\n{}",
+     501, "not_implemented"),
+    (b"HEAD /stats HTTP/1.1\r\nHost: localhost\r\n\r\n", 501, "not_implemented"),
+    (b"GET /stats HTTP/1.1\r\n\r\n", 400, "bad_request"),
+    (b"GET /stats HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n", 400, "bad_request"),
+    (b"GET /stats HTTP/1.1\r\nHost : localhost\r\n\r\n", 400, "bad_request"),
+    (b"GET /stats HTTP/1.1\r\nHost: localhost\r\nX-A: 1\r\n folded\r\n\r\n",
+     400, "bad_request"),
+    (b"GET /stats HTTP/1.1\r\nHost: localhost\r\nno colon\r\n\r\n", 400, "bad_request"),
+], ids=["101-header-lines", "long-request-line", "long-header-line", "junk-request-line",
+        "no-version", "http-2", "put", "head", "no-host", "two-hosts", "space-before-colon",
+        "folded-line", "no-colon"])
+def test_hostile_request_gets_a_problem_document_and_a_close(gw, data, status, code):
+    baseline = threading.active_count()
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        answer, problem, connection = exchange(sock, data)
+        assert (answer, problem["status"], problem["code"]) == (status, status, code)
+        assert set(problem) == {"status", "code", "detail"}
+        assert connection == "close"
+        assert closed_by_server(sock)
+    assert wait_for_thread_count(baseline) == baseline
+
+
+def test_request_at_the_limits_is_served_on_a_kept_connection(gw):
+    # 100 header lines, one of them 8 KiB with its CRLF
+    longest = b"X-Long: " + b"a" * (MAX_LINE_BYTES - 10) + b"\r\n"
+    assert len(longest) == MAX_LINE_BYTES
+    data = (b"GET /stats HTTP/1.1\r\n" + header_lines(MAX_HEADER_LINES - 1) + longest
+            + b"\r\n")
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        for _ in range(2):
+            status, problem, connection = exchange(sock, data)
+            assert (status, problem["code"], connection) == (404, "empty_store", None)
+
+
+def test_bare_newline_line_endings_are_served(gw):
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        for _ in range(2):
+            status, problem, connection = exchange(sock, b"GET /nope HTTP/1.1\nHost: x\n\n")
+            assert (status, problem["code"], connection) == (404, "not_found", None)
+
+
+def test_http_1_0_closes_unless_it_asks_for_keep_alive(gw):
+    baseline = threading.active_count()
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        assert exchange(sock, b"GET /stats HTTP/1.0\r\n\r\n")[::2] == (404, "close")
+        assert closed_by_server(sock)
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        for _ in range(2):
+            assert exchange(sock, b"GET /stats HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+                            )[::2] == (404, None)
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        data = b"GET /stats HTTP/1.1\r\nHost: x\r\nConnection: keep-alive, close\r\n\r\n"
+        assert exchange(sock, data)[::2] == (404, "close")
+        assert closed_by_server(sock)
+    assert wait_for_thread_count(baseline) == baseline
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_read(gw, store):
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        sock.sendall(f"POST /ingest HTTP/1.1\r\nHost: localhost\r\nExpect: 100-continue\r\n"
+                     f"Content-Length: {BODY_LEN}\r\n\r\n".encode())
+        assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert exchange(sock, INGEST_BODY)[:2] == (201, {"sequence": 1})
+    assert store.latest("p1", "heartbeat").payload["bpm"] == 72
 
 
 # ----------------------------------------------------------------- ingest
@@ -531,6 +639,21 @@ def test_ingest_with_the_sink_stopped_and_its_queue_full_is_503_busy(gw, store):
     status, body = request(gw, "POST", "/ingest", body=heartbeat_body(bpm=72))
     assert (status, body) == (201, {"sequence": 1})
     assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [72]
+
+
+def test_ingest_queued_while_the_sink_is_stopped_is_503_busy_after_the_wait(gw, store,
+                                                                           monkeypatch):
+    monkeypatch.setattr("ecgmon.gateway._Handler.read_timeout_s", 0.5)
+    gw.sink.stop()
+    started = time.monotonic()
+    status, body = request(gw, "POST", "/ingest", body=heartbeat_body(bpm=72))
+    assert time.monotonic() - started < 1
+    assert (status, body["code"]) == (503, "busy")
+    # the sink skips the cancelled document when it drains its queue
+    gw.sink.start()
+    status, body = request(gw, "POST", "/ingest", body=heartbeat_body(bpm=73))
+    assert (status, body) == (201, {"sequence": 1})
+    assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [73]
 
 
 def test_ingest_during_an_fsync_failure_is_503_and_the_retry_is_stored_once(tmp_path, monkeypatch):
