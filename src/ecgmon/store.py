@@ -129,6 +129,15 @@ def _by_sequence(entries: np.ndarray) -> np.ndarray:
     return entries[np.argsort(entries[:, _SEQ])]
 
 
+def _then_by(order: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """`order` sorted stably by each key in turn: from the argsort of unique
+    sequences, `np.lexsort((sequences, *keys))`, but with each key of 16
+    bits or fewer radix-sorted."""
+    for key in keys:
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
 def _appended(matrix: np.ndarray, rows: int, row) -> np.ndarray:
     """`matrix` with `row` written after its first `rows` rows, in a copy of
     twice the size when those fill it."""
@@ -271,9 +280,8 @@ def _payload_of(line: bytes) -> bytes:
 def _crc_checks(raw: bytes) -> bool:
     """Whether a log line ends in "crc", the CRC-32 of the line without it,
     and a newline."""
-    marker = raw.rfind(_CRC_KEY)
-    return marker >= 0 and raw[marker + len(_CRC_KEY):] == b"%d}\n" % zlib.crc32(
-        b"}", zlib.crc32(raw[:marker]))
+    head, key, crc = raw.rpartition(_CRC_KEY)
+    return key == _CRC_KEY and crc == b"%d}\n" % zlib.crc32(b"}", zlib.crc32(head))
 
 
 def _decode_line(raw: bytes) -> Optional[dict]:
@@ -309,21 +317,20 @@ class _Hint(NamedTuple):
     covered: int = 0
     crc: int = 0            # CRC-32 of the covered bytes
     ids: list = []          # the log's patient ids
-    owners: np.ndarray = np.empty(0, np.int64)      # each line's patient, as its place in `ids`
-    # an index row per line; the log column is set again on open
+    counts: np.ndarray = np.empty(0, np.int64)      # each patient's line count, in `ids` order
+    # an index row per line, grouped by patient in `ids` order and in file
+    # order within a patient; the log column is set again on open
     entries: np.ndarray = _NO_ENTRIES
     # a pqrst log's `device.pqrst_row` values, one per index row; none in a
     # log of another class
     rows: np.ndarray = np.empty((0, len(analytics.COLUMNS)))
 
     def encode(self) -> bytes:
-        order = np.argsort(self.owners, kind="stable")
         ids = "\0".join(self.ids).encode("utf-8", "surrogatepass")
         body = b"".join([
             _HINT_HEADER.pack(_HINT_MAGIC, _HINT_VERSION, self.covered, self.crc, len(self.entries),
                               len(self.ids), len(ids), len(self.rows)),
-            np.bincount(self.owners, minlength=len(self.ids)).tobytes(), self.entries[order].tobytes(),
-            ids, (self.rows[order] if len(self.rows) else self.rows).tobytes()])
+            self.counts.tobytes(), self.entries.tobytes(), ids, self.rows.tobytes()])
         return body + _HINT_CRC.pack(zlib.crc32(body))
 
     @classmethod
@@ -331,28 +338,26 @@ class _Hint(NamedTuple):
         """The hint a file holds; None unless it reads and its CRC, magic,
         version and length all check.  Its arrays are views of the file's bytes."""
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb", buffering=0) as fh:
                 data = fh.read()
         except OSError:
             return None
-        body = memoryview(data)[:-_HINT_CRC.size]
-        if len(data) < _HINT_HEADER.size + _HINT_CRC.size or (
-                _HINT_CRC.unpack_from(data, len(body))[0] != zlib.crc32(body)):
+        end = len(data) - _HINT_CRC.size
+        if end < _HINT_HEADER.size or data[end:] != _HINT_CRC.pack(zlib.crc32(memoryview(data)[:end])):
             return None
-        magic, version, covered, crc, lines, patients, id_bytes, rows = _HINT_HEADER.unpack_from(body)
+        magic, version, covered, crc, lines, patients, id_bytes, rows = _HINT_HEADER.unpack_from(data)
         width = len(analytics.COLUMNS)
-        if (magic != _HINT_MAGIC or version != _HINT_VERSION or len(body) != _HINT_HEADER.size
-                + 8 * (patients + _INDEX_WIDTH * lines + width * rows) + id_bytes):
+        pos = _HINT_HEADER.size + 8 * (patients + _INDEX_WIDTH * lines)
+        if (magic != _HINT_MAGIC or version != _HINT_VERSION
+                or end != pos + id_bytes + 8 * width * rows):
             return None
-        ints = np.frombuffer(body, np.int64, patients + _INDEX_WIDTH * lines, _HINT_HEADER.size)
-        pos = _HINT_HEADER.size + ints.nbytes
         # a patient id of an old log may hold a NUL; its hint splits into too many
-        ids = str(body[pos:pos + id_bytes], "utf-8", "surrogatepass").split("\0") if patients else []
+        ids = data[pos:pos + id_bytes].decode("utf-8", "surrogatepass").split("\0") if patients else []
         if len(ids) != patients:
             return None
-        return cls(covered, crc, ids, np.repeat(np.arange(patients), ints[:patients]),
-                   ints[patients:].reshape(lines, _INDEX_WIDTH),
-                   np.frombuffer(body, float, width * rows, pos + id_bytes).reshape(rows, width))
+        ints = np.frombuffer(data, np.int64, patients + _INDEX_WIDTH * lines, _HINT_HEADER.size)
+        return cls(covered, crc, ids, ints[:patients], ints[patients:].reshape(lines, _INDEX_WIDTH),
+                   np.frombuffer(data, float, width * rows, pos + id_bytes).reshape(rows, width))
 
 
 def _crc_of_first(fh, size: int) -> int:
@@ -419,50 +424,67 @@ class RecordStore:
 
     def _rebuild(self) -> None:
         """Index every log and set the next sequence."""
-        today = _day_of(_now_ms())
+        todays_log = f"{_day_of(_now_ms())}.log"
         self._matrix = np.empty((0, len(analytics.COLUMNS)))
         self._next_seq = 1
         for klass in TOPIC_CLASSES:
+            class_dir = self.root / klass
+            try:
+                # the logs Path.glob("*.log") lists: every name ending so, hidden ones too
+                with os.scandir(class_dir) as listing:
+                    names = sorted(entry.name for entry in listing if entry.name.endswith(".log"))
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+            if not names:
+                continue
             first = len(self._logs)
-            self._logs += map(str, sorted(self.root.glob(f"{klass}/*.log")))
-            numbers = range(first, len(self._logs))
-            logs = [self._scan_file(klass, n, today) for n in numbers]
-            entries = np.concatenate([_NO_ENTRIES] + [log.entries for log in logs])
-            entries[:, _LOG] = np.repeat(numbers, [len(log.entries) for log in logs])
-            ids: dict[str, int] = {}         # patient id -> its number within the class
-            patients = np.concatenate([np.empty(0, np.int64)] + [
-                np.array([ids.setdefault(pid, len(ids)) for pid in log.ids], np.int64)[log.owners] for log in logs])
+            self._logs += [f"{class_dir}/{name}" for name in names]
+            logs = [self._scan_file(klass, first + n, name == todays_log) for n, name in enumerate(names)]
+            entries = np.concatenate([log.entries for log in logs])
+            entries[:, _LOG] = np.repeat(range(first, len(self._logs)), [len(log.entries) for log in logs])
+            rows = np.concatenate([log.rows for log in logs])
+            counts = np.concatenate([log.counts for log in logs])
+            listed = [log.ids for log in logs]
+            del logs    # and the hint bytes they view, whose memory the gathers below reuse
+            # patient id -> its number within the class; each row's number, in
+            # the smallest unsigned dtype that holds them all
+            ids = dict(zip(dict.fromkeys(itertools.chain.from_iterable(listed)), itertools.count()))
+            patients = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(listed)),
+                                   np.min_scalar_type(len(ids)), sum(map(len, listed))).repeat(counts)
+            by_seq = np.argsort(entries[:, _SEQ])
+            # rows are gathered with take, a few times faster than indexing with an array
             if klass == "pqrst":    # in sequence order: the first _rows rows of _matrix
-                rows = np.concatenate([self._matrix] + [log.rows for log in logs])
-                self._matrix = rows[np.argsort(entries[:, _SEQ])]
-            # each patient's rows in (received_at, sequence) order, with one sort and split
-            order = np.lexsort((entries[:, _SEQ], entries[:, _RECEIVED], patients))
-            starts = np.searchsorted(patients[order], range(1, len(ids)))
-            for pid, rows in zip(ids, np.split(entries[order], starts)):
-                self._index[klass, pid] = rows, len(rows)
+                self._matrix = rows.take(by_seq, axis=0)
+            # each patient's rows in (received_at, sequence) order, cut from one sort
+            order = _then_by(by_seq, entries[:, _RECEIVED], patients)
+            entries = entries.take(order, axis=0)
+            bounds = patients[order].searchsorted(np.arange(len(ids) + 1)).tolist()
+            for pid, start, end in zip(ids, bounds, bounds[1:]):
+                self._index[klass, pid] = entries[start:end], end - start
             self._next_seq = max(self._next_seq, int(entries[:, _SEQ].max(initial=0)) + 1)
         self._rows = len(self._matrix)
 
-    def _scan_file(self, klass: str, number: int, today: str) -> _Hint:
+    def _scan_file(self, klass: str, number: int, today: bool) -> _Hint:
         """Index one log: from its hint, when the hint's CRC and that of
         the log bytes it covers both check, then by decoding each line
         after them.  Returns what the scan found, as the log's hint holds
-        it.  A log of another day than today ends with its hint rewritten
-        whenever a line was decoded."""
+        it.  Today's log is decoded in full and never hinted; any other
+        ends with its hint rewritten whenever a line was decoded."""
         path = self._logs[number]
         hint_path = path.removesuffix(".log") + ".hint"
-        day = Path(path).stem
-        hint = None if day == today else _Hint.read(hint_path)
-        tail, owners, tail_rows = array("q"), array("q"), []   # of the decoded lines
+        hint = None if today else _Hint.read(hint_path)
         with open(path, "rb") as fh:
             if hint is not None and _crc_of_first(fh, hint.covered) != hint.crc:
                 hint = None
                 fh.seek(0)
+            if hint is not None and not fh.peek(1):
+                return hint                 # no byte past those it covers
             log = hint or _Hint()
             ids = dict(zip(log.ids, itertools.count()))
+            tail, owners, tail_rows = array("q"), array("q"), array("d")   # of the decoded lines
             offset, crc = log.covered, log.crc
             for raw in fh:
-                record = _decode_line(raw) if raw.endswith(b"\n") else None
+                record = _decode_line(raw)
                 if record is None:
                     # Damage is tolerated only at the very end of the file
                     # (a torn final append); anything else is corruption.
@@ -484,14 +506,19 @@ class RecordStore:
                     if row[0] > sys.float_info.max:
                         raise StoreError(f"record_no beyond float64 range in {path} "
                                          f"at offset {offset}")
-                    tail_rows.append(row)
-                crc = zlib.crc32(raw, crc)
+                    tail_rows.extend(row)
+                if not today:               # today's log is never hinted
+                    crc = zlib.crc32(raw, crc)
                 offset += len(raw)
         if tail:
-            log = _Hint(offset, crc, list(ids), np.concatenate([log.owners, owners]),
-                        np.concatenate([log.entries, np.reshape(tail, (-1, _INDEX_WIDTH))]),
-                        np.concatenate([log.rows, np.reshape(tail_rows, (-1, log.rows.shape[1]))]))
-        if day != today and (hint is None or offset > hint.covered):
+            # the hint's rows and the decoded lines, grouped by patient again
+            owners = np.concatenate([np.arange(len(log.ids)).repeat(log.counts), owners])
+            order = np.argsort(owners, kind="stable")
+            rows = np.concatenate([log.rows, np.reshape(tail_rows, (-1, log.rows.shape[1]))])
+            log = _Hint(offset, crc, list(ids), np.bincount(owners, minlength=len(ids)),
+                        np.concatenate([log.entries, np.reshape(tail, (-1, _INDEX_WIDTH))])[order],
+                        rows[order] if len(rows) else rows)
+        if not today and (hint is None or offset > hint.covered):
             _write_hint(hint_path, log)
         return log
 
@@ -627,7 +654,7 @@ class RecordStore:
             listed = [entries[:n] for (klass, _), (entries, n) in self._index.items()
                       if klass == topic_class]
         entries = np.concatenate([_NO_ENTRIES, *listed])
-        return entries[np.lexsort((entries[:, _SEQ], entries[:, _RECEIVED]))]
+        return entries.take(_then_by(np.argsort(entries[:, _SEQ]), entries[:, _RECEIVED]), axis=0)
 
     def read_range(self, patient_id: Optional[str], topic_class: str,
                    from_ts: float, to_ts: float) -> list[StoredDocument]:

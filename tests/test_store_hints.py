@@ -14,6 +14,7 @@ import zlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -327,6 +328,75 @@ def test_hinted_open_equals_full_scan(rounds):
         spies.reset()
         state(root)
         assert spies.decoded == sum(log.read_bytes().count(b"\n") for log in today)
+
+
+def test_a_reopen_equals_the_full_scan_when_each_day_meets_its_patients_anew(tmp_path, spies):
+    """Patients first seen in another order each day, one seen only today,
+    and a past log holding lines past its hint: one id table per class
+    gives every patient the rows of every log."""
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for day, patients in ((-3, ("p1", "p2", "p3")), (-2, ("p3", "p1", "p2")), (-1, ("p2", "p3", "p1"))):
+            for n, pid in enumerate(patients):
+                for klass in ("heartbeat", "pqrst"):
+                    put(store, klass, pid, n, day)
+    state(root)                              # writes the hints
+    with RecordStore(root) as store:
+        put(store, "pqrst", "p2", 7, day=-2)     # past its day's hint
+        put(store, "heartbeat", "p4", 0, day=0)  # a patient of today's log alone
+        put(store, "pqrst", "p4", 0, day=0)
+        put(store, "pqrst", "p1", 1, day=0)
+    spies.reset()
+    got = state(root)
+    assert spies.decoded == 4                # the tail line and today's three
+    assert got == full_scan_state(root, tmp_path)
+    assert [e[0] for e in got[0]["pqrst", "p4"]] == [21]
+    assert [e[0] for e in got[0]["pqrst", "p2"]] == [4, 12, 19, 14]    # received_at order
+
+
+def test_an_open_indexes_the_logs_glob_lists_whatever_the_root_looks_like(tmp_path, clock, monkeypatch):
+    """Every name ending in ".log" is a log, a hidden one too; a hint, a
+    leftover temporary file or a missing class directory adds none; and
+    "./telemetry" or "telemetry/" name the same paths as "telemetry"."""
+    root = tmp_path / "telemetry"
+    past_store(root)
+    state(root)                              # writes the hints
+    shutil.rmtree(root / "waveform")
+    (root / "status" / "2026-01-13.hint.tmp").write_bytes(b"left by a crash")
+    with open(root / "status" / ".x.log", "wb") as fh:
+        fh.write(reference_encode_line({
+            "seq": 37, "topic": "clinic/p9/status", "patient_id": "p9",
+            "received_at": NOW - 5 * DAY_MS, "message_id": None, "payload": status("hidden", "p9")}))
+    monkeypatch.chdir(tmp_path)
+    want = [str(log) for klass in TOPIC_CLASSES for log in sorted(Path("telemetry").glob(f"{klass}/*.log"))]
+    assert "telemetry/status/.x.log" in want and not any("waveform" in log for log in want)
+    for given_root in ("telemetry", "./telemetry", "telemetry/"):
+        with RecordStore(given_root) as store:
+            assert store._logs == want
+            assert not any(klass == "waveform" for klass, _ in store._index)
+            assert [e[0] for e in store._index["status", "p9"][0]] == [37]
+    with RecordStore("./telemetry/") as store:
+        log = store._logs.index("telemetry/heartbeat/2026-01-14.log")
+        put(store, "heartbeat", "p1", 8, day=-1)
+        entries, n = store._index["heartbeat", "p1"]
+        assert store._logs == want and entries[n - 1, 2] == log
+
+
+# patient numbers either side of 2**8 and 2**16, which decide their dtype
+PATIENT_NUMBERS = st.sampled_from([0, 1, 2, 255, 256, 257, 65_535, 65_536, 70_000])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), PATIENT_NUMBERS), max_size=60), st.randoms(use_true_random=False))
+def test_then_by_orders_rows_as_lexsort_does(rows, rng):
+    """Sequences never repeat; received_at values and patients do."""
+    seq = np.array(rng.sample(range(1, 10**6), len(rows)), np.int64)
+    received = np.array([NOW + r for r, _ in rows], np.int64)
+    numbers = [p for _, p in rows]
+    patients = np.array(numbers, np.min_scalar_type(max(numbers, default=0)))
+    by_seq = np.argsort(seq)
+    assert store_mod._then_by(by_seq, received, patients).tolist() == np.lexsort((seq, received, patients)).tolist()
+    assert store_mod._then_by(by_seq, received).tolist() == np.lexsort((seq, received)).tolist()
 
 
 # -------------------------------------------------------------- faults
