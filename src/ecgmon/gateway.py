@@ -95,7 +95,13 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         self.close_connection = False
         while not self.close_connection and self._read_request():
-            (self.do_GET if self.command == b"GET" else self.do_POST)()
+            try:
+                (self.do_GET if self.command == b"GET" else self.do_POST)()
+            except BrokenPipeError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - last-resort handler
+                log.exception("%s %s failed", self.command.decode("latin-1"), self.path)
+                self._problem(500, "internal_error", str(exc))
 
     def _read_request(self) -> bool:
         """Read a request line and its header lines; False ends the connection."""
@@ -160,35 +166,23 @@ class _Handler(socketserver.StreamRequestHandler):
     # ------------------------------------------------------------ routing
 
     def do_GET(self) -> None:  # noqa: N802 - the name the benchmark's tracer wraps
-        try:
-            path, _, query = self.path.partition("?")
-            parts = [p for p in path.split("/") if p]
-            if parts == ["stats"]:
-                return self._get_stats()
-            if len(parts) == 4 and parts[0] == "patients" and parts[2:] == ["heartbeat", "latest"]:
-                return self._with_patient(parts[1], self._get_latest_heartbeat)
-            if len(parts) == 3 and parts[0] == "patients" and parts[2] == "ecg":
-                return self._with_patient(parts[1], self._get_ecg, parse_qs(query))
-            if len(parts) == 3 and parts[0] == "patients" and parts[2] == "prediction":
-                return self._with_patient(parts[1], self._get_prediction)
-            self._problem(404, "not_found", f"no route for {path}")
-        except BrokenPipeError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - last-resort handler
-            log.exception("GET %s failed", self.path)
-            self._problem(500, "internal_error", str(exc))
+        path, _, query = self.path.partition("?")
+        parts = [p for p in path.split("/") if p]
+        if parts == ["stats"]:
+            return self._get_stats()
+        if len(parts) == 4 and parts[0] == "patients" and parts[2:] == ["heartbeat", "latest"]:
+            return self._with_patient(parts[1], self._get_latest_heartbeat)
+        if len(parts) == 3 and parts[0] == "patients" and parts[2] == "ecg":
+            return self._with_patient(parts[1], self._get_ecg, parse_qs(query))
+        if len(parts) == 3 and parts[0] == "patients" and parts[2] == "prediction":
+            return self._with_patient(parts[1], self._get_prediction)
+        self._problem(404, "not_found", f"no route for {path}")
 
     def do_POST(self) -> None:  # noqa: N802
-        try:
-            path = self.path.partition("?")[0]
-            if path.rstrip("/") == "/ingest":
-                return self._post_ingest()
-            self._problem(404, "not_found", f"no route for {path}")
-        except BrokenPipeError:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            log.exception("POST %s failed", self.path)
-            self._problem(500, "internal_error", str(exc))
+        path = self.path.partition("?")[0]
+        if path.rstrip("/") == "/ingest":
+            return self._post_ingest()
+        self._problem(404, "not_found", f"no route for {path}")
 
     def _with_patient(self, patient_id: str, handler, *args) -> None:
         if not PATIENT_ID.fullmatch(patient_id):

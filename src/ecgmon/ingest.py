@@ -24,12 +24,13 @@ __all__ = ["IngestionSink"]
 log = logging.getLogger("ecgmon.ingest")
 
 STOP_JOIN_S = 5     # how long stop() waits for the worker to finish its message
+QUEUE_SIZE = 256    # items waiting for the worker; past it, submit() blocks
 
 
 class IngestionSink:
-    def __init__(self, store: store_mod.RecordStore, queue_size: int = 256):
+    def __init__(self, store: store_mod.RecordStore):
         self.store = store
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
+        self._queue: queue.Queue = queue.Queue(maxsize=QUEUE_SIZE)
         self._worker: Optional[threading.Thread] = None
         self._running = threading.Event()
         self._lock = threading.Lock()   # orders start() against the worker retiring

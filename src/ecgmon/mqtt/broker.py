@@ -177,9 +177,7 @@ class Broker:
 
     def start(self) -> "Broker":
         # SO_REUSEADDR set, and the socket closed if the port is taken
-        listener = socket.create_server((self.host, self._requested_port), backlog=64)
-        listener.settimeout(0.25)
-        self._listener = listener
+        self._listener = socket.create_server((self.host, self._requested_port), backlog=64)
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
         log.info("broker listening on %s:%d", self.host, self.port)
@@ -207,8 +205,6 @@ class Broker:
         while not self._stopping.is_set():
             try:
                 sock, addr = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError as exc:
                 if not self._stopping.is_set():     # stop() shuts the listener down
                     log.warning("accept failed, retrying: %s", exc)   # EMFILE, say

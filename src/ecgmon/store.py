@@ -8,10 +8,10 @@ the logs on open, and a torn final line (a crash mid-append) is detected
 and truncated away without touching earlier documents.  The numeric
 columns of every pqrst document are also kept in memory, as one float64
 matrix in sequence order, so dataset statistics need no log reads.  A
-scan of a log of another day than today leaves a `.hint` file beside it
-holding the log's index rows as they are in memory, so the next open loads
-the hint and decodes only the lines appended after it.  Reads go through
-one cached read descriptor per log, opened by the first read that needs it
+scan of any log, of whatever day, leaves a `.hint` file beside it holding
+the log's index rows as they are in memory, so the next open loads the
+hint and decodes only the lines appended after it.  Reads go through one
+cached read descriptor per log, opened by the first read that needs it
 and kept for every later one, at most MAX_READ_HANDLES of them.
 """
 
@@ -424,7 +424,6 @@ class RecordStore:
 
     def _rebuild(self) -> None:
         """Index every log and set the next sequence."""
-        todays_log = f"{_day_of(_now_ms())}.log"
         self._matrix = np.empty((0, len(analytics.COLUMNS)))
         self._next_seq = 1
         for klass in TOPIC_CLASSES:
@@ -439,7 +438,7 @@ class RecordStore:
                 continue
             first = len(self._logs)
             self._logs += [f"{class_dir}/{name}" for name in names]
-            logs = [self._scan_file(klass, first + n, name == todays_log) for n, name in enumerate(names)]
+            logs = [self._scan_file(klass, n) for n in range(first, len(self._logs))]
             entries = np.concatenate([log.entries for log in logs])
             entries[:, _LOG] = np.repeat(range(first, len(self._logs)), [len(log.entries) for log in logs])
             rows = np.concatenate([log.rows for log in logs])
@@ -464,15 +463,15 @@ class RecordStore:
             self._next_seq = max(self._next_seq, int(entries[:, _SEQ].max(initial=0)) + 1)
         self._rows = len(self._matrix)
 
-    def _scan_file(self, klass: str, number: int, today: bool) -> _Hint:
-        """Index one log: from its hint, when the hint's CRC and that of
-        the log bytes it covers both check, then by decoding each line
-        after them.  Returns what the scan found, as the log's hint holds
-        it.  Today's log is decoded in full and never hinted; any other
-        ends with its hint rewritten whenever a line was decoded."""
+    def _scan_file(self, klass: str, number: int) -> _Hint:
+        """Index one log, whatever its day: from its hint, when the hint's
+        CRC and that of the log bytes it covers both check, then by
+        decoding each line after them.  Returns what the scan found, as
+        the log's hint holds it, and rewrites the hint whenever a line
+        was decoded."""
         path = self._logs[number]
         hint_path = path.removesuffix(".log") + ".hint"
-        hint = None if today else _Hint.read(hint_path)
+        hint = _Hint.read(hint_path)
         with open(path, "rb") as fh:
             if hint is not None and _crc_of_first(fh, hint.covered) != hint.crc:
                 hint = None
@@ -507,8 +506,7 @@ class RecordStore:
                         raise StoreError(f"record_no beyond float64 range in {path} "
                                          f"at offset {offset}")
                     tail_rows.extend(row)
-                if not today:               # today's log is never hinted
-                    crc = zlib.crc32(raw, crc)
+                crc = zlib.crc32(raw, crc)
                 offset += len(raw)
         if tail:
             # the hint's rows and the decoded lines, grouped by patient again
@@ -518,7 +516,7 @@ class RecordStore:
             log = _Hint(offset, crc, list(ids), np.bincount(owners, minlength=len(ids)),
                         np.concatenate([log.entries, np.reshape(tail, (-1, _INDEX_WIDTH))])[order],
                         rows[order] if len(rows) else rows)
-        if not today and (hint is None or offset > hint.covered):
+        if hint is None or offset > hint.covered:
             _write_hint(hint_path, log)
         return log
 

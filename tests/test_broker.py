@@ -189,13 +189,24 @@ class FailOnceListener:
         return getattr(self.inner, name)
 
 
-def test_accept_loop_survives_a_transient_accept_error(broker):
-    listener = FailOnceListener(broker._listener)
-    broker._listener = listener
-    assert listener.failed.wait(5)
-    # the CONNACK comes only if the accept loop is still running
-    client = MqttClient(client_id="after-emfile").connect("127.0.0.1", broker.port, timeout=2)
-    client.disconnect()
+def test_accept_loop_survives_a_transient_accept_error(monkeypatch):
+    # in place before start(), so the loop's first accept() is the failing one
+    listeners = []
+    real_create_server = socket.create_server
+
+    def create_server(*args, **kwargs):
+        listeners.append(FailOnceListener(real_create_server(*args, **kwargs)))
+        return listeners[-1]
+
+    monkeypatch.setattr(broker_mod.socket, "create_server", create_server)
+    broker = Broker(port=0).start()
+    try:
+        assert listeners[0].failed.wait(5)
+        # the CONNACK comes only if the accept loop is still running
+        client = MqttClient(client_id="after-emfile").connect("127.0.0.1", broker.port, timeout=2)
+        client.disconnect()
+    finally:
+        broker.stop()
 
 
 def test_stop_of_an_idle_broker_returns_at_once():
@@ -419,11 +430,12 @@ def test_stop_returns_at_once_when_the_worker_is_idle(tmp_path):
         store.close()
 
 
-def test_retransmit_after_sink_outage(broker, tmp_path):
+def test_retransmit_after_sink_outage(broker, tmp_path, monkeypatch):
     """A stalled sink delays the PUBACK; the publisher retries with DUP
     and the message lands exactly once when the sink comes back."""
     store = RecordStore(tmp_path / "telemetry")
-    sink = IngestionSink(store, queue_size=4)
+    monkeypatch.setattr(ingest, "QUEUE_SIZE", 4)
+    sink = IngestionSink(store)
     broker.sink = sink  # note: not started yet
     try:
         with connected(broker, ack_timeout=0.3, max_retries=40) as client:
@@ -459,7 +471,8 @@ def test_redelivery_across_midnight_is_stored_once(broker, tmp_path, monkeypatch
         return midnight - 1 if len(appends) == 1 else midnight + 1
 
     monkeypatch.setattr(store_mod, "_now_ms", clock)
-    sink = IngestionSink(store, queue_size=4)
+    monkeypatch.setattr(ingest, "QUEUE_SIZE", 4)
+    sink = IngestionSink(store)
     broker.sink = sink  # not started yet: the copies pile up in its queue
     try:
         with connected(broker, ack_timeout=0.3, max_retries=40) as client:

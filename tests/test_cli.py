@@ -496,7 +496,7 @@ def test_system_across_utc_midnight_answers_the_same_after_a_restart(tmp_path, m
         system.stop()
     for klass in ("pqrst", "heartbeat"):
         assert (root / klass / "2026-01-05.hint").exists()
-        assert not (root / klass / "2026-01-06.hint").exists()
+        assert (root / klass / "2026-01-06.hint").exists()    # today's log is hinted too
 
 
 # ----------------------------------------------------------- configuration

@@ -192,6 +192,29 @@ def test_post_to_unknown_route_404(gw):
     assert body["code"] == "not_found"
 
 
+def test_an_unexpected_error_in_a_post_is_500_and_the_connection_serves_on(gw, monkeypatch, caplog):
+    def submit(*args, **kwargs):
+        raise RuntimeError("sink exploded")
+
+    monkeypatch.setattr(gw.sink, "submit", submit)
+    conn = http.client.HTTPConnection("127.0.0.1", gw.port, timeout=5)
+    try:
+        with caplog.at_level(logging.ERROR, logger="ecgmon.gateway"):
+            conn.request("POST", "/ingest", body=json.dumps(heartbeat_body()).encode())
+            resp = conn.getresponse()
+            problem = json.loads(resp.read())
+        sock = conn.sock
+        assert resp.status == 500
+        assert (problem["code"], problem["detail"]) == ("internal_error", "sink exploded")
+        assert "POST /ingest failed" in caplog.text
+        conn.request("GET", "/patients/p1/heartbeat/latest")
+        resp = conn.getresponse()
+        assert (resp.status, json.loads(resp.read())["code"]) == (404, "no_heartbeat")
+        assert conn.sock is sock
+    finally:
+        conn.close()
+
+
 # ----------------------------------------------------------------- framing
 
 def exchange(sock, data):

@@ -109,6 +109,12 @@ def hints(root) -> list:
     return sorted(root.rglob("*.hint"))
 
 
+def lines_past_hint(log: Path) -> int:
+    """How many whole lines of a log lie past the bytes its hint covers."""
+    hint = store_mod._Hint.read(str(log.with_suffix(".hint")))
+    return log.read_bytes()[hint.covered if hint else 0:].count(b"\n")
+
+
 def past_store(root):
     """Three patients' documents of every class over three past days."""
     with RecordStore(root) as store:
@@ -143,20 +149,93 @@ def test_second_open_of_past_logs_decodes_nothing_and_reads_each_log_once(tmp_pa
 
 
 def test_todays_log_is_always_decoded_and_never_hinted(tmp_path, spies):
+    """The name predates hinting today's log like any other: an open now
+    hints it, the next decodes none of its lines, and its redeliveries are
+    still recognised after a reopen."""
     root = tmp_path / "telemetry"
     past_store(root)
     with RecordStore(root) as store:
         for n in range(3):
             put(store, "heartbeat", "p1", n, day=0, message_id=n + 1)
     state(root)
-    assert not (root / "heartbeat" / f"{TODAY}.hint").exists()
-    assert len(hints(root)) == 12
+    assert (root / "heartbeat" / f"{TODAY}.hint").exists()
+    assert len(hints(root)) == 13
     spies.reset()
     index, _, _ = state(root)
-    assert spies.decoded == 3
+    assert spies.decoded == 0
     assert [e[0] for e in index["heartbeat", "p1"]][-3:] == [37, 38, 39]
     with RecordStore(root) as store:
         assert [put(store, "heartbeat", "p1", n, day=0, message_id=n + 1) for n in range(3)] == [37, 38, 39]
+
+
+def test_a_reopen_with_no_append_decodes_nothing_and_opens_each_file_once_today_included(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    past_store(root)
+    with RecordStore(root) as store:
+        for klass in TOPIC_CLASSES:
+            put(store, klass, "p1", 0, day=0)
+    want = state(root)                       # hints today's logs too
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 0
+    assert len(logs(root)) == 16
+    assert [h.with_suffix(".log") for h in hints(root)] == logs(root)
+    assert all(spies.opened[str(path)] == 1 for path in logs(root) + hints(root))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_k_appends_to_todays_log_between_opens_decode_k_lines_and_rewrite_its_hint(tmp_path, spies, k):
+    root = tmp_path / "telemetry"
+    past_store(root)
+    with RecordStore(root) as store:
+        put(store, "pqrst", "p1", 0, day=0)
+    state(root)
+    log = root / "pqrst" / f"{TODAY}.log"
+    before = log.with_suffix(".hint").read_bytes()
+    with RecordStore(root) as store:
+        for n in range(k):
+            put(store, "pqrst", f"p{n % 2 + 1}", n + 1, day=0)
+    spies.reset()
+    got = state(root)
+    assert spies.decoded == k
+    assert log.with_suffix(".hint").read_bytes() != before
+    assert store_mod._Hint.read(str(log.with_suffix(".hint"))).covered == log.stat().st_size
+    assert got == full_scan_state(root, tmp_path)
+
+
+def test_a_torn_line_past_todays_hint_is_cut_and_every_acked_line_survives(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        acked = [put(store, "status", "p1", n, day=0) for n in range(3)]
+    state(root)                              # hints today's log
+    with RecordStore(root) as store:
+        acked.append(put(store, "status", "p1", 3, day=0))
+    log = root / "status" / f"{TODAY}.log"
+    size = log.stat().st_size
+    with open(log, "ab") as fh:
+        fh.write(LINE[:40])
+    spies.reset()
+    with RecordStore(root) as store:
+        assert spies.decoded == 1            # the acked line past the hint
+        assert [d.sequence for d in store.read_class("status", "p1")] == acked
+    assert log.stat().st_size == size
+    assert store_mod._Hint.read(str(log.with_suffix(".hint"))).covered == size
+
+
+def test_an_open_reads_no_clock(tmp_path, monkeypatch):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for day in (-2, -1, 0):
+            for klass in TOPIC_CLASSES:
+                put(store, klass, "p1", day + 2, day)
+    want = full_scan_state(root, tmp_path)
+
+    def no_clock():
+        raise AssertionError("an open read the clock")
+
+    monkeypatch.setattr(store_mod, "_now_ms", no_clock)
+    assert state(root) == want               # scans every log and hints it
+    assert state(root) == want               # from the hints
 
 
 def test_a_day_change_hints_yesterday_and_forgets_its_dedup_keys(tmp_path, spies, monkeypatch):
@@ -174,18 +253,18 @@ def test_a_day_change_hints_yesterday_and_forgets_its_dedup_keys(tmp_path, spies
         assert store.append("clinic/p1/heartbeat", "p1", doc, message_id=7) == 2
     spies.reset()
     with RecordStore(root) as store:
-        assert spies.decoded == 1                # today's line only
+        assert spies.decoded == 1                # today's line, not yet hinted
         assert store.append("clinic/p1/heartbeat", "p1", heartbeat("p1", bpm=71),
                             received_at=NOW + 1) == 3
     hinted = yesterday.read_bytes()
     spies.reset()
     got = state(root)
-    assert spies.decoded == 2                    # yesterday's tail and today's line
+    assert spies.decoded == 1                    # yesterday's tail; today's hint covers its line
     assert yesterday.read_bytes() != hinted
     assert got == full_scan_state(root, tmp_path)
     spies.reset()
     assert [e[0] for e in state(root)[0]["heartbeat", "p1"]] == [1, 3, 2]    # by received_at
-    assert spies.decoded == 1                    # today's line; yesterday's hint covers both
+    assert spies.decoded == 0                    # each log's hint covers all its lines
 
 
 # --------------------------------------------------------- dedup window
@@ -310,7 +389,8 @@ LINE = reference_encode_line({"seq": 10**6, "topic": "clinic/p1/status", "patien
 def test_hinted_open_equals_full_scan(rounds):
     """Rounds of appends (any class, several patients, past, today's and
     future days out of order, redeliveries), each maybe ending in a torn
-    tail, then a reopen: the hints give what the full scan gives."""
+    tail, then a reopen: it decodes only the lines past each log's hint,
+    and the hints give what the full scan gives."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(store_mod, "_now_ms", lambda: NOW)
         spies = Spies(mp)
@@ -323,11 +403,11 @@ def test_hinted_open_equals_full_scan(rounds):
                 which, kept = torn
                 with open(logs(root)[which % len(logs(root))], "ab") as fh:
                     fh.write(LINE[:kept])
-            assert state(root) == full_scan_state(root, tmp)
-        today = [log for log in logs(root) if log.stem == TODAY]
-        spies.reset()
-        state(root)
-        assert spies.decoded == sum(log.read_bytes().count(b"\n") for log in today)
+            past_hints = sum(lines_past_hint(log) for log in logs(root))
+            spies.reset()
+            got = state(root)
+            assert spies.decoded == past_hints
+            assert got == full_scan_state(root, tmp)
 
 
 def test_a_reopen_equals_the_full_scan_when_each_day_meets_its_patients_anew(tmp_path, spies):
