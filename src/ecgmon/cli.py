@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import signal
 import sys
 import threading
 from dataclasses import asdict, dataclass, replace
@@ -72,11 +73,12 @@ def _cmd_serve(args) -> int:
         "store_root": args.store_root,
         "model_path": args.model,
     })
+    signal.signal(signal.SIGTERM, signal.default_int_handler)   # stops cleanly, as on ^C
     system = start_system(config)
-    print(f"mqtt on {config.mqtt_host}:{system.broker.port}, "
-          f"http on {config.http_host}:{system.gateway.port}, "
-          f"store at {config.store_root}")
-    try:
+    try:    # from here on, an interrupt stops the system
+        print(f"mqtt on {config.mqtt_host}:{system.broker.port}, "
+              f"http on {config.http_host}:{system.gateway.port}, "
+              f"store at {config.store_root}")
         threading.Event().wait()
     except KeyboardInterrupt:
         pass

@@ -316,8 +316,7 @@ class _Handler(socketserver.StreamRequestHandler):
             self._problem(400, "bad_patient_id", "payload patient_id is missing or invalid")
             return
         outcome = self.gateway.sink.submit(device.topic(patient_id, kind),
-                                           json.dumps(body).encode(), None, lambda: None,
-                                           abort=_NO_WAIT)
+                                           json.dumps(body).encode(), None, abort=_NO_WAIT)
         if outcome is None:
             return self._problem(503, "busy", "the ingestion queue is full; nothing was stored")
         # not taken in time, it is withdrawn, and the sink skips it

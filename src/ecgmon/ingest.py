@@ -1,12 +1,11 @@
 """Ingestion sink: the store's one writer, behind both doors.
 
 The broker (each PUBLISH) and the gateway (each `POST /ingest`) hand
-(topic, payload, message id, ack) into one bounded queue; one worker thread
-parses, validates and durably appends each item, resolves the `Future` that
-`submit` returned with its sequence or error, then fires the ack (PUBACK).
+(topic, payload, message id) into one bounded queue; one worker thread
+parses, validates and durably appends each item and resolves the `Future`
+that `submit` returned with its sequence or error, which each door maps to
+its own protocol: a PUBACK unless a `StoreError`, or 201, 400, 422 or 503.
 An item whose `Future` its submitter cancelled while it waited is skipped.
-Invalid payloads are acked and dropped (they would be retried forever); a
-storage failure is not acked, so the publisher retransmits the message.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import logging
 import queue
 import threading
 from concurrent.futures import Future
-from typing import Callable, Optional
+from typing import Optional
 
 from . import store as store_mod
 
@@ -59,14 +58,13 @@ class IngestionSink:
             worker.join(timeout=STOP_JOIN_S)
 
     def submit(self, topic: str, payload: bytes, message_id: Optional[int],
-               ack: Callable[[], None],
                abort: Optional[threading.Event] = None) -> Optional[Future]:
         """Blocking hand-off into the bounded queue (back-pressure); returns
         the item's outcome as a `Future`, or None with nothing queued once
         `abort` (the publisher's connection-closed event) is set while
         waiting, so that an unacked message is retried."""
         outcome: Future = Future()
-        item = (topic, payload, message_id, ack, outcome)
+        item = (topic, payload, message_id, outcome)
         while True:
             try:
                 self._queue.put(item, timeout=0.2)
@@ -84,20 +82,18 @@ class IngestionSink:
             item = self._queue.get()
             if item is None:    # stop()'s wake-up
                 continue
-            topic, payload, message_id, ack, outcome = item
+            topic, payload, message_id, outcome = item
             if not outcome.set_running_or_notify_cancel():  # its submitter gave up waiting
                 continue
             try:
                 outcome.set_result(self._process(topic, payload, message_id))
             except store_mod.ValidationError as exc:
-                # Poison message: ack it away, it will never become valid.
+                # Poison message: dropped, it will never become valid.
                 log.warning("dropping invalid payload on %s: %s", topic, exc)
                 outcome.set_exception(exc)
             except store_mod.StoreError as exc:
-                log.error("store append failed, leaving message unacked: %s", exc)
+                log.error("store append failed: %s", exc)
                 outcome.set_exception(exc)
-                continue
-            ack()
 
     def _process(self, topic: str, payload: bytes, message_id: Optional[int]) -> int:
         doc = store_mod.load_document(payload)

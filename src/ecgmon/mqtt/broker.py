@@ -3,21 +3,23 @@
 The broker accepts publishes only: every PUBLISH is handed to the
 ingestion sink, and nothing is delivered to clients.  A SUBSCRIBE is
 answered with the Failure return code (0x80) for each of its filters.
-One reader thread per connection keeps each publisher's stream in order;
-writes to a connection are serialized behind a per-connection lock,
-because sink acks arrive from the sink's worker thread.  QoS 1 publishes
-are acknowledged only after the attached ingestion sink has durably
-recorded the message; without a sink they are acknowledged at once.
+One reader thread per connection keeps each publisher's stream in order; it
+sleeps in poll() until bytes arrive, its socket is shut down or its deadline
+passes.  A QoS 1 publish is acked once the sink's Future for it resolves to
+anything but a `StoreError`, from the sink's worker thread, so writes to a
+connection are serialized behind a per-connection lock.
 """
 
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import threading
 import time
 from typing import Optional
 
+from ..store import StoreError
 from . import codec
 from .codec import (
     Connack,
@@ -70,7 +72,7 @@ class _Connection:
             return
         self.closed.set()
         try:
-            self.sock.close()
+            self.sock.shutdown(socket.SHUT_RDWR)    # wakes the reader, which closes it
         except OSError:
             pass
         self.broker._forget(self)
@@ -80,17 +82,18 @@ class _Connection:
     def _run(self) -> None:
         buf = bytearray()
         connected = False
-        self.sock.settimeout(0.25)
-        deadline = time.monotonic() + CONNECT_TIMEOUT_S
+        self.sock.settimeout(0.25)      # bounds a send; a read waits in poll()
+        poller = select.poll()
+        poller.register(self.sock, select.POLLIN)
+        deadline = time.monotonic() + CONNECT_TIMEOUT_S     # None: no keep-alive
         try:
-            while not self.closed.is_set():
-                if time.monotonic() > deadline:
+            while True:
+                wait = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
+                if not poller.poll(wait):       # None waits for ever; poll(inf) would overflow
                     log.info("closing %s: %s", self.addr, "idle" if connected else "no CONNECT")
                     break
                 try:
                     data = self.sock.recv(65536)
-                except socket.timeout:
-                    continue
                 except OSError:
                     break
                 if not data:
@@ -117,9 +120,11 @@ class _Connection:
                     elif not self._dispatch(packet):
                         return
                 if connected:  # any traffic restarts the keep-alive window; 0 disables it
-                    deadline = time.monotonic() + 1.5 * (self.keep_alive or float("inf"))
+                    deadline = time.monotonic() + 1.5 * self.keep_alive if self.keep_alive else None
         finally:
             self.close()
+            with self._write_lock:      # not under a PUBACK being sent
+                self.sock.close()
 
     def _handle_connect(self, packet: Connect) -> bool:
         if self.broker.username is not None:
@@ -158,8 +163,8 @@ class _Connection:
 class Broker:
     """TCP listener plus client registry and sink hand-off."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 1883,
-                 sink=None, username: Optional[str] = None,
+    def __init__(self, host: str = "127.0.0.1", port: int = 1883, *,
+                 sink, username: Optional[str] = None,
                  password: Optional[bytes] = None):
         self.host = host
         self._requested_port = port
@@ -238,15 +243,15 @@ class Broker:
     def _ingest(self, conn: _Connection, packet: Publish) -> None:
         pid = packet.packet_id
 
-        def ack() -> None:
-            # QoS 0 publishes are ingested but have nothing to acknowledge
-            if pid is not None and not conn.closed.is_set():
+        def ack(outcome) -> None:
+            # an invalid payload is acked and dropped; a storage failure is
+            # not acked, so the publisher retransmits
+            if not isinstance(outcome.exception(), StoreError) and not conn.closed.is_set():
                 conn.send(Puback(pid))
 
-        if self.sink is None:
-            ack()
-            return
         # Blocking hand-off to the sink's bounded queue: a full queue
         # stalls this reader thread, which is the back-pressure path
         # (the publisher's ack is delayed, never dropped).
-        self.sink.submit(packet.topic, packet.payload, pid, ack, abort=conn.closed)
+        outcome = self.sink.submit(packet.topic, packet.payload, pid, abort=conn.closed)
+        if outcome is not None and pid is not None:     # QoS 0: nothing to acknowledge
+            outcome.add_done_callback(ack)

@@ -17,6 +17,7 @@ and kept for every later one, at most MAX_READ_HANDLES of them.
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import math
@@ -386,11 +387,11 @@ def _write_hint(path: str, hint: _Hint) -> None:
 
 
 class _ReadHandle(int):
-    """A read-only descriptor of one log, closed when the last reference to
-    it goes.  A read holds one across its preads, so a handle dropped from
-    the cache meanwhile is not closed under it, nor its number reused.  It
-    is a copy of a file object's descriptor: a file object left to the
-    collector unclosed would warn."""
+    """A read-only descriptor of one log (or of the root's LOCK), closed
+    when the last reference to it goes.  A read holds one across its preads,
+    so a handle dropped from the cache meanwhile is not closed under it, nor
+    its number reused.  It is a copy of a file object's descriptor: a file
+    object left to the collector unclosed would warn."""
 
     __slots__ = ()
 
@@ -418,7 +419,18 @@ class RecordStore:
         self._read_lock = threading.Lock()
         self._closed = False
         self._reads_closed = False
-        self._rebuild()
+        # One store per root, across processes too: the kernel drops the lock
+        # when its descriptor is closed, here or by the process's end.
+        self._root_lock = _ReadHandle(os.open(self.root / "LOCK", os.O_RDONLY | os.O_CREAT, 0o644))
+        try:
+            try:
+                fcntl.flock(self._root_lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StoreError(f"store {self.root} is already open (its LOCK is held)") from None
+            self._rebuild()
+        except BaseException:
+            self._root_lock = None      # closes it
+            raise
 
     # ----------------------------------------------------------- open
 
@@ -740,6 +752,7 @@ class RecordStore:
         with self._read_lock:
             self._reads_closed = True
             self._read_handles.clear()
+        self._root_lock = None      # closes it, which releases the root
 
     def _close_locked(self) -> None:
         """Stop appending, for a caller that holds the lock; reads go on."""

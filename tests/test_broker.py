@@ -8,9 +8,12 @@ import errno
 import fcntl
 import json
 import os
+import queue
+import resource
 import socket
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -23,10 +26,13 @@ from ecgmon.store import RecordStore
 
 
 @pytest.fixture
-def broker():
-    b = Broker(port=0).start()
-    yield b
-    b.stop()
+def broker(tmp_path):
+    with RecordStore(tmp_path / "fixture-store") as store:
+        sink = IngestionSink(store).start()
+        b = Broker(port=0, sink=sink).start()
+        yield b
+        b.stop()
+        sink.stop()
 
 
 def connected_client(broker, **kwargs):
@@ -189,7 +195,7 @@ class FailOnceListener:
         return getattr(self.inner, name)
 
 
-def test_accept_loop_survives_a_transient_accept_error(monkeypatch):
+def test_accept_loop_survives_a_transient_accept_error(monkeypatch, tmp_path):
     # in place before start(), so the loop's first accept() is the failing one
     listeners = []
     real_create_server = socket.create_server
@@ -199,7 +205,7 @@ def test_accept_loop_survives_a_transient_accept_error(monkeypatch):
         return listeners[-1]
 
     monkeypatch.setattr(broker_mod.socket, "create_server", create_server)
-    broker = Broker(port=0).start()
+    broker = Broker(port=0, sink=IngestionSink(RecordStore(tmp_path / "telemetry"))).start()
     try:
         assert listeners[0].failed.wait(5)
         # the CONNACK comes only if the accept loop is still running
@@ -209,12 +215,13 @@ def test_accept_loop_survives_a_transient_accept_error(monkeypatch):
         broker.stop()
 
 
-def test_stop_of_an_idle_broker_returns_at_once():
+def test_stop_of_an_idle_broker_returns_at_once(tmp_path):
     """stop() wakes the accept() waiting on the listener instead of
     waiting out its timeout."""
+    sink = IngestionSink(RecordStore(tmp_path / "telemetry"))
     stopping = 0.0
     for _ in range(5):
-        broker = Broker(port=0).start()
+        broker = Broker(port=0, sink=sink).start()
         time.sleep(0.05)    # into its accept()
         started = time.monotonic()
         broker.stop()
@@ -238,6 +245,87 @@ def test_pingreq_keeps_connection_alive(broker):
             time.sleep(0.5)
             sock.sendall(codec.encode_packet(codec.Pingreq()))
             assert isinstance(read_packet(sock), codec.Pingresp)
+
+
+def reader_threads():
+    return {t for t in threading.enumerate() if t.name.endswith("(_run)")}
+
+
+def test_idle_connections_wake_nothing(broker):
+    """Each reader sleeps until bytes arrive or its own deadline passes, so
+    50 idle clients, half with a 60 s keep-alive and half with none, cost
+    no context switches and no CPU (a 0.25 s read poll would cost about
+    400 switches and 1% of a core in these 2 s)."""
+    socks = []
+    try:
+        for n in range(50):
+            socks.append(raw_connect(broker.port, client_id=f"idle-{n}", keep_alive=60 * (n % 2)))
+        time.sleep(0.1)     # each reader into its poll()
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        time.sleep(2)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+    finally:
+        for sock in socks:
+            sock.close()
+    switches = after.ru_nvcsw + after.ru_nivcsw - before.ru_nvcsw - before.ru_nivcsw
+    cpu_s = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert switches < 100
+    assert cpu_s / 2 < 0.002
+
+
+def test_stop_ends_every_reader_at_once(tmp_path):
+    """stop() shuts each connection down, which wakes its reader at once."""
+    before = reader_threads()
+    stopping = 0.0
+    with RecordStore(tmp_path / "telemetry") as store:
+        sink = IngestionSink(store)
+        for _ in range(5):
+            broker = Broker(port=0, sink=sink).start()
+            socks = [raw_connect(broker.port, client_id=f"c{n}") for n in range(20)]
+            try:
+                assert wait_for(lambda: len(reader_threads() - before) == 20)
+                readers = reader_threads() - before
+                started = time.monotonic()
+                broker.stop()
+                for reader in readers:
+                    reader.join(timeout=2)
+                stopping += time.monotonic() - started
+                assert reader_threads() - before == set()
+            finally:
+                for sock in socks:
+                    sock.close()
+    assert stopping < 0.25      # readers that wake every 0.25 s take about 1 s
+
+
+def test_a_connect_sent_a_byte_at_a_time_is_closed_at_its_deadline(broker, monkeypatch):
+    """The CONNECT deadline counts from accept, not from the last byte: a
+    client that trickles one byte every 0.24 s is closed at 0.5 s.  A
+    reader that checked the deadline only between reads would close it
+    after its third byte, at about 0.72 s."""
+    monkeypatch.setattr(broker_mod, "CONNECT_TIMEOUT_S", 0.5)
+    connect = codec.encode_packet(codec.Connect("trickle", 60))
+    with socket.create_connection(("127.0.0.1", broker.port), timeout=5) as sock:
+        opened = time.monotonic()
+        closed = threading.Event()
+
+        def trickle():
+            for byte in connect:
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:
+                    return
+                if closed.wait(0.24):
+                    return
+
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        try:
+            assert sock.recv(4096) == b""
+            elapsed = time.monotonic() - opened
+        finally:
+            closed.set()
+            sender.join(timeout=5)
+    assert 0.45 < elapsed < 0.65
 
 
 # ------------------------------------------------------------- subscribe
@@ -295,6 +383,43 @@ def test_puback_only_after_durable_append(broker, tmp_path):
     finally:
         sink.stop()
         store.close()
+
+
+class FutureSink:
+    """A sink that queues each submit's Future for the test to resolve."""
+
+    def __init__(self):
+        self.outcomes: queue.Queue = queue.Queue()
+
+    def submit(self, topic, payload, message_id, abort=None):
+        outcome = Future()
+        self.outcomes.put(outcome)
+        return outcome
+
+
+def test_puback_follows_each_publish_outcome():
+    """A StoreError outcome sends no PUBACK, so the publisher retransmits;
+    a ValidationError outcome is acked (the message is dropped), and so is
+    a stored one."""
+    sink = FutureSink()
+    broker = Broker(port=0, sink=sink).start()
+    try:
+        with raw_connect(broker.port) as sock:
+            results = {1: store_mod.StoreError("disk full"),
+                       2: store_mod.ValidationError("bpm", "out of range"), 3: 7}
+            for pid, result in results.items():
+                sock.sendall(codec.encode_packet(
+                    codec.Publish("clinic/p1/heartbeat", heartbeat(60), 1, pid)))
+                outcome = sink.outcomes.get(timeout=5)
+                if isinstance(result, Exception):
+                    outcome.set_exception(result)
+                else:
+                    outcome.set_result(result)
+            sock.sendall(codec.encode_packet(codec.Pingreq()))
+            assert read_packets_until(sock, codec.Pingresp) == [
+                codec.Puback(2), codec.Puback(3), codec.Pingresp()]
+    finally:
+        broker.stop()
 
 
 def test_publish_order_preserved_per_publisher(broker, tmp_path):
@@ -388,13 +513,14 @@ def test_restart_across_a_stalled_append_keeps_one_worker(tmp_path, monkeypatch)
     sink = IngestionSink(store).start()
     acked = []
     try:
-        sink.submit("clinic/p1/heartbeat", heartbeat(60), None, lambda: acked.append(60))
+        sink.submit("clinic/p1/heartbeat", heartbeat(60), None).add_done_callback(
+            lambda _: acked.append(60))
         assert stalled.wait(5)
         sink.stop()
         sink.start()
         for bpm in range(61, 66):
-            sink.submit("clinic/p1/heartbeat", heartbeat(bpm), None,
-                        lambda bpm=bpm: acked.append(bpm))
+            sink.submit("clinic/p1/heartbeat", heartbeat(bpm), None).add_done_callback(
+                lambda _, bpm=bpm: acked.append(bpm))
         release.set()
         assert wait_for(lambda: len(acked) == 6)
         assert len(drain_threads() - before) == 1
@@ -420,11 +546,8 @@ def test_stop_returns_at_once_when_the_worker_is_idle(tmp_path):
             stopping += time.monotonic() - started
             assert not worker.is_alive()
         assert stopping < 0.25      # waiting out five 0.2 s polls takes about 0.75 s
-        acked = []
-        outcome = sink.start().submit("clinic/p1/heartbeat", heartbeat(60), None,
-                                      lambda: acked.append(60))
+        outcome = sink.start().submit("clinic/p1/heartbeat", heartbeat(60), None)
         assert outcome.result(timeout=5) == 1
-        assert wait_for(lambda: acked == [60])
     finally:
         sink.stop()
         store.close()

@@ -5,6 +5,7 @@ configuration file loaders they feed on.
 import http.client
 import json
 import re
+import signal
 import socket
 import threading
 
@@ -18,6 +19,7 @@ from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
 from ecgmon.store import RecordStore
 from ecgmon.synth import ConfigError
+from test_store import python
 
 HELD_OUT = "2,5,17,19,12"
 
@@ -497,6 +499,37 @@ def test_system_across_utc_midnight_answers_the_same_after_a_restart(tmp_path, m
     for klass in ("pqrst", "heartbeat"):
         assert (root / klass / "2026-01-05.hint").exists()
         assert (root / klass / "2026-01-06.hint").exists()    # today's log is hinted too
+
+
+def test_export_csv_beside_a_running_system_exits_1_and_changes_no_file(tmp_path):
+    root = tmp_path / "telemetry"
+    system = cli.start_system(GatewayConfig(http_port=0, mqtt_port=0, store_root=str(root)))
+    try:
+        client = MqttClient(client_id="probe").connect("127.0.0.1", system.broker.port)
+        score = {"record_no": 1, "age": 30, "p": 99.0, "q": 98.0, "r": 97.0,
+                 "s": 96.0, "t": 95.0, "patient_id": "p1"}
+        client.publish("clinic/p1/ecg/pqrst", json.dumps(score).encode(), qos=1)
+        client.disconnect()
+        files = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        with python("-m", "ecgmon.cli", "export-csv", "--store-root", root) as export:
+            out, err = export.communicate(timeout=60)
+        assert export.returncode == 1
+        assert out == b"" and b"already open" in err
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == files
+    finally:
+        system.stop()
+
+
+def test_serve_stops_cleanly_on_sigterm(tmp_path):
+    with python("-m", "ecgmon.cli", "serve", "--http", "127.0.0.1:0", "--mqtt", "127.0.0.1:0",
+                "--store-root", tmp_path / "telemetry") as server:
+        try:
+            assert server.stdout.readline().startswith(b"mqtt on ")
+            server.send_signal(signal.SIGTERM)
+            _, err = server.communicate(timeout=30)
+        finally:
+            server.kill()
+    assert server.returncode == 0, err.decode()[-2000:]
 
 
 # ----------------------------------------------------------- configuration

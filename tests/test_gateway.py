@@ -650,7 +650,7 @@ def test_ingest_with_the_sink_stopped_and_its_queue_full_is_503_busy(gw, store):
     no_wait = threading.Event()
     no_wait.set()
     # invalid payloads, so that the backlog is dropped at once when the sink restarts
-    while gw.sink.submit("clinic/p9/heartbeat", b"not json", None, lambda: None,
+    while gw.sink.submit("clinic/p9/heartbeat", b"not json", None,
                          abort=no_wait) is not None:
         pass
     started = time.monotonic()

@@ -9,7 +9,9 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -657,6 +659,62 @@ def test_append_after_close_raises(tmp_path):
     store.close()
     with pytest.raises(StoreError):
         store.append("clinic/p1/heartbeat", "p1", heartbeat())
+
+
+# ------------------------------------------------------ one store per root
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+HOLD = "import sys; from ecgmon.store import RecordStore; store = RecordStore(sys.argv[1]); "
+
+
+def python(*args):
+    """`python *args` in a child process on this checkout's ecgmon,
+    unbuffered, with its standard streams piped."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *map(str, args)], env=env, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_a_second_open_of_a_live_root_raises_naming_it(tmp_path):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        store.append("clinic/p1/heartbeat", "p1", heartbeat())
+        with pytest.raises(StoreError, match=re.escape(str(root))):
+            RecordStore(root)
+        with python("-c", HOLD, root) as other:
+            _, err = other.communicate(timeout=30)
+        assert other.returncode == 1
+        assert b"StoreError" in err and str(root).encode() in err
+        assert [d.sequence for d in store.read_class("heartbeat")] == [1]
+    with RecordStore(root) as reopened:     # close() released the root
+        assert [d.sequence for d in reopened.read_class("heartbeat")] == [1]
+
+
+def test_a_root_opens_again_once_its_holder_is_killed(tmp_path):
+    root = tmp_path / "telemetry"
+    with python("-c", HOLD + "print('open'); sys.stdin.read()", root) as holder:
+        try:
+            assert holder.stdout.readline() == b"open\n"
+            with pytest.raises(StoreError, match="already open"):
+                RecordStore(root)
+        finally:
+            holder.kill()
+        holder.communicate(timeout=30)
+    RecordStore(root).close()
+
+
+def test_a_failed_open_releases_the_root(tmp_path, monkeypatch):
+    root = tmp_path / "telemetry"
+
+    def rebuild(self):
+        raise StoreError("injected rebuild failure")
+
+    monkeypatch.setattr(RecordStore, "_rebuild", rebuild)
+    with pytest.raises(StoreError, match="injected"):
+        RecordStore(root)
+    monkeypatch.undo()
+    RecordStore(root).close()
 
 
 # The line encoder of the store before each payload was serialized once per
