@@ -136,6 +136,10 @@ class _Handler(socketserver.StreamRequestHandler):
             return self._refuse(400, "bad_request", "HTTP/1.1 needs one Host")  # RFC 9112 §3.2
         if self.command not in (b"GET", b"POST"):
             return self._refuse(501, "not_implemented", f"no method {self.command.decode('latin-1')}")
+        # a body framed otherwise than by Content-Length cannot be skipped, and
+        # read by Content-Length it would smuggle a request (RFC 9112 §6.1, §6.3)
+        if "Transfer-Encoding" in headers:
+            return self._refuse(501, "not_implemented", "no Transfer-Encoding")
         connection = {t.strip() for t in headers.get("Connection", "").lower().split(",")}
         self.close_connection = ("close" in connection if self.request_version == b"HTTP/1.1"
                                  else "keep-alive" not in connection)

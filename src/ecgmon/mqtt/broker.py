@@ -39,6 +39,7 @@ log = logging.getLogger("ecgmon.mqtt.broker")
 
 MAX_PACKET_BYTES = 256 * 1024
 CONNACK_ACCEPTED = 0x00
+CONNACK_IDENTIFIER_REJECTED = 0x02
 CONNACK_BAD_CREDENTIALS = 0x04
 SUBACK_FAILURE = 0x80
 # a connection without a complete CONNECT by then is closed (3.1.1 §3.1.4)
@@ -127,6 +128,9 @@ class _Connection:
                 self.sock.close()
 
     def _handle_connect(self, packet: Connect) -> bool:
+        if not packet.client_id and not packet.clean_session:   # 3.1.1 [MQTT-3.1.3-8]
+            self.send(Connack(False, CONNACK_IDENTIFIER_REJECTED))
+            return False
         if self.broker.username is not None:
             if packet.username != self.broker.username or \
                     packet.password != self.broker.password:

@@ -10,9 +10,12 @@ columns of every pqrst document are also kept in memory, as one float64
 matrix in sequence order, so dataset statistics need no log reads.  A
 scan of any log, of whatever day, leaves a `.hint` file beside it holding
 the log's index rows as they are in memory, so the next open loads the
-hint and decodes only the lines appended after it.  Reads go through one
-cached read descriptor per log, opened by the first read that needs it
-and kept for every later one, at most MAX_READ_HANDLES of them.
+hint and decodes only the lines appended after it.  Reads take no lock:
+an append publishes its index rows and its pqrst row only after their
+fsync, so no read waits for an append, and none sees a document a crash
+could take back.  Reads go through one cached read descriptor per log,
+opened by the first read that needs it and kept for every later one, at
+most MAX_READ_HANDLES of them.
 """
 
 from __future__ import annotations
@@ -406,9 +409,20 @@ class RecordStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # Orders the one writer (append, and the cut of a failed one) against
+        # close(); no read takes it.
         self._lock = threading.Lock()
         # (topic class, patient id) -> (its index rows in (received_at, sequence)
-        # order, how many are in use)
+        # order, how many are in use); `_pqrst` is (the pqrst rows in sequence
+        # order, how many are in use).  Reads take these without a lock, which
+        # holds under the GIL because: a reader takes a tuple by one dict get
+        # or attribute load, and the whole index by one dict copy, none of
+        # which runs Python code midway; rows below a tuple's count never
+        # change; the row past it is written, fsynced and only then counted by
+        # a new tuple; and a grown or inserted-into array is a new one.
+        # Unchecked for a free-threaded build (PEP 703), which would also need
+        # each publish to be a release store and each read an acquire load, so
+        # that a row's bytes are seen with the count that covers them.
         self._index: dict[tuple[str, str], tuple[np.ndarray, int]] = {}
         self._logs: list[str] = []      # the path of each log an index row names
         # topic class -> (day, log, handle) of the one day file it appends to
@@ -436,7 +450,7 @@ class RecordStore:
 
     def _rebuild(self) -> None:
         """Index every log and set the next sequence."""
-        self._matrix = np.empty((0, len(analytics.COLUMNS)))
+        self._pqrst = np.empty((0, len(analytics.COLUMNS))), 0
         self._next_seq = 1
         for klass in TOPIC_CLASSES:
             class_dir = self.root / klass
@@ -464,8 +478,8 @@ class RecordStore:
                                    np.min_scalar_type(len(ids)), sum(map(len, listed))).repeat(counts)
             by_seq = np.argsort(entries[:, _SEQ])
             # rows are gathered with take, a few times faster than indexing with an array
-            if klass == "pqrst":    # in sequence order: the first _rows rows of _matrix
-                self._matrix = rows.take(by_seq, axis=0)
+            if klass == "pqrst":    # in sequence order, every row in use
+                self._pqrst = rows.take(by_seq, axis=0), len(rows)
             # each patient's rows in (received_at, sequence) order, cut from one sort
             order = _then_by(by_seq, entries[:, _RECEIVED], patients)
             entries = entries.take(order, axis=0)
@@ -473,7 +487,6 @@ class RecordStore:
             for pid, start, end in zip(ids, bounds, bounds[1:]):
                 self._index[klass, pid] = entries[start:end], end - start
             self._next_seq = max(self._next_seq, int(entries[:, _SEQ].max(initial=0)) + 1)
-        self._rows = len(self._matrix)
 
     def _scan_file(self, klass: str, number: int) -> _Hint:
         """Index one log, whatever its day: from its hint, when the hint's
@@ -599,8 +612,8 @@ class RecordStore:
             self._index[klass, patient_id] = (_appended(entries, n, row) if at == n else
                                               np.insert(entries[:n], at, row, axis=0)), n + 1
             if pqrst is not None:
-                self._matrix = _appended(self._matrix, self._rows, pqrst)
-                self._rows += 1
+                matrix, rows = self._pqrst
+                self._pqrst = _appended(matrix, rows, pqrst), rows + 1
             return seq
 
     def _discard_failed_write(self, path: str, offset: int) -> None:
@@ -657,12 +670,12 @@ class RecordStore:
         then sequence."""
         if topic_class not in TOPIC_CLASSES:
             raise ValidationError("topic", f"unrecognized topic class {topic_class!r}")
-        with self._lock:
-            if patient_id is not None:
-                entries, n = self._index.get((topic_class, patient_id), (_NO_ENTRIES, 0))
-                return entries[:n]
-            listed = [entries[:n] for (klass, _), (entries, n) in self._index.items()
-                      if klass == topic_class]
+        if patient_id is not None:
+            entries, n = self._index.get((topic_class, patient_id), (_NO_ENTRIES, 0))
+            return entries[:n]
+        # a copy: iterated as it is, the index may gain a patient midway
+        listed = [entries[:n] for (klass, _), (entries, n) in self._index.copy().items()
+                  if klass == topic_class]
         entries = np.concatenate([_NO_ENTRIES, *listed])
         return entries.take(_then_by(np.argsort(entries[:, _SEQ]), entries[:, _RECEIVED]), axis=0)
 
@@ -693,8 +706,8 @@ class RecordStore:
         `device.pqrst_row`, in `analytics.COLUMNS` order, one row per document
         in sequence order (the order of `read_class("pqrst")`).  Its rows stay
         as they are: an append writes after them or into a new matrix."""
-        with self._lock:
-            view = self._matrix[:self._rows]
+        matrix, rows = self._pqrst
+        view = matrix[:rows]
         view.flags.writeable = False
         return view
 

@@ -130,6 +130,20 @@ def test_auth_required(broker):
         pass
 
 
+def test_an_empty_client_id_needs_a_clean_session(broker):
+    # 3.1.1 [MQTT-3.1.3-8]: refused with 0x02, identifier rejected, then closed
+    with socket.create_connection(("127.0.0.1", broker.port), timeout=5) as sock:
+        sock.sendall(codec.encode_packet(codec.Connect("", 60, False)))
+        assert read_packet(sock) == codec.Connack(False, broker_mod.CONNACK_IDENTIFIER_REJECTED)
+        assert read_packet(sock, timeout=3.0) is None
+    # with CleanSession 1 the broker names the session itself
+    with socket.create_connection(("127.0.0.1", broker.port), timeout=5) as sock:
+        sock.sendall(codec.encode_packet(codec.Connect("", 60, True)))
+        assert read_packet(sock) == codec.Connack(False, broker_mod.CONNACK_ACCEPTED)
+        sock.sendall(codec.encode_packet(codec.Pingreq()))
+        assert read_packet(sock) == codec.Pingresp()
+
+
 def test_duplicate_client_id_evicts_older(broker):
     with raw_connect(broker.port, client_id="same") as first, \
             raw_connect(broker.port, client_id="same"):

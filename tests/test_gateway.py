@@ -26,7 +26,8 @@ from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
 from ecgmon.store import RecordStore
-from test_store import fail_append_fsync, reference_encode_line, reference_served, stored_lines
+from test_store import (blocked_append_fsync, fail_append_fsync, reference_encode_line,
+                        reference_served, returns_within, stored_lines)
 
 # received_at used by the window tests: 2023-11-14T22:13:20Z exactly
 EPOCH_MS = 1_700_000_000_000
@@ -322,6 +323,24 @@ def test_expect_100_continue_is_answered_before_the_body_is_read(gw, store):
     assert store.latest("p1", "heartbeat").payload["bpm"] == 72
 
 
+@pytest.mark.parametrize("length", [None, "chunked"], ids=["chunked", "chunked-and-length"])
+def test_transfer_encoding_is_refused_once_and_closes(gw, store, length):
+    """Read by Content-Length, or as no body, a chunked body was a second
+    request on the connection (RFC 9112 §6.1, §6.3)."""
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(INGEST_BODY), INGEST_BODY)
+    framing = b"Transfer-Encoding: chunked\r\n"
+    if length:
+        framing += b"Content-Length: %d\r\n" % len(chunked)
+    baseline = threading.active_count()
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        status, problem, connection = exchange(
+            sock, b"POST /ingest HTTP/1.1\r\nHost: localhost\r\n" + framing + b"\r\n" + chunked)
+        assert (status, problem["code"], connection) == (501, "not_implemented", "close")
+        assert closed_by_server(sock)
+    assert wait_for_thread_count(baseline) == baseline
+    assert store.read_class("heartbeat") == []
+
+
 # ----------------------------------------------------------------- ingest
 
 def test_ingest_heartbeat_then_latest(gw):
@@ -387,6 +406,30 @@ def test_ingest_record_no_beyond_exact_json_integers_422(gw):
     status, body = request(gw, "GET", "/stats")
     assert status == 200
     assert body["stats"]["RecordNo"]["max"] == 2**53 - 1
+
+
+def test_a_document_whose_fsync_fails_never_shows_in_stats(gw, store, monkeypatch):
+    """/stats answers at once while the append's fsync is held, and shows
+    the document neither then nor after the fsync fails."""
+    record = sample_data.sample_records()[0]
+    for record_no in (1, 2):
+        assert request(gw, "POST", "/ingest", body=pqrst_body(record, record_no=record_no))[0] == 201
+    entered, release = blocked_append_fsync(monkeypatch, fail=True)
+    posted = []
+    poster = threading.Thread(target=lambda: posted.append(
+        request(gw, "POST", "/ingest", body=pqrst_body(record, record_no=3))))
+    poster.start()
+    try:
+        assert entered.wait(5)
+        status, body = returns_within(1, lambda: request(gw, "GET", "/stats"))
+        assert (status, body["count"]) == (200, 2)
+    finally:
+        release.set()
+        poster.join(30)
+    assert not poster.is_alive()
+    assert [(status, body["code"]) for status, body in posted] == [(503, "store_unavailable")]
+    status, body = request(gw, "GET", "/stats")
+    assert (status, body["count"], body["stats"]["RecordNo"]["max"]) == (200, 2, 2)
 
 
 def test_ingest_integer_over_digit_limit_400(gw):

@@ -15,8 +15,10 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -717,6 +719,46 @@ def test_a_failed_open_releases_the_root(tmp_path, monkeypatch):
     RecordStore(root).close()
 
 
+# Appends 3 KB waveform documents until its stdin closes, printing each
+# acked sequence, then closes the store.
+APPEND_UNTIL_STDIN_CLOSES = HOLD + """
+import threading
+stop = threading.Event()
+threading.Thread(target=lambda: (sys.stdin.read(), stop.set()), daemon=True).start()
+doc = {"patient_id": "p1", "seq": 0, "sample_rate": 250, "samples": [512] * 300,
+       "lead_off": [False] * 300}
+print("open")
+while not stop.is_set():
+    doc["seq"] += 1
+    print(store.append("clinic/p1/ecg/waveform", "p1", doc, message_id=doc["seq"]))
+store.close()
+"""
+
+
+def test_opens_beside_a_live_writer_all_fail_and_lose_no_acked_document(tmp_path):
+    """Two stores on one root lost acked documents: each open cut what
+    looked like a torn tail and rewrote hints while the other appended."""
+    root = tmp_path / "telemetry"
+    tries = 0
+    with python("-c", APPEND_UNTIL_STDIN_CLOSES, root) as writer:
+        try:
+            assert writer.stdout.readline() == b"open\n"
+            deadline = time.monotonic() + 2.5
+            while time.monotonic() < deadline:
+                with pytest.raises(StoreError, match=re.escape(str(root))):
+                    RecordStore(root)
+                tries += 1
+        finally:
+            out, err = writer.communicate(timeout=30)   # closes its stdin
+    assert writer.returncode == 0, err
+    acked = [int(line) for line in out.split()]
+    assert tries > 100 and len(acked) > 10
+    with RecordStore(root) as store:
+        docs = store.read_class("waveform")
+    assert [d.sequence for d in docs] == acked == list(range(1, len(acked) + 1))
+    assert [d.payload["seq"] for d in docs] == acked
+
+
 # The line encoder of the store before each payload was serialized once per
 # append, kept as the reference for the bytes on disk.
 
@@ -1121,6 +1163,211 @@ def test_pqrst_matrix_under_concurrent_appends_and_reads(store, monkeypatch):
     assert len(final) == writers * per_writer
     assert_matrix_matches_read_class(store)
     assert snapshots and all(np.array_equal(s, final[:len(s)]) for s in snapshots)
+
+
+# ------------------------------------------------------- reads take no lock
+
+T0 = 1_767_600_000_000
+
+
+def blocked_append_fsync(monkeypatch, fail=False):
+    """Hold the next fsync of an append handle until the returned `release`
+    is set, then let it finish, or raise EIO when `fail`.  `entered` is set
+    once the fsync is held."""
+    entered, release = threading.Event(), threading.Event()
+    real_fsync = os.fsync
+
+    def held(fd):
+        if not entered.is_set() and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND:
+            entered.set()
+            release.wait(30)
+            if fail:
+                raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(store_mod.os, "fsync", held)
+    return entered, release
+
+
+def returns_within(seconds, read):
+    """What `read()` returns, called on a thread of its own, which must
+    return within `seconds`."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(read()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert out, f"{read} did not return within {seconds} s"
+    return out[0]
+
+
+# each read as the record numbers of the p1 pqrst documents it shows
+SHOWN = {
+    "latest": lambda s: [s.latest("p1", "pqrst").payload["record_no"]],
+    "read_range": lambda s: [d.payload["record_no"]
+                             for d in s.read_range("p1", "pqrst", T0, T0 + DAY_MS)],
+    "read_class": lambda s: [d.payload["record_no"] for d in s.read_class("pqrst")],
+    "read_class_of_p1": lambda s: [d.payload["record_no"] for d in s.read_class("pqrst", "p1")],
+    "pqrst_matrix": lambda s: [int(no) for no in s.pqrst_matrix()[:, 0]],
+}
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["fsync-returns", "fsync-fails"])
+@pytest.mark.parametrize("read", sorted(SHOWN))
+def test_a_read_during_an_append_fsync_returns_at_once_without_its_document(store, monkeypatch,
+                                                                            read, fail):
+    shown = SHOWN[read]
+    store.append("clinic/p1/ecg/pqrst", "p1", scored("p1", 1), received_at=T0)
+    entered, release = blocked_append_fsync(monkeypatch, fail)
+    outcome = []
+
+    def append():
+        try:
+            outcome.append(store.append("clinic/p1/ecg/pqrst", "p1", scored("p1", 2),
+                                        received_at=T0 + 1))
+        except StoreError as exc:
+            outcome.append(exc)
+
+    writer = threading.Thread(target=append)
+    writer.start()
+    try:
+        assert entered.wait(5)
+        assert returns_within(1, lambda: shown(store)) == [1]
+    finally:
+        release.set()
+        writer.join(30)
+    assert not writer.is_alive()
+    if fail:
+        assert isinstance(outcome[0], StoreError)
+        assert shown(store) == [1]
+    else:
+        assert outcome == [2]
+        assert shown(store) == ([2] if read == "latest" else [1, 2])
+
+
+def test_class_wide_reads_beside_appends_of_new_patients(store, monkeypatch):
+    """A class-wide read walks the whole index while the writer adds
+    patients to it; with threads switching every microsecond, a walk
+    of the live dict would see it change size."""
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: None)
+    patients = 3000
+    errors, reads = [], []
+
+    def write():
+        for n in range(patients):
+            store.append(f"clinic/n{n}/heartbeat", f"n{n}", heartbeat(f"n{n}"))
+
+    def read():
+        for n in itertools.count():
+            if not writer.is_alive():
+                return
+            try:
+                # an empty window: the walk of the index without the preads
+                store.read_range(None, "heartbeat", 0, 0)
+                if n % 20 == 0:
+                    reads.append([d.sequence for d in store.read_class("heartbeat")])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                return
+
+    writer = threading.Thread(target=write)
+    reader = threading.Thread(target=read)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer.start()
+        reader.start()
+        writer.join(120)
+        reader.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert not errors
+    assert len(reads) > 1 and all(r == list(range(1, len(r) + 1)) for r in reads)
+    assert [d.sequence for d in store.read_class("heartbeat")] == list(range(1, patients + 1))
+
+
+# an append: its patient, its received_at less T0 in seconds, and whether
+# its fsync fails
+APPENDS = st.lists(st.tuples(st.sampled_from(["p1", "p2", "p3"]), st.integers(0, 5),
+                             st.booleans()), min_size=1, max_size=30)
+READS = st.lists(st.sampled_from(["read_class", "patient", "window", "latest", "matrix"]),
+                 min_size=1, max_size=30)
+
+
+def expected_read(history, kind, pid):
+    """What a read shows of `history`, the acked appends as (record number,
+    patient, received_at) in sequence order, as record numbers."""
+    mine = [h for h in history if h[1] == pid]
+    if kind in ("read_class", "matrix"):
+        return [h[0] for h in history]
+    if kind == "patient":
+        return [h[0] for h in mine]
+    if kind == "window":
+        return [h[0] for h in mine if T0 + 1000 <= h[2] < T0 + 4000]
+    return [max(mine, key=lambda h: (h[2], h[0]))[0]] if mine else []
+
+
+def actual_read(store, kind, pid):
+    if kind == "matrix":
+        return [int(no) for no in store.pqrst_matrix()[:, 0]]
+    if kind == "latest":
+        doc = store.latest(pid, "pqrst")
+        return [doc.payload["record_no"]] if doc else []
+    docs = (store.read_class("pqrst") if kind == "read_class" else
+            store.read_class("pqrst", pid) if kind == "patient" else
+            store.read_range(pid, "pqrst", T0 + 1000, T0 + 4000))
+    return [d.payload["record_no"] for d in docs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(APPENDS, READS, st.sampled_from(["p1", "p2", "p3"]))
+def test_every_read_beside_appends_shows_a_prefix_of_the_acked_history(appends, reads, pid):
+    """One thread appends, some of its fsyncs failing; the other reads until
+    it is done.  Each read shows what the first k acked appends stored,
+    where k is at least the appends acked before the read began and at most
+    one more than those acked when it ended: one may be published and not
+    yet returned.  A failed append never shows."""
+    plan = [(n + 1, p, T0 + 1000 * s) for n, (p, s, _) in enumerate(appends)]
+    fails = iter([fail for *_, fail in appends])
+    acked, seen = [], []
+
+    def fsync(fd):
+        if fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND and next(fails):
+            raise OSError(errno.EIO, "injected fsync failure")
+        time.sleep(0)   # lets the reader in between the write and the publish
+
+    with tempfile.TemporaryDirectory() as tmp, RecordStore(Path(tmp) / "telemetry") as store, \
+            mock.patch.object(store_mod.os, "fsync", fsync):
+        def write():
+            for record_no, p, received_at in plan:
+                try:
+                    store.append(f"clinic/{p}/ecg/pqrst", p, pqrst(p, record_no=record_no),
+                                 received_at=received_at)
+                except StoreError:
+                    continue
+                acked.append(record_no)
+
+        writer = threading.Thread(target=write)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writer.start()
+            n = 0
+            while n < len(reads) or writer.is_alive():
+                before = len(acked)
+                shown = actual_read(store, reads[n % len(reads)], pid)
+                seen.append((reads[n % len(reads)], before, len(acked), shown))
+                n += 1
+            writer.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    history = [h for h, (*_, fail) in zip(plan, appends) if not fail]
+    assert acked == [h[0] for h in history]
+    for kind, before, after, shown in seen:
+        prefixes = range(before, min(after + 1, len(history)) + 1)
+        assert any(shown == expected_read(history[:k], kind, pid) for k in prefixes), \
+            (kind, before, after, shown)
 
 
 # ----------------------------------------------------------- read handles
