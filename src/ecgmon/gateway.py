@@ -16,7 +16,6 @@ import socketserver
 import struct
 import threading
 import time
-import weakref
 from concurrent import futures
 from datetime import datetime, timedelta, timezone
 from email.utils import formatdate
@@ -27,7 +26,7 @@ from urllib.parse import parse_qs
 
 from . import analytics, device, regression
 from .config import GatewayConfig
-from .ingest import IngestionSink
+from .ingest import IngestionSink, Listener
 from .store import PATIENT_ID, RecordStore, StoreError, ValidationError, load_document
 
 __all__ = ["Gateway"]
@@ -74,15 +73,9 @@ def _finite_or_null(value: float) -> Optional[float]:
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    # a response leaves in one write, but a body longer than one TCP segment
-    # goes out in several; Nagle's algorithm would hold the last, partial one
-    # until the client acknowledges the others, which a delayed ACK puts off
-    disable_nagle_algorithm = True
+    server: "Gateway"   # what the Gateway's listener passes for StreamRequestHandler's server
     # seconds a read or a queued POST /ingest may wait, so a stalled client releases its thread
     read_timeout_s = 60
-
-    # set by Gateway when building the server
-    gateway: "Gateway"
 
     def setup(self) -> None:
         super().setup()
@@ -197,7 +190,7 @@ class _Handler(socketserver.StreamRequestHandler):
     # ------------------------------------------------------------ handlers
 
     def _get_latest_heartbeat(self, patient_id: str) -> None:
-        doc = self.gateway.store.latest(patient_id, "heartbeat")
+        doc = self.server.store.latest(patient_id, "heartbeat")
         if doc is None:
             self._problem(404, "no_heartbeat", f"no heartbeat readings for {patient_id}")
             return
@@ -219,18 +212,18 @@ class _Handler(socketserver.StreamRequestHandler):
         if from_ts > to_ts:
             self._problem(400, "bad_window", "from must be <= to")
             return
-        docs = self.gateway.store.read_range(patient_id, "pqrst", from_ts, to_ts)
+        docs = self.server.store.read_range(patient_id, "pqrst", from_ts, to_ts)
         self._send_bytes(200, b"[%s]" % b",".join(d.json for d in docs))
 
     def _get_stats(self) -> None:
-        rows = self.gateway.store.pqrst_matrix()
+        rows = self.server.store.pqrst_matrix()
         if not len(rows):
             self._problem(404, "empty_store", "no score records stored yet")
             return
-        count, body = self.gateway.stats_memo
+        count, body = self.server.stats_memo
         if count != len(rows):
             body = self._stats_body(rows)
-            self.gateway.stats_memo = len(rows), body
+            self.server.stats_memo = len(rows), body
         self._send_bytes(200, body)
 
     def _stats_body(self, rows) -> bytes:
@@ -247,8 +240,8 @@ class _Handler(socketserver.StreamRequestHandler):
             }
         quality = analytics.quality_distribution(
             dataset,
-            self.gateway.config.theta_excellent,
-            self.gateway.config.theta_acceptable,
+            self.server.config.theta_excellent,
+            self.server.config.theta_acceptable,
         )
         return _ENCODER.encode({
             "count": len(dataset),
@@ -260,11 +253,11 @@ class _Handler(socketserver.StreamRequestHandler):
         }).encode("utf-8")
 
     def _get_prediction(self, patient_id: str) -> None:
-        model = self.gateway.model
+        model = self.server.model
         if model is None:
             self._problem(503, "no_model", "no prediction model configured")
             return
-        doc = self.gateway.store.latest(patient_id, "pqrst")
+        doc = self.server.store.latest(patient_id, "pqrst")
         if doc is None:
             self._problem(404, "no_records", f"no score records for {patient_id}")
             return
@@ -319,7 +312,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if not isinstance(patient_id, str) or not PATIENT_ID.fullmatch(patient_id):
             self._problem(400, "bad_patient_id", "payload patient_id is missing or invalid")
             return
-        outcome = self.gateway.sink.submit(device.topic(patient_id, kind),
+        outcome = self.server.sink.submit(device.topic(patient_id, kind),
                                            json.dumps(body).encode(), None, abort=_NO_WAIT)
         if outcome is None:
             return self._problem(503, "busy", "the ingestion queue is full; nothing was stored")
@@ -335,11 +328,6 @@ class _Handler(socketserver.StreamRequestHandler):
         except StoreError as exc:
             return self._problem(503, "store_unavailable", str(exc))
         self._send_json(201, {"sequence": seq})
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
 
 
 class Gateway:
@@ -363,28 +351,18 @@ class Gateway:
                 self.model = model
             except (OSError, ValueError) as exc:
                 log.warning("model file %s not usable: %s", self.config.model_path, exc)
-        # Weakly: a class is freed only by a full garbage collection, and
-        # until then it would keep a stopped gateway, and its store, alive.
-        handler = type("BoundHandler", (_Handler,), {"gateway": weakref.proxy(self)})
-        self._server = _Server((self.config.http_host, self.config.http_port), handler)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
+        self.port = self.config.http_port   # the bound one once started
+        self._listener: Optional[Listener] = None
 
     def start(self) -> "Gateway":
+        self._listener = Listener(self.config.http_host, self.port,
+                                  lambda sock, addr: _Handler(sock, addr, self))
+        self.port = self._listener.port
         self.sink.start()
-        self._thread = threading.Thread(
-            target=lambda: self._server.serve_forever(poll_interval=0.05),
-            daemon=True)
-        self._thread.start()
         log.info("gateway listening on %s:%d", self.config.http_host, self.port)
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2)
+        if self._listener is not None:
+            self._listener.stop()
         self.sink.stop()

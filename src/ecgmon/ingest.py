@@ -1,4 +1,6 @@
-"""Ingestion sink: the store's one writer, behind both doors.
+"""What both doors share: the `Listener` that serves each connection on a
+thread of its own until its `stop()` shuts the socket down, and the
+ingestion sink, the store's one writer.
 
 The broker (each PUBLISH) and the gateway (each `POST /ingest`) hand
 (topic, payload, message id) into one bounded queue; one worker thread
@@ -10,20 +12,72 @@ An item whose `Future` its submitter cancelled while it waited is skipped.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
+import socket
 import threading
 from concurrent.futures import Future
-from typing import Optional
+from typing import Callable, Optional
 
 from . import store as store_mod
 
-__all__ = ["IngestionSink"]
+__all__ = ["IngestionSink", "Listener"]
 
 log = logging.getLogger("ecgmon.ingest")
 
 STOP_JOIN_S = 5     # how long stop() waits for the worker to finish its message
 QUEUE_SIZE = 256    # items waiting for the worker; past it, submit() blocks
+
+
+class Listener:
+    """A TCP listener, accepting from the moment it is built, that serves
+    each connection on a thread of its own through `serve(sock, addr)`."""
+
+    def __init__(self, host: str, port: int, serve: Callable[[socket.socket, tuple], None]):
+        # SO_REUSEADDR set, and the socket closed if the port is taken
+        self._sock = socket.create_server((host, port), backlog=64)
+        self.port: int = self._sock.getsockname()[1]
+        self._stopping = threading.Event()
+        self._lock = threading.Lock()
+        self._live: set[socket.socket] = set()
+        self._thread = threading.Thread(target=self._accept_loop, args=(serve,), daemon=True)
+        self._thread.start()
+
+    def stop(self) -> None:
+        if self._stopping.is_set():
+            return
+        self._stopping.set()
+        self._sock.shutdown(socket.SHUT_RDWR)   # wakes accept(), which close() does not
+        self._sock.close()
+        self._thread.join(timeout=2)
+        with self._lock:
+            for sock in self._live:
+                with contextlib.suppress(OSError):  # closed meanwhile
+                    sock.shutdown(socket.SHUT_RDWR)     # wakes its reader, which returns
+
+    def _accept_loop(self, serve: Callable) -> None:
+        while not self._stopping.is_set():
+            try:
+                sock, addr = self._sock.accept()
+            except OSError as exc:
+                if not self._stopping.is_set():     # stop() shuts the listener down
+                    log.warning("accept failed, retrying: %s", exc)   # EMFILE, say
+                    self._stopping.wait(0.1)
+                continue
+            # Nagle's algorithm would hold a reply's last segment for a delayed ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                self._live.add(sock)
+            threading.Thread(target=self._run, args=(serve, sock, addr), daemon=True).start()
+
+    def _run(self, serve: Callable, sock: socket.socket, addr) -> None:
+        try:
+            serve(sock, addr)
+        finally:
+            with self._lock:
+                self._live.discard(sock)
+            sock.close()
 
 
 class IngestionSink:

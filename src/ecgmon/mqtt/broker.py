@@ -19,6 +19,7 @@ import threading
 import time
 from typing import Optional
 
+from ..ingest import Listener
 from ..store import StoreError
 from . import codec
 from .codec import (
@@ -55,10 +56,6 @@ class _Connection:
         self.keep_alive = 0
         self.closed = threading.Event()
         self._write_lock = threading.Lock()
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def start(self) -> None:
-        self.thread.start()
 
     def send(self, packet) -> None:
         data = codec.encode_packet(packet)
@@ -165,65 +162,37 @@ class _Connection:
 
 
 class Broker:
-    """TCP listener plus client registry and sink hand-off."""
+    """Client registry and sink hand-off behind a `Listener`."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 1883, *,
                  sink, username: Optional[str] = None,
                  password: Optional[bytes] = None):
         self.host = host
-        self._requested_port = port
+        self.port = port    # the bound one once started
         self.sink = sink
         self.username = username
         self.password = password
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
+        self._listener: Optional[Listener] = None
         self._lock = threading.Lock()
-        self._connections: list[_Connection] = []
         self._clients: dict[str, _Connection] = {}
 
     # --------------------------------------------------------- lifecycle
 
     def start(self) -> "Broker":
-        # SO_REUSEADDR set, and the socket closed if the port is taken
-        self._listener = socket.create_server((self.host, self._requested_port), backlog=64)
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._listener = Listener(self.host, self.port,
+                                  lambda sock, addr: _Connection(self, sock, addr)._run())
+        self.port = self._listener.port
         log.info("broker listening on %s:%d", self.host, self.port)
         return self
 
-    @property
-    def port(self) -> int:
-        if self._listener is None:
-            return self._requested_port
-        return self._listener.getsockname()[1]
-
     def stop(self) -> None:
-        self._stopping.set()
-        if self._listener is not None and self._listener.fileno() != -1:
-            self._listener.shutdown(socket.SHUT_RDWR)   # wakes accept(), which close() does not
-            self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
+        if self._listener is not None:
+            self._listener.stop()
+        # a reader blocked in sink.submit() sees its connection closed and gives up
         with self._lock:
-            conns = list(self._connections)
-        for conn in conns:
+            clients = list(self._clients.values())
+        for conn in clients:
             conn.close()
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                sock, addr = self._listener.accept()
-            except OSError as exc:
-                if not self._stopping.is_set():     # stop() shuts the listener down
-                    log.warning("accept failed, retrying: %s", exc)   # EMFILE, say
-                    self._stopping.wait(0.1)
-                continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(self, sock, addr)
-            with self._lock:
-                self._connections.append(conn)
-            conn.start()
 
     # --------------------------------------------------------- registry
 
@@ -237,8 +206,6 @@ class Broker:
 
     def _forget(self, conn: _Connection) -> None:
         with self._lock:
-            if conn in self._connections:
-                self._connections.remove(conn)
             if self._clients.get(conn.client_id) is conn:
                 del self._clients[conn.client_id]
 

@@ -6,6 +6,7 @@ order into the store, keep-alive, and protocol abuse.
 import contextlib
 import errno
 import fcntl
+import http.client
 import json
 import os
 import queue
@@ -18,6 +19,8 @@ from concurrent.futures import Future
 import pytest
 
 from ecgmon import ingest, store as store_mod
+from ecgmon.config import GatewayConfig
+from ecgmon.gateway import Gateway
 from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt import broker as broker_mod, codec
 from ecgmon.mqtt.broker import Broker
@@ -192,56 +195,82 @@ def test_connection_without_connect_is_closed(broker, monkeypatch):
         assert wait_for(lambda: len(threads & connection_threads()) == 1)
 
 
-class FailOnceListener:
-    """A listening socket whose first accept() fails with EMFILE."""
+# ------------------------------------------------------------- both doors
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.failed = threading.Event()
-
-    def accept(self):
-        if not self.failed.is_set():
-            self.failed.set()
-            raise OSError(errno.EMFILE, "Too many open files")
-        return self.inner.accept()
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+def start_door(door, store):
+    """A started broker (over a sink of its own, not started) or gateway."""
+    if door == "mqtt":
+        return Broker(port=0, sink=IngestionSink(store)).start()
+    return Gateway(store, GatewayConfig(http_port=0)).start()
 
 
-def test_accept_loop_survives_a_transient_accept_error(monkeypatch, tmp_path):
-    # in place before start(), so the loop's first accept() is the failing one
-    listeners = []
-    real_create_server = socket.create_server
-
-    def create_server(*args, **kwargs):
-        listeners.append(FailOnceListener(real_create_server(*args, **kwargs)))
-        return listeners[-1]
-
-    monkeypatch.setattr(broker_mod.socket, "create_server", create_server)
-    broker = Broker(port=0, sink=IngestionSink(RecordStore(tmp_path / "telemetry"))).start()
+def assert_door_answers(door, port):
+    if door == "mqtt":
+        MqttClient(client_id="probe").connect("127.0.0.1", port, timeout=2).disconnect()
+        return
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=2)
     try:
-        assert listeners[0].failed.wait(5)
-        # the CONNACK comes only if the accept loop is still running
-        client = MqttClient(client_id="after-emfile").connect("127.0.0.1", broker.port, timeout=2)
-        client.disconnect()
+        conn.request("GET", "/stats")
+        assert conn.getresponse().status == 404
     finally:
-        broker.stop()
+        conn.close()
 
 
-def test_stop_of_an_idle_broker_returns_at_once(tmp_path):
+def accept_threads():
+    return {t for t in threading.enumerate() if t.name.endswith("(_accept_loop)")}
+
+
+class FailingAccept:
+    """socket.accept, failing with EMFILE on its first call and on every one
+    after it until `fail_s` seconds have passed since that first."""
+
+    def __init__(self, fail_s):
+        self.real = socket.socket.accept
+        self.fail_s = fail_s
+        self.failures = 0
+
+    def __call__(self, sock):
+        if not self.failures:
+            self.until = time.monotonic() + self.fail_s
+        if not self.failures or time.monotonic() < self.until:
+            self.failures += 1
+            raise OSError(errno.EMFILE, "Too many open files")
+        return self.real(sock)
+
+
+@pytest.mark.parametrize("fail_s", [0, 0.5], ids=["once", "for-half-a-second"])
+@pytest.mark.parametrize("door", ["mqtt", "http"])
+def test_accept_loop_survives_a_transient_accept_error(monkeypatch, tmp_path, door, fail_s):
+    """An accept() that fails is retried 0.1 s later: a loop that retried at
+    once would spin through about a million failed accepts a second."""
+    failing = FailingAccept(fail_s)
+    monkeypatch.setattr(socket.socket, "accept", lambda sock: failing(sock))
+    with RecordStore(tmp_path / "telemetry") as store:
+        server = start_door(door, store)
+        try:
+            # the answer comes only if the accept loop is still running
+            assert_door_answers(door, server.port)
+        finally:
+            server.stop()
+    assert 1 <= failing.failures <= 10
+
+
+@pytest.mark.parametrize("door", ["mqtt", "http"])
+def test_stop_of_an_idle_broker_returns_at_once(tmp_path, door):
     """stop() wakes the accept() waiting on the listener instead of
-    waiting out its timeout."""
-    sink = IngestionSink(RecordStore(tmp_path / "telemetry"))
+    waiting out a timeout or a poll interval."""
+    before = accept_threads()
     stopping = 0.0
-    for _ in range(5):
-        broker = Broker(port=0, sink=sink).start()
-        time.sleep(0.05)    # into its accept()
-        started = time.monotonic()
-        broker.stop()
-        stopping += time.monotonic() - started
-        assert not broker._accept_thread.is_alive()
-    assert stopping < 0.25      # waiting out five 0.25 s timeouts takes about 1 s
+    with RecordStore(tmp_path / "telemetry") as store:
+        for _ in range(5):
+            server = start_door(door, store)
+            time.sleep(0.05)    # into its accept()
+            started = time.monotonic()
+            server.stop()
+            stopping += time.monotonic() - started
+            assert accept_threads() - before == set()
+    # waiting out five 0.25 s timeouts takes about 1 s, five 50 ms polls 0.25 s
+    assert stopping < 0.1
 
 
 def test_keep_alive_idle_drop(broker):

@@ -404,7 +404,7 @@ def test_only_the_sink_worker_appends_for_both_doors(tmp_path, monkeypatch):
 
 def serving_threads():
     return {t for t in threading.enumerate()
-            if t.name.endswith(("(_drain)", "(_accept_loop)", "(<lambda>)"))}
+            if t.name.endswith(("(_drain)", "(_accept_loop)", "(_run)"))}
 
 
 @pytest.mark.parametrize("door", ["http", "mqtt"])

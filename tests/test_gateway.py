@@ -18,7 +18,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecgmon import analytics, regression, sample_data, store as store_mod
+from ecgmon import analytics, cli, regression, sample_data, store as store_mod
 from ecgmon.config import GatewayConfig
 from ecgmon.gateway import (MAX_BODY_BYTES, MAX_HEADER_LINES, MAX_LINE_BYTES, Gateway,
                             _parse_rfc3339)
@@ -645,11 +645,12 @@ def test_ingest_content_length_with_surrounding_whitespace_or_repeated_is_read(g
 
 
 
+def handler_threads():
+    return {t for t in threading.enumerate() if t.name.endswith("(_run)")}
+
+
 def test_stalled_connections_are_closed_and_release_their_threads(gw, monkeypatch, caplog):
     monkeypatch.setattr("ecgmon.gateway._Handler.read_timeout_s", 0.5)
-
-    def handler_threads():
-        return {t for t in threading.enumerate() if t.name.endswith("(process_request_thread)")}
 
     before = handler_threads()
     with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as stalled, \
@@ -668,6 +669,39 @@ def test_stalled_connections_are_closed_and_release_their_threads(gw, monkeypatc
         thread.join(timeout=5)
         assert not thread.is_alive()
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+@pytest.mark.parametrize("whole_system", [False, True], ids=["gateway", "system"])
+def test_stop_ends_kept_alive_connections(tmp_path, caplog, whole_system):
+    """A request on a kept-alive connection after stop() reads EOF: it is
+    not served by a stopped gateway, nor over a closed store."""
+    root = tmp_path / "telemetry"
+    if whole_system:
+        system = cli.start_system(GatewayConfig(http_port=0, mqtt_port=0, store_root=str(root)))
+        port, stop = system.gateway.port, system.stop
+    else:
+        store = RecordStore(root)
+        gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+        port, stop = gateway.port, gateway.stop
+    get = b"GET /stats HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    before = handler_threads()
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            assert exchange(sock, get)[::2] == (404, None)
+            handlers = handler_threads() - before
+            assert len(handlers) == 1
+            stop()
+            sock.sendall(get)
+            assert closed_by_server(sock)
+        for thread in handlers:
+            thread.join(timeout=1)
+            assert not thread.is_alive()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    finally:
+        stop()
+        if not whole_system:
+            store.close()
+
 
 def test_ingest_body_at_the_limit_is_read(gw):
     status, body = request(gw, "POST", "/ingest", body=b" " * MAX_BODY_BYTES)
