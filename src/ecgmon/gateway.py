@@ -212,8 +212,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if from_ts > to_ts:
             self._problem(400, "bad_window", "from must be <= to")
             return
-        docs = self.server.store.read_range(patient_id, "pqrst", from_ts, to_ts)
-        self._send_bytes(200, b"[%s]" % b",".join(d.json for d in docs))
+        self._send_bytes(200, self.server.store.read_range_json(patient_id, "pqrst", from_ts, to_ts))
 
     def _get_stats(self) -> None:
         rows = self.server.store.pqrst_matrix()
@@ -316,8 +315,12 @@ class _Handler(socketserver.StreamRequestHandler):
                                            json.dumps(body).encode(), None, abort=_NO_WAIT)
         if outcome is None:
             return self._problem(503, "busy", "the ingestion queue is full; nothing was stored")
-        # not taken in time, it is withdrawn, and the sink skips it
-        if not futures.wait((outcome,), self.read_timeout_s).done and outcome.cancel():
+        # not taken in time, or by the gateway's stop(), it is withdrawn, and the sink skips it
+        futures.wait((outcome, self.server.stopped), self.read_timeout_s, futures.FIRST_COMPLETED)
+        if outcome.cancel():
+            if self.server.stopped.done():   # stop() shut the connection: no one to answer
+                self.close_connection = True
+                return
             return self._problem(503, "busy", "the ingestion sink is stalled; nothing was stored")
         try:
             seq = outcome.result()   # the sink holds it: nothing is stored after a 503
@@ -353,8 +356,11 @@ class Gateway:
                 log.warning("model file %s not usable: %s", self.config.model_path, exc)
         self.port = self.config.http_port   # the bound one once started
         self._listener: Optional[Listener] = None
+        # done by stop(), which so ends each POST /ingest's wait for the sink
+        self.stopped: futures.Future = futures.Future()
 
     def start(self) -> "Gateway":
+        self.stopped = futures.Future()
         self._listener = Listener(self.config.http_host, self.port,
                                   lambda sock, addr: _Handler(sock, addr, self))
         self.port = self._listener.port
@@ -365,4 +371,6 @@ class Gateway:
     def stop(self) -> None:
         if self._listener is not None:
             self._listener.stop()
+        if not self.stopped.done():
+            self.stopped.set_result(None)
         self.sink.stop()

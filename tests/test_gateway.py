@@ -26,7 +26,7 @@ from ecgmon.ingest import IngestionSink
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient
 from ecgmon.store import RecordStore
-from test_store import (blocked_append_fsync, fail_append_fsync, reference_encode_line,
+from test_store import (blocked_append_fsync, fail_append_fsync, heartbeat, reference_encode_line,
                         reference_served, returns_within, stored_lines)
 
 # received_at used by the window tests: 2023-11-14T22:13:20Z exactly
@@ -754,6 +754,41 @@ def test_ingest_queued_while_the_sink_is_stopped_is_503_busy_after_the_wait(gw, 
     status, body = request(gw, "POST", "/ingest", body=heartbeat_body(bpm=73))
     assert (status, body) == (201, {"sequence": 1})
     assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [73]
+
+
+def queued(sink):
+    return [item for item in list(sink._queue.queue) if item is not None]
+
+
+def test_stop_withdraws_an_ingest_still_queued_and_ends_its_handler(store, caplog):
+    gateway = Gateway(store, GatewayConfig(http_port=0)).start()
+    gateway.sink.stop()
+    before = handler_threads()
+    try:
+        with socket.create_connection(("127.0.0.1", gateway.port), timeout=5) as sock:
+            sock.sendall(b"POST /ingest HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\n\r\n%s"
+                         % (BODY_LEN.encode(), INGEST_BODY))
+            # queued behind the stopped sink's wake-up, which may still be there
+            deadline = time.monotonic() + 5
+            while not queued(gateway.sink) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(queued(gateway.sink)) == 1
+            handlers = handler_threads() - before
+            assert len(handlers) == 1
+            gateway.stop()
+            assert closed_by_server(sock)
+        for thread in handlers:
+            thread.join(timeout=1)
+            assert not thread.is_alive()
+        # the queue is drained in order, so the withdrawn item was skipped
+        # by the time a later one is stored
+        gateway.sink.start()
+        later = gateway.sink.submit("clinic/p2/heartbeat", json.dumps(heartbeat("p2")).encode(), None)
+        assert later.result(timeout=5) == 1
+        assert [d.patient_id for d in store.read_class("heartbeat")] == ["p2"]
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    finally:
+        gateway.stop()
 
 
 def test_ingest_during_an_fsync_failure_is_503_and_the_retry_is_stored_once(tmp_path, monkeypatch):

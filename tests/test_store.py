@@ -1627,6 +1627,115 @@ def test_line_rewritten_with_another_sequence_fails_the_read(store, tmp_path):
         store.latest("p1", "heartbeat")
 
 
+# the message ids a line may hold: none, an int64, and one an older version
+# wrote beyond int64, which the index keeps as none
+LINE_MESSAGE_IDS = st.none() | st.integers(0, 2**63 - 1) | st.integers(2**63, 2**70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VALID_DOCS)), SERVED_DOCS, SERVED_DOCS,
+       st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0]), max_size=2),
+       st.lists(LINE_MESSAGE_IDS, min_size=4, max_size=4), st.data())
+def test_a_window_serves_the_join_of_its_documents_as_the_reference(klass, legacy, appended, numbers,
+                                                                     message_ids, data):
+    """Lines of an older version (non-finite numbers, message ids of null or
+    beyond int64) and appended ones, keys outside the schema in both: a
+    window's bytes are its documents' `json` joined, and each the reference."""
+    with tempfile.TemporaryDirectory() as root:
+        log = Path(root) / klass / "2026-01-05.log"
+        log.parent.mkdir()
+        with open(log, "ab") as fh:
+            for n, (pid, extra, special) in enumerate(legacy):
+                payload = dict(served_payload(klass, pid, extra, special), x_numbers=numbers)
+                fh.write(reference_encode_line({
+                    "seq": n + 1, "topic": device.topic(pid, klass), "patient_id": pid,
+                    "received_at": 1_767_600_000_000 + n, "message_id": message_ids[n], "payload": payload}))
+        with RecordStore(root) as store:
+            for n, (pid, extra, special) in enumerate(appended):
+                store.append(device.topic(pid, klass), pid, served_payload(klass, pid, extra, special),
+                             message_id=n, received_at=1_767_600_000_000 + DAY_MS + n)
+            times = sorted({0, 2**62} | {d.received_at + step for d in store.read_class(klass) for step in (0, 1)})
+            lo = data.draw(st.sampled_from(times))
+            hi = data.draw(st.sampled_from([t for t in times if t >= lo]))
+            lines = stored_lines(root)
+            for pid in ("p1", "p2", None):
+                docs = store.read_range(pid, klass, lo, hi)
+                window = store.read_range_json(pid, klass, lo, hi)
+                assert window == b"[" + b",".join(d.json for d in docs) + b"]"
+                served = json.loads(window, parse_constant=refuse_constant)
+                assert [json.dumps(doc) for doc in served] == [reference_served(lines[d.sequence])
+                                                               for d in docs]
+
+
+def test_a_window_makes_no_document_object_unless_a_line_holds_a_non_finite_number(tmp_path,
+                                                                                   monkeypatch):
+    root = tmp_path / "telemetry"
+    log = root / "pqrst" / "2026-01-05.log"
+    log.parent.mkdir(parents=True)
+    log.write_bytes(reference_encode_line({
+        "seq": 1, "topic": "clinic/p1/ecg/pqrst", "patient_id": "p1", "received_at": 1_767_600_000_000,
+        "message_id": None, "payload": dict(pqrst(), x=[math.nan])}))
+    with RecordStore(root) as store:
+        store.append("clinic/p1/ecg/pqrst", "p1", pqrst(record_no=2), received_at=1_767_600_000_001)
+        made, real = [], store_mod.StoredDocument
+        monkeypatch.setattr(store_mod, "StoredDocument", lambda *args: made.append(args) or real(*args))
+        window = store.read_range_json("p1", "pqrst", 1_767_600_000_001, 2**62)
+        assert made == [] and json.loads(window)[0]["sequence"] == 2
+        window = store.read_range_json("p1", "pqrst", 0, 2**62)
+        assert len(made) == 2 and json.loads(window, parse_constant=refuse_constant)[0]["payload"]["x"] == [None]
+
+
+def two_heartbeats(store, tmp_path):
+    """Two lines of one length in today's heartbeat log, and the log."""
+    # the two lines differ in one digit of bpm, and their CRCs print as wide
+    for bpm in (60, 62):
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=bpm), message_id=bpm,
+                     received_at=1_767_600_000_000)
+    log = tmp_path / "telemetry" / "heartbeat" / "2026-01-05.log"
+    first, second = log.read_bytes().splitlines(keepends=True)
+    assert len(first) == len(second)
+    return log, first, second
+
+
+def every_read(store):
+    """Each read of the p1 heartbeats: the window, read_range, read_class,
+    latest, and the redelivery check of each message."""
+    return [lambda: store.read_range_json("p1", "heartbeat", 0, 2**62),
+            lambda: store.read_range("p1", "heartbeat", 0, 2**62),
+            lambda: store.read_class("heartbeat"),
+            lambda: store.latest("p1", "heartbeat"),
+            lambda: store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60), message_id=60,
+                                 received_at=1_767_600_000_000),
+            lambda: store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=62), message_id=62,
+                                 received_at=1_767_600_000_000)]
+
+
+def test_a_byte_flipped_after_open_fails_every_read(store, tmp_path):
+    log, first, second = two_heartbeats(store, tmp_path)
+    at = len(first) + second.index(b'"bpm":62') + len(b'"bpm":')
+    with open(log, "r+b") as fh:
+        fh.seek(at)
+        fh.write(b"7")
+    reads = every_read(store)
+    for read in reads[:4] + reads[5:]:
+        with pytest.raises(StoreError, match=f"^checksum failure in {log} at offset {len(first)}$"):
+            read()
+    assert reads[4]() == 1      # the first line is whole
+
+
+def test_swapped_lines_fail_every_read_as_lines_of_another_sequence(store, tmp_path):
+    log, first, second = two_heartbeats(store, tmp_path)
+    # each line still ends in its own CRC, but at the other's offset
+    log.write_bytes(second + first)
+    reads = every_read(store)
+    for read in reads[:3] + reads[4:5]:
+        with pytest.raises(StoreError, match=f"^line in {log} at offset 0 is not sequence 1$"):
+            read()
+    for read in reads[3:4] + reads[5:]:
+        with pytest.raises(StoreError, match=f"^line in {log} at offset {len(first)} is not sequence 2$"):
+            read()
+
+
 # ------------------------------------------------------------------ export
 
 def test_export_csv_round_trip(store):

@@ -85,8 +85,8 @@ def spies(monkeypatch, clock):
 def state(root) -> tuple:
     """An open's index, pqrst matrix bytes and next sequence."""
     with RecordStore(root) as store:
-        index = {key: [(seq, received_at, os.path.relpath(store._logs[log], root), offset, length, message_id)
-                       for seq, received_at, log, offset, length, message_id in entries[:n].tolist()]
+        index = {key: [(seq, received_at, os.path.relpath(store._logs[log], root), *rest)
+                       for seq, received_at, log, *rest in entries[:n].tolist()]
                  for key, (entries, n) in store._index.items()}
         return index, store.pqrst_matrix().tobytes(), store._next_seq
 
@@ -551,27 +551,29 @@ def test_a_version_1_hint_is_ignored_and_rewritten(tmp_path, spies):
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 4)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 5)
 
 
-def version_3_hint(log: Path, number: int) -> bytes:
-    """The hint of log `number` as version 3 wrote it: each patient's line
-    count, the lines' sequence, received_at, log number, offset and length
-    rows grouped by patient in file order, the patient ids joined by NUL, a
-    pqrst log's rows in the same order, and the CRC-32 of all that."""
+def old_hint(log: Path, number: int, version: int) -> bytes:
+    """The hint of log `number` as version 3 or 4 wrote it: each patient's
+    line count, the lines' sequence, received_at, log number, offset and
+    length rows grouped by patient in file order (version 4 adds the message
+    id, -1 for none), the patient ids joined by NUL, a pqrst log's rows in
+    the same order, and the CRC-32 of all that."""
     data, offset = log.read_bytes(), 0
     entries, rows = {}, {}
     for raw in data.splitlines(keepends=True):
         record = json.loads(raw)
+        message_id = -1 if record["message_id"] is None else record["message_id"]
         entries.setdefault(record["patient_id"], []).append(
-            (record["seq"], record["received_at"], number, offset, len(raw)))
+            (record["seq"], record["received_at"], number, offset, len(raw), message_id)[:version + 2])
         if log.parent.name == "pqrst":
             rows.setdefault(record["patient_id"], []).extend(store_mod.device.pqrst_row(record["payload"]))
         offset += len(raw)
     lines = [value for listed in entries.values() for entry in listed for value in entry]
     values = [value for listed in rows.values() for value in listed]
     ids = "\0".join(entries).encode()
-    body = struct.pack("=4sIQIIIII", b"ECGH", 3, len(data), zlib.crc32(data), len(lines) // 5,
+    body = struct.pack("=4sIQIIIII", b"ECGH", version, len(data), zlib.crc32(data), len(lines) // (version + 2),
                        len(entries), len(ids), len(values) // 7)
     body += struct.pack(f"={len(entries)}q", *map(len, entries.values()))
     body += struct.pack(f"={len(lines)}q", *lines) + ids + struct.pack(f"={len(values)}d", *values)
@@ -584,11 +586,37 @@ def test_a_version_3_hint_is_ignored_and_rewritten(tmp_path, spies):
     hint = root / "pqrst" / "2026-01-13.hint"
     good = hint.read_bytes()
     in_open_order = [log for klass in TOPIC_CLASSES for log in sorted((root / klass).glob("*.log"))]
-    hint.write_bytes(version_3_hint(hint.with_suffix(".log"), in_open_order.index(hint.with_suffix(".log"))))
+    hint.write_bytes(old_hint(hint.with_suffix(".log"), in_open_order.index(hint.with_suffix(".log")), 3))
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 4)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 5)
+
+
+def served(root) -> list:
+    """Every class's documents as a window over all time serves them."""
+    with RecordStore(root) as store:
+        return [store.read_range_json(None, klass, 0, 2**62) for klass in TOPIC_CLASSES]
+
+
+def test_a_version_4_hint_is_ignored_and_rewritten_as_version_5(tmp_path, spies):
+    root = tmp_path / "telemetry"
+    # with message ids, so that the version 4 rows hold some
+    with RecordStore(root) as store:
+        for n, pid in enumerate(("p1", "p2", "p3")):
+            for klass in TOPIC_CLASSES:
+                put(store, klass, pid, n, -2, message_id=n or None)
+    want = state(root)
+    hint = root / "pqrst" / "2026-01-13.hint"
+    good = hint.read_bytes()
+    in_open_order = [log for klass in TOPIC_CLASSES for log in sorted((root / klass).glob("*.log"))]
+    hint.write_bytes(old_hint(hint.with_suffix(".log"), in_open_order.index(hint.with_suffix(".log")), 4))
+    spies.reset()
+    assert state(root) == want
+    assert spies.decoded == 3
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 5)
+    assert full_scan_state(root, tmp_path) == want
+    assert served(root) == served(tmp_path / "full-scan")
 
 
 def test_a_log_cut_shorter_than_its_hint_is_scanned_in_full(tmp_path, spies):
