@@ -8,6 +8,7 @@ path does.  Every error response is a problem document {status, code, detail}.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -87,14 +88,16 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         self.close_connection = False
-        while not self.close_connection and self._read_request():
-            try:
-                (self.do_GET if self.command == b"GET" else self.do_POST)()
-            except BrokenPipeError:
-                pass
-            except Exception as exc:  # noqa: BLE001 - last-resort handler
-                log.exception("%s %s failed", self.command.decode("latin-1"), self.path)
-                self._problem(500, "internal_error", str(exc))
+        # a client that hangs up or resets mid-request or mid-answer has no one left to answer
+        with contextlib.suppress(ConnectionError):
+            while not self.close_connection and self._read_request():
+                try:
+                    (self.do_GET if self.command == b"GET" else self.do_POST)()
+                except ConnectionError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - last-resort handler
+                    log.exception("%s %s failed", self.command.decode("latin-1"), self.path)
+                    self._problem(500, "internal_error", str(exc))
 
     def _read_request(self) -> bool:
         """Read a request line and its header lines; False ends the connection."""
@@ -133,9 +136,24 @@ class _Handler(socketserver.StreamRequestHandler):
         # read by Content-Length it would smuggle a request (RFC 9112 §6.1, §6.3)
         if "Transfer-Encoding" in headers:
             return self._refuse(501, "not_implemented", "no Transfer-Encoding")
+        # RFC 9110 §8.6: the value is 1*DIGIT; RFC 9112 §6.3: differing
+        # repeated values are as invalid as a malformed one
+        values = {v.strip(" \t") for v in headers.get("Content-Length", "0").split(",")}
+        text = values.pop() if len(values) == 1 else ""
+        try:
+            self.length = int(text) if text.isascii() and text.isdigit() else -1
+        except ValueError:  # more digits than int() converts, so far over the limit
+            self.length = MAX_BODY_BYTES + 1
+        # refused, the body stays unread, so the connection cannot carry another request
+        if self.length < 0:
+            return self._refuse(400, "bad_length", "Content-Length must be a non-negative integer")
+        if self.length > MAX_BODY_BYTES:
+            return self._refuse(413, "body_too_large", f"body exceeds {MAX_BODY_BYTES} bytes")
         connection = {t.strip() for t in headers.get("Connection", "").lower().split(",")}
         self.close_connection = ("close" in connection if self.request_version == b"HTTP/1.1"
                                  else "keep-alive" not in connection)
+        # a GET's body is never read, and would be read as the next request (RFC 9112 §6.3)
+        self.close_connection |= self.command == b"GET" and self.length > 0
         return True
 
     def _refuse(self, status: int, code: str, detail: str) -> bool:
@@ -272,27 +290,11 @@ class _Handler(socketserver.StreamRequestHandler):
         })
 
     def _post_ingest(self) -> None:
-        # RFC 9110 §8.6: the value is 1*DIGIT; RFC 9112 §6.3: differing
-        # repeated values are as invalid as a malformed one
-        values = {v.strip(" \t") for v in self.headers.get("Content-Length", "0").split(",")}
-        text = values.pop() if len(values) == 1 else ""
-        try:
-            length = int(text) if text.isascii() and text.isdigit() else -1
-        except ValueError:  # more digits than int() converts, so far over the limit
-            length = MAX_BODY_BYTES + 1
-        if not 0 <= length <= MAX_BODY_BYTES:
-            # the body stays unread, so the connection cannot carry another request
-            self.close_connection = True
-            if length < 0:
-                self._problem(400, "bad_length", "Content-Length must be a non-negative integer")
-            else:
-                self._problem(413, "body_too_large", f"body exceeds {MAX_BODY_BYTES} bytes")
-            return
         if (self.request_version == b"HTTP/1.1"
                 and self.headers.get("Expect", "").lower() == "100-continue"):
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        raw = self.rfile.read(length)
-        if raw is None or len(raw) < length:  # the client stalled or hung up mid-body
+        raw = self.rfile.read(self.length)
+        if raw is None or len(raw) < self.length:  # the client stalled or hung up mid-body
             self.close_connection = True
             return
         if not raw:

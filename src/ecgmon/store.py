@@ -9,8 +9,8 @@ and truncated away without touching earlier documents.  The numeric
 columns of every pqrst document are also kept in memory, as one float64
 matrix in sequence order, so dataset statistics need no log reads.  A
 scan of any log, of whatever day, leaves a `.hint` file beside it holding
-the log's index rows as they are in memory, so the next open loads the
-hint and decodes only the lines appended after it.  An index row keeps
+the log's index rows in file order, so the next open loads the hint and
+decodes only the lines appended after it.  An index row keeps
 what a read needs besides the line: the line's CRC-32, to check it
 against, and where its keys start, to cut the served document out of it
 with no search; a window is served as one join of such cuts.  Reads take
@@ -316,12 +316,12 @@ def _decode_line(raw: bytes) -> Optional[tuple[dict, tuple[int, int, int, int]]]
                     raw.index(_PAYLOAD_KEY), crc_at)
 
 
-# A hint file: this header, each patient's line count, the log's index rows
-# grouped by patient in file order, the patient ids joined by NUL, a pqrst
-# log's rows in the same order, then the CRC-32 of all that.  Native byte
-# order throughout: on a machine of the other order the version reads wrong.
+# A hint file: this header, the log's index rows in file order, the patient
+# ids joined by NUL, a pqrst log's rows in the same order, then the CRC-32 of
+# all that.  Native byte order throughout: on a machine of the other order
+# the version reads wrong.
 _HINT_MAGIC = b"ECGH"
-_HINT_VERSION = 5
+_HINT_VERSION = 6
 # magic, version, covered log bytes, their CRC-32, lines, patients, bytes of
 # patient ids, pqrst rows
 _HINT_HEADER = struct.Struct("=4sIQIIIII")
@@ -333,10 +333,9 @@ class _Hint(NamedTuple):
     content of the log's `.hint` file."""
     covered: int = 0
     crc: int = 0            # CRC-32 of the covered bytes
-    ids: list = []          # the log's patient ids
-    counts: np.ndarray = np.empty(0, np.int64)      # each patient's line count, in `ids` order
-    # an index row per line, grouped by patient in `ids` order and in file
-    # order within a patient; the log column is set again on open
+    ids: list = []          # the log's patient ids, in the order the log first names them
+    # an index row per line, in file order; the log column holds the line's
+    # patient, as a place in `ids`, until the open sets it to the log
     entries: np.ndarray = _NO_ENTRIES
     # a pqrst log's `device.pqrst_row` values, one per index row; none in a
     # log of another class
@@ -347,7 +346,7 @@ class _Hint(NamedTuple):
         body = b"".join([
             _HINT_HEADER.pack(_HINT_MAGIC, _HINT_VERSION, self.covered, self.crc, len(self.entries),
                               len(self.ids), len(ids), len(self.rows)),
-            self.counts.tobytes(), self.entries.tobytes(), ids, self.rows.tobytes()])
+            self.entries.tobytes(), ids, self.rows.tobytes()])
         return body + _HINT_CRC.pack(zlib.crc32(body))
 
     @classmethod
@@ -364,7 +363,7 @@ class _Hint(NamedTuple):
             return None
         magic, version, covered, crc, lines, patients, id_bytes, rows = _HINT_HEADER.unpack_from(data)
         width = len(analytics.COLUMNS)
-        pos = _HINT_HEADER.size + 8 * (patients + _INDEX_WIDTH * lines)
+        pos = _HINT_HEADER.size + 8 * _INDEX_WIDTH * lines
         if (magic != _HINT_MAGIC or version != _HINT_VERSION
                 or end != pos + id_bytes + 8 * width * rows):
             return None
@@ -372,8 +371,8 @@ class _Hint(NamedTuple):
         ids = data[pos:pos + id_bytes].decode("utf-8", "surrogatepass").split("\0") if patients else []
         if len(ids) != patients:
             return None
-        ints = np.frombuffer(data, np.int64, patients + _INDEX_WIDTH * lines, _HINT_HEADER.size)
-        return cls(covered, crc, ids, ints[:patients], ints[patients:].reshape(lines, _INDEX_WIDTH),
+        entries = np.frombuffer(data, np.int64, _INDEX_WIDTH * lines, _HINT_HEADER.size)
+        return cls(covered, crc, ids, entries.reshape(lines, _INDEX_WIDTH),
                    np.frombuffer(data, float, width * rows, pos + id_bytes).reshape(rows, width))
 
 
@@ -479,16 +478,19 @@ class RecordStore:
             self._logs += [f"{class_dir}/{name}" for name in names]
             logs = [self._scan_file(klass, n) for n in range(first, len(self._logs))]
             entries = np.concatenate([log.entries for log in logs])
-            entries[:, _LOG] = np.repeat(range(first, len(self._logs)), [len(log.entries) for log in logs])
             rows = np.concatenate([log.rows for log in logs])
-            counts = np.concatenate([log.counts for log in logs])
             listed = [log.ids for log in logs]
+            lengths = [len(log.entries) for log in logs]
             del logs    # and the hint bytes they view, whose memory the gathers below reuse
             # patient id -> its number within the class; each row's number, in
-            # the smallest unsigned dtype that holds them all
+            # the smallest unsigned dtype that holds them all, gathered at its
+            # log's first place in `listed` plus its place in that log's ids
             ids = dict(zip(dict.fromkeys(itertools.chain.from_iterable(listed)), itertools.count()))
-            patients = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(listed)),
-                                   np.min_scalar_type(len(ids)), sum(map(len, listed))).repeat(counts)
+            numbers = np.fromiter(map(ids.__getitem__, itertools.chain.from_iterable(listed)),
+                                  np.min_scalar_type(len(ids)), sum(map(len, listed)))
+            starts = np.cumsum([0, *map(len, listed[:-1])])
+            patients = numbers.take(entries[:, _LOG] + starts.repeat(lengths))
+            entries[:, _LOG] = np.repeat(range(first, len(self._logs)), lengths)
             by_seq = np.argsort(entries[:, _SEQ])
             # rows are gathered with take, a few times faster than indexing with an array
             if klass == "pqrst":    # in sequence order, every row in use
@@ -518,7 +520,7 @@ class RecordStore:
                 return hint                 # no byte past those it covers
             log = hint or _Hint()
             ids = dict(zip(log.ids, itertools.count()))
-            tail, owners, tail_rows = array("q"), array("q"), array("d")   # of the decoded lines
+            tail, tail_rows = array("q"), array("d")    # of the decoded lines
             offset, crc = log.covered, log.crc
             for raw in fh:
                 decoded = _decode_line(raw)
@@ -535,9 +537,9 @@ class RecordStore:
                 # is never a redelivery's original: append refuses such an id
                 if message_id is None or not 0 <= message_id < 2**63:
                     message_id = -1
-                tail.extend((record["seq"], record["received_at"], number, offset, len(raw), message_id,
-                             *columns))
-                owners.append(ids.setdefault(record["patient_id"], len(ids)))
+                tail.extend((record["seq"], record["received_at"],
+                             ids.setdefault(record["patient_id"], len(ids)), offset, len(raw),
+                             message_id, *columns))
                 if klass == "pqrst":
                     row = device.pqrst_row(record["payload"])
                     # the other columns were range-checked when written, but
@@ -549,13 +551,9 @@ class RecordStore:
                 crc = zlib.crc32(raw, crc)
                 offset += len(raw)
         if tail:
-            # the hint's rows and the decoded lines, grouped by patient again
-            owners = np.concatenate([np.arange(len(log.ids)).repeat(log.counts), owners])
-            order = np.argsort(owners, kind="stable")
-            rows = np.concatenate([log.rows, np.reshape(tail_rows, (-1, log.rows.shape[1]))])
-            log = _Hint(offset, crc, list(ids), np.bincount(owners, minlength=len(ids)),
-                        np.concatenate([log.entries, np.reshape(tail, (-1, _INDEX_WIDTH))])[order],
-                        rows[order] if len(rows) else rows)
+            log = _Hint(offset, crc, list(ids),
+                        np.concatenate([log.entries, np.reshape(tail, (-1, _INDEX_WIDTH))]),
+                        np.concatenate([log.rows, np.reshape(tail_rows, (-1, log.rows.shape[1]))]))
         if hint is None or offset > hint.covered:
             _write_hint(hint_path, log)
         return log

@@ -10,6 +10,7 @@ import logging
 import socket
 import socketserver
 import statistics
+import struct
 import threading
 import time
 import weakref
@@ -667,6 +668,45 @@ def test_stalled_connections_are_closed_and_release_their_threads(gw, monkeypatc
         assert silent.recv(1) == b""
     for thread in threads:
         thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+def test_a_get_with_a_body_is_answered_once_and_closes(gw, store):
+    """A GET's body is never read; left on the connection, it would be
+    served as the next request (RFC 9112 §6.3, §11.2)."""
+    smuggled = b"POST /ingest HTTP/1.1\r\nHost: localhost\r\nContent-Length: %s\r\n\r\n%s" % (
+        BODY_LEN.encode(), INGEST_BODY)
+    with socket.create_connection(("127.0.0.1", gw.port), timeout=5) as sock:
+        sock.sendall(b"GET /stats HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n%s"
+                     % (len(smuggled), smuggled))
+        sock.shutdown(socket.SHUT_WR)
+        answered = b""
+        try:
+            while chunk := sock.recv(65536):
+                answered += chunk
+        except ConnectionResetError:  # closed with the unread body still queued
+            pass
+    head = answered.partition(b"\r\n\r\n")[0]
+    assert answered.count(b"HTTP/1.1 ") == 1
+    assert head.startswith(b"HTTP/1.1 404 ") and b"\r\nConnection: close" in head
+    assert store.read_class("heartbeat") == []
+
+
+def test_a_reset_mid_request_ends_its_handler_quietly(gw, caplog):
+    before = handler_threads()
+    sock = socket.create_connection(("127.0.0.1", gw.port), timeout=5)
+    sock.sendall(b"GET /stats HT")          # a request line cut short
+    deadline = time.monotonic() + 5
+    while not handler_threads() - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    handlers = handler_threads() - before
+    assert len(handlers) == 1
+    # SO_LINGER of (on, 0 s): close() sends an RST, not a FIN
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+    for thread in handlers:
+        thread.join(timeout=1)
         assert not thread.is_alive()
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 

@@ -551,29 +551,32 @@ def test_a_version_1_hint_is_ignored_and_rewritten(tmp_path, spies):
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 5)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 6)
 
 
 def old_hint(log: Path, number: int, version: int) -> bytes:
-    """The hint of log `number` as version 3 or 4 wrote it: each patient's
-    line count, the lines' sequence, received_at, log number, offset and
-    length rows grouped by patient in file order (version 4 adds the message
-    id, -1 for none), the patient ids joined by NUL, a pqrst log's rows in
-    the same order, and the CRC-32 of all that."""
+    """The hint of log `number` as version 3, 4 or 5 wrote it: each
+    patient's line count, the lines' sequence, received_at, log number,
+    offset and length rows grouped by patient in file order (version 4 adds
+    the message id, -1 for none; version 5 then the line's CRC-32 and the
+    offsets of its message id, payload and crc keys), the patient ids joined
+    by NUL, a pqrst log's rows in the same order, and the CRC-32 of all that."""
     data, offset = log.read_bytes(), 0
     entries, rows = {}, {}
+    width = {3: 5, 4: 6, 5: 10}[version]
     for raw in data.splitlines(keepends=True):
         record = json.loads(raw)
         message_id = -1 if record["message_id"] is None else record["message_id"]
         entries.setdefault(record["patient_id"], []).append(
-            (record["seq"], record["received_at"], number, offset, len(raw), message_id)[:version + 2])
+            (record["seq"], record["received_at"], number, offset, len(raw), message_id, zlib.crc32(raw),
+             raw.index(b',"message_id":'), raw.index(b',"payload":'), raw.rindex(b',"crc":'))[:width])
         if log.parent.name == "pqrst":
             rows.setdefault(record["patient_id"], []).extend(store_mod.device.pqrst_row(record["payload"]))
         offset += len(raw)
     lines = [value for listed in entries.values() for entry in listed for value in entry]
     values = [value for listed in rows.values() for value in listed]
     ids = "\0".join(entries).encode()
-    body = struct.pack("=4sIQIIIII", b"ECGH", version, len(data), zlib.crc32(data), len(lines) // (version + 2),
+    body = struct.pack("=4sIQIIIII", b"ECGH", version, len(data), zlib.crc32(data), len(lines) // width,
                        len(entries), len(ids), len(values) // 7)
     body += struct.pack(f"={len(entries)}q", *map(len, entries.values()))
     body += struct.pack(f"={len(lines)}q", *lines) + ids + struct.pack(f"={len(values)}d", *values)
@@ -590,7 +593,7 @@ def test_a_version_3_hint_is_ignored_and_rewritten(tmp_path, spies):
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 5)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 6)
 
 
 def served(root) -> list:
@@ -599,9 +602,10 @@ def served(root) -> list:
         return [store.read_range_json(None, klass, 0, 2**62) for klass in TOPIC_CLASSES]
 
 
-def test_a_version_4_hint_is_ignored_and_rewritten_as_version_5(tmp_path, spies):
+@pytest.mark.parametrize("version", [4, 5])
+def test_an_older_hint_with_message_ids_is_ignored_and_rewritten(tmp_path, spies, version):
     root = tmp_path / "telemetry"
-    # with message ids, so that the version 4 rows hold some
+    # with message ids, so that the old rows hold some
     with RecordStore(root) as store:
         for n, pid in enumerate(("p1", "p2", "p3")):
             for klass in TOPIC_CLASSES:
@@ -610,11 +614,11 @@ def test_a_version_4_hint_is_ignored_and_rewritten_as_version_5(tmp_path, spies)
     hint = root / "pqrst" / "2026-01-13.hint"
     good = hint.read_bytes()
     in_open_order = [log for klass in TOPIC_CLASSES for log in sorted((root / klass).glob("*.log"))]
-    hint.write_bytes(old_hint(hint.with_suffix(".log"), in_open_order.index(hint.with_suffix(".log")), 4))
+    hint.write_bytes(old_hint(hint.with_suffix(".log"), in_open_order.index(hint.with_suffix(".log")), version))
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 5)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 6)
     assert full_scan_state(root, tmp_path) == want
     assert served(root) == served(tmp_path / "full-scan")
 
