@@ -12,8 +12,8 @@ connection are serialized behind a per-connection lock.
 
 from __future__ import annotations
 
+import hmac
 import logging
-import select
 import socket
 import threading
 import time
@@ -38,13 +38,21 @@ __all__ = ["Broker"]
 
 log = logging.getLogger("ecgmon.mqtt.broker")
 
-MAX_PACKET_BYTES = 256 * 1024
 CONNACK_ACCEPTED = 0x00
 CONNACK_IDENTIFIER_REJECTED = 0x02
 CONNACK_BAD_CREDENTIALS = 0x04
 SUBACK_FAILURE = 0x80
 # a connection without a complete CONNECT by then is closed (3.1.1 §3.1.4)
 CONNECT_TIMEOUT_S = 10
+
+
+def _same(given, expected) -> bool:
+    """Whether two credentials, each None, a str or bytes, are equal, in a
+    time that does not depend on where they differ; None equals only None."""
+    if given is None or expected is None:
+        return given is expected
+    as_bytes = [v.encode("utf-8") if isinstance(v, str) else v for v in (given, expected)]
+    return hmac.compare_digest(*as_bytes)
 
 
 class _Connection:
@@ -79,46 +87,31 @@ class _Connection:
 
     def _run(self) -> None:
         buf = bytearray()
-        connected = False
         self.sock.settimeout(0.25)      # bounds a send; a read waits in poll()
-        poller = select.poll()
-        poller.register(self.sock, select.POLLIN)
         deadline = time.monotonic() + CONNECT_TIMEOUT_S     # None: no keep-alive
         try:
             while True:
-                wait = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
-                if not poller.poll(wait):       # None waits for ever; poll(inf) would overflow
-                    log.info("closing %s: %s", self.addr, "idle" if connected else "no CONNECT")
-                    break
                 try:
-                    data = self.sock.recv(65536)
-                except OSError:
+                    packet = codec.next_packet(self.sock, buf, deadline)
+                except (EOFError, OSError):
                     break
-                if not data:
+                except codec.ProtocolError as exc:
+                    log.warning("protocol error from %s: %s", self.addr, exc)
                     break
-                buf.extend(data)
-                while True:
-                    try:
-                        decoded = codec.decode_packet(buf, max_remaining=MAX_PACKET_BYTES)
-                    except codec.ProtocolError as exc:
-                        log.warning("protocol error from %s: %s", self.addr, exc)
-                        return
-                    if decoded is None:
+                if packet is None:
+                    log.info("closing %s: %s", self.addr, "idle" if self.client_id else "no CONNECT")
+                    break
+                if self.client_id is None:
+                    if not isinstance(packet, Connect):
+                        log.warning("first packet from %s was %s, closing",
+                                    self.addr, type(packet).__name__)
                         break
-                    packet, consumed = decoded
-                    del buf[:consumed]
-                    if not connected:
-                        if not isinstance(packet, Connect):
-                            log.warning("first packet from %s was %s, closing",
-                                        self.addr, type(packet).__name__)
-                            return
-                        if not self._handle_connect(packet):
-                            return
-                        connected = True
-                    elif not self._dispatch(packet):
-                        return
-                if connected:  # any traffic restarts the keep-alive window; 0 disables it
-                    deadline = time.monotonic() + 1.5 * self.keep_alive if self.keep_alive else None
+                    if not self._handle_connect(packet):
+                        break
+                elif not self._dispatch(packet):
+                    break
+                # each whole packet restarts the keep-alive window (3.1.1 §3.1.2.10); 0 disables it
+                deadline = time.monotonic() + 1.5 * self.keep_alive if self.keep_alive else None
         finally:
             self.close()
             with self._write_lock:      # not under a PUBACK being sent
@@ -128,11 +121,11 @@ class _Connection:
         if not packet.client_id and not packet.clean_session:   # 3.1.1 [MQTT-3.1.3-8]
             self.send(Connack(False, CONNACK_IDENTIFIER_REJECTED))
             return False
-        if self.broker.username is not None:
-            if packet.username != self.broker.username or \
-                    packet.password != self.broker.password:
-                self.send(Connack(False, CONNACK_BAD_CREDENTIALS))
-                return False
+        if self.broker.username is not None and not (
+                _same(packet.username, self.broker.username)
+                & _same(packet.password, self.broker.password)):    # both compared, always
+            self.send(Connack(False, CONNACK_BAD_CREDENTIALS))
+            return False
         self.client_id = packet.client_id or f"anon-{id(self):x}"
         self.keep_alive = packet.keep_alive
         # Clean sessions only: a reconnect never resumes state, and a

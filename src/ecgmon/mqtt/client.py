@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import random
-import select
 import socket
 import threading
 import time
@@ -159,31 +158,14 @@ class MqttClient:
 
     def _read(self, deadline: float):
         """The next packet from the broker, or None once `deadline` passes."""
-        while True:
-            try:
-                decoded = codec.decode_packet(self._buf)
-            except codec.ProtocolError as exc:
-                raise MqttError(f"protocol error from broker: {exc}") from exc
-            if decoded is not None:
-                packet, consumed = decoded
-                del self._buf[:consumed]
-                return packet
-            sock = self._sock
-            if sock is None:
-                raise MqttError("not connected")
+        sock = self._sock
+        if sock is None:
+            raise MqttError("not connected")
+        try:
             # poll, not a socket timeout: the pinger sends on this socket too
-            poller = select.poll()
-            poller.register(sock, select.POLLIN)
-            wait_ms = (deadline - time.monotonic()) * 1000.0
-            if wait_ms <= 0 or not poller.poll(wait_ms):
-                return None
-            try:
-                data = sock.recv(65536)
-            except OSError as exc:
-                raise MqttError(f"receive failed: {exc}") from exc
-            if not data:
-                raise MqttError("connection closed by the broker")
-            self._buf.extend(data)
+            return codec.next_packet(sock, self._buf, deadline)
+        except (codec.ProtocolError, EOFError, OSError) as exc:
+            raise MqttError(f"read from the broker failed: {exc}") from exc
 
     def _ping_loop(self) -> None:
         while not self._stop.wait(KEEP_ALIVE_S / 2.0):

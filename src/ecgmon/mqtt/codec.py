@@ -7,12 +7,15 @@ payload.  A packet checks its own fields when built, so `encode_packet`
 only lays out bytes and a decoder checks only what the wire shows.  QoS
 2, retained delivery and wills are outside the subset; packets
 requesting them are protocol errors.  CleanSession 0 is accepted and
-served as a clean session, with CONNACK session-present 0.
+served as a clean session, with CONNACK session-present 0.  `next_packet`
+is the one read loop of the broker and the client alike.
 """
 
 from __future__ import annotations
 
+import select
 import struct
+import time
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Union
@@ -35,9 +38,11 @@ __all__ = [
     "decode_remaining_length",
     "encode_packet",
     "decode_packet",
+    "next_packet",
 ]
 
 MAX_REMAINING_LENGTH = 268_435_455
+MAX_PACKET_BYTES = 256 * 1024      # the largest remaining length either end accepts
 _PACKET_IDS = range(1, 0x10000)
 
 
@@ -46,7 +51,7 @@ class ProtocolError(ValueError):
 
 
 class PacketTooLarge(ProtocolError):
-    """Remaining length exceeds the configured maximum packet size."""
+    """Remaining length exceeds MAX_PACKET_BYTES."""
 
 
 class PacketType(IntEnum):
@@ -303,13 +308,13 @@ def _fixed(ptype: PacketType, flags: int, rest: bytes) -> bytes:
 
 # ---------------------------------------------------------------- decode
 
-def decode_packet(buf, max_remaining: Optional[int] = None) -> Optional[tuple[Packet, int]]:
+def decode_packet(buf) -> Optional[tuple[Packet, int]]:
     """Decode one packet from the front of `buf`.
 
     Returns (packet, bytes consumed), leaving any trailing bytes for the
     caller, or None when the buffer does not yet hold a complete packet.
     Malformed data raises ProtocolError; a remaining length above
-    `max_remaining` raises PacketTooLarge before the body arrives.
+    MAX_PACKET_BYTES raises PacketTooLarge before the body arrives.
     """
     if len(buf) < 2:
         return None
@@ -326,14 +331,37 @@ def decode_packet(buf, max_remaining: Optional[int] = None) -> Optional[tuple[Pa
     if decoded is None:
         return None
     remaining, rl_bytes = decoded
-    if max_remaining is not None and remaining > max_remaining:
-        raise PacketTooLarge(f"remaining length {remaining} exceeds limit {max_remaining}")
+    if remaining > MAX_PACKET_BYTES:
+        raise PacketTooLarge(f"remaining length {remaining} exceeds limit {MAX_PACKET_BYTES}")
     total = 1 + rl_bytes + remaining
     if len(buf) < total:
         return None
     body = bytes(buf[1 + rl_bytes:total])
 
     return _DECODERS[kind](flags, body), total
+
+
+def next_packet(sock, buf: bytearray, deadline: Optional[float]) -> Optional[Packet]:
+    """Take the next packet off the front of `buf`, which holds the bytes
+    received from `sock` and not yet decoded, receiving into it as needed.
+
+    Returns None once the `time.monotonic()` `deadline` passes (None waits
+    for ever).  Raises EOFError when the peer closes, OSError when a
+    receive fails, and ProtocolError as `decode_packet` does.
+    """
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    while (decoded := decode_packet(buf)) is None:
+        wait = None if deadline is None else max(deadline - time.monotonic(), 0) * 1000
+        if not poller.poll(wait):       # None waits for ever; poll(inf) would overflow
+            return None
+        data = sock.recv(65536)
+        if not data:
+            raise EOFError("connection closed by the peer")
+        buf.extend(data)
+    packet, consumed = decoded
+    del buf[:consumed]
+    return packet
 
 
 def _expect_flags(flags: int, expected: int, kind: str) -> None:

@@ -502,6 +502,8 @@ class RecordStore:
             for pid, start, end in zip(ids, bounds, bounds[1:]):
                 self._index[klass, pid] = entries[start:end], end - start
             self._next_seq = max(self._next_seq, int(entries[:, _SEQ].max(initial=0)) + 1)
+            # freed here, not when the next class's concatenations replace them
+            del by_seq, order, patients, numbers, rows
 
     def _scan_file(self, klass: str, number: int) -> _Hint:
         """Index one log, whatever its day: from its hint, when the hint's

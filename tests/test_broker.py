@@ -133,6 +133,20 @@ def test_auth_required(broker):
         pass
 
 
+@pytest.mark.parametrize("broker_password,username,password", [
+    (b"secret", "nurse", b"secret"),
+    (b"secret", "clinic", None),
+    (b"secret", "clinic", b"secreT"),       # as long as the right one
+    (None, "clinic", b""),                  # an empty password is not a missing one
+], ids=["wrong-user", "missing-password", "wrong-password", "empty-against-none"])
+def test_refused_credentials_get_connack_4(broker, broker_password, username, password):
+    broker.username, broker.password = "clinic", broker_password
+    with socket.create_connection(("127.0.0.1", broker.port), timeout=5) as sock:
+        sock.sendall(codec.encode_packet(codec.Connect("dev", 60, True, username, password)))
+        assert read_packet(sock) == codec.Connack(False, broker_mod.CONNACK_BAD_CREDENTIALS)
+        assert read_packet(sock, timeout=3.0) is None
+
+
 def test_an_empty_client_id_needs_a_clean_session(broker):
     # 3.1.1 [MQTT-3.1.3-8]: refused with 0x02, identifier rejected, then closed
     with socket.create_connection(("127.0.0.1", broker.port), timeout=5) as sock:
@@ -369,6 +383,38 @@ def test_a_connect_sent_a_byte_at_a_time_is_closed_at_its_deadline(broker, monke
             closed.set()
             sender.join(timeout=5)
     assert 0.45 < elapsed < 0.65
+
+
+def test_a_publish_sent_a_byte_at_a_time_is_closed_at_its_keep_alive_deadline(broker):
+    """The keep-alive window restarts on each whole packet (3.1.1
+    §3.1.2.10), not on each byte: a client with a 1 s keep-alive that
+    trickles a PUBLISH one byte every 0.4 s is closed 1.5 s after its
+    CONNACK.  A reader that restarted the window on each receive would
+    keep it open until the PUBLISH was whole, about 40 s later."""
+    publish = codec.encode_packet(codec.Publish("clinic/p1/heartbeat", heartbeat(61), 1, 1))
+    with raw_connect(broker.port, keep_alive=1) as sock:
+        connacked = time.monotonic()
+        closed = threading.Event()
+
+        def trickle():
+            for byte in publish:
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:
+                    return
+                if closed.wait(0.4):
+                    return
+
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        try:
+            sock.settimeout(4)
+            assert sock.recv(4096) == b""
+            elapsed = time.monotonic() - connacked
+        finally:
+            closed.set()
+            sender.join(timeout=5)
+    assert 1.2 < elapsed < 1.8
 
 
 # ------------------------------------------------------------- subscribe
@@ -777,9 +823,10 @@ def packets(sock, timeout=5.0):
 
 
 @contextlib.contextmanager
-def scripted_broker(script):
-    """A broker for one connection: it answers the CONNECT, then runs
-    `script(conn, incoming)` on its own thread.  Yields the port."""
+def scripted_broker(script, answer=codec.encode_packet(codec.Connack())):
+    """A broker for one connection: it answers the CONNECT with `answer`'s
+    bytes, then runs `script(conn, incoming)` on its own thread.  Yields
+    the port."""
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(5)
 
@@ -788,7 +835,7 @@ def scripted_broker(script):
             with conn:
                 incoming = packets(conn)
                 assert isinstance(next(incoming), codec.Connect)
-                conn.sendall(codec.encode_packet(codec.Connack()))
+                conn.sendall(answer)
                 script(conn, incoming)
 
         server = threading.Thread(target=serve)
@@ -862,3 +909,29 @@ def test_publish_with_an_unsupported_qos_raises_before_sending(qos):
         finally:
             client.disconnect()
     assert received == [codec.Disconnect()]
+
+
+def read_until_closed(conn, incoming):
+    list(incoming)
+
+
+@pytest.mark.parametrize("answer,match", [
+    (codec.encode_packet(codec.Pingresp()), "expected CONNACK, got Pingresp"),
+    (b"", "timed out waiting for CONNACK"),
+], ids=["not-a-connack", "no-connack"])
+def test_connect_raises_without_a_connack(answer, match):
+    with scripted_broker(read_until_closed, answer) as port:
+        with pytest.raises(MqttError, match=match):
+            MqttClient(client_id="dev").connect("127.0.0.1", port, timeout=0.5)
+
+
+def test_connect_refuses_a_packet_over_the_bound():
+    """A broker that announces a 200 MiB packet is refused on its header,
+    at once, instead of being buffered until the CONNACK timeout."""
+    answer = b"\x20" + codec.encode_remaining_length(200 * 2**20) + bytes(4096)
+    with scripted_broker(read_until_closed, answer) as port:
+        started = time.monotonic()
+        with pytest.raises(MqttError, match="exceeds limit") as refused:
+            MqttClient(client_id="dev").connect("127.0.0.1", port, timeout=2)
+        assert time.monotonic() - started < 1
+    assert isinstance(refused.value.__cause__, codec.PacketTooLarge)

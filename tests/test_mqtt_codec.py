@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ecgmon.mqtt.codec import (
+    MAX_PACKET_BYTES,
     MAX_REMAINING_LENGTH,
     Connack,
     Connect,
     Disconnect,
     Packet,
+    PacketTooLarge,
     Pingreq,
     Pingresp,
     ProtocolError,
@@ -273,19 +275,51 @@ def test_bad_utf8_topic_rejected():
         decode_packet(bytes(raw))
 
 
+def _connect_with(byte_at=None, extra=b""):
+    """A CONNECT for client "c" with the (index, value) pair `byte_at` set
+    and `extra` bytes after its payload, its remaining length counting them."""
+    raw = bytearray(encode_packet(Connect(client_id="c")))
+    if byte_at is not None:
+        raw[byte_at[0]] = byte_at[1]
+    raw[1] += len(extra)
+    return bytes(raw + extra)
+
+
+@pytest.mark.parametrize("raw,match", [
+    # "MQTT" and only two of the four bytes after it
+    (b"\x10\x08\x00\x04MQTT\x04\x02", "truncated CONNECT variable header"),
+    (_connect_with((8, 3)), "protocol level 3"),
+    (_connect_with((9, 0x03)), "reserved flag"),
+    (_connect_with(extra=b"\x00"), "trailing bytes"),
+    (b"\x20\x02\x02\x00", "reserved bits"),
+    # packet id 1, then the filter "a" with no QoS byte after it
+    (b"\x82\x05\x00\x01\x00\x01a", "without requested QoS"),
+], ids=["connect-truncated", "connect-level", "connect-reserved", "connect-trailing",
+        "connack-reserved", "subscribe-no-qos"])
+def test_hostile_bytes_raise_within_their_own_packet(raw, match):
+    """Each branch refuses its packet from the packet's own bytes: a
+    PINGREQ queued behind it is not read as the missing ones."""
+    with pytest.raises(ProtocolError, match=match):
+        decode_packet(raw)
+    with pytest.raises(ProtocolError, match=match):
+        decode_packet(raw + encode_packet(Pingreq()))
+
+
 def test_max_remaining_enforced_on_decode():
-    raw = encode_packet(Publish("t", b"x" * 2000))
-    with pytest.raises(ProtocolError):
-        decode_packet(raw, max_remaining=1000)
-    decoded, _ = decode_packet(raw, max_remaining=5000)
-    assert decoded.payload == b"x" * 2000
+    # the largest packet decoded is one whose remaining length is MAX_PACKET_BYTES
+    payload = b"x" * (MAX_PACKET_BYTES - 3)     # after the topic's 3 bytes
+    raw = encode_packet(Publish("t", payload))
+    decoded, _ = decode_packet(raw)
+    assert decoded.payload == payload
+    with pytest.raises(PacketTooLarge):
+        decode_packet(encode_packet(Publish("t", payload + b"x")))
 
 
 def test_oversized_header_rejected_before_body_arrives():
-    # header claims 300000 bytes; the check fires on the length alone
-    header = b"\x30" + encode_remaining_length(300_000)
-    with pytest.raises(ProtocolError):
-        decode_packet(header, max_remaining=256 * 1024)
+    # header claims one byte over the bound; the check fires on the length alone
+    header = b"\x30" + encode_remaining_length(MAX_PACKET_BYTES + 1)
+    with pytest.raises(PacketTooLarge):
+        decode_packet(header)
 
 
 def test_subscribe_empty_topic_list_rejected():

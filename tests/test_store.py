@@ -656,6 +656,46 @@ def test_mid_file_corruption_raises(tmp_path):
         RecordStore(root)
 
 
+def crc_checked_line(head: bytes) -> bytes:
+    """`head`, then the "crc" key and value that make its CRC check pass."""
+    return head + b',"crc":%d}\n' % zlib.crc32(head + b"}")
+
+
+@pytest.mark.parametrize("head", [
+    b'{"seq":3,"topic"',                    # a key without a value: not one object
+    b'{"seq":3} {"seq":4',                  # one object, then bytes after it
+], ids=["not-an-object", "bytes-after"])
+@pytest.mark.parametrize("last", [True, False], ids=["last", "mid-file"])
+def test_a_crc_checked_line_that_is_not_one_object_is_damage(tmp_path, head, last):
+    """As the last line it is a torn append and truncated; before another
+    line it is corruption."""
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60))
+    log = next((root / "heartbeat").glob("*.log"))
+    good = log.read_bytes()
+    log.write_bytes(good + crc_checked_line(head) + (b"" if last else good))
+    if not last:
+        with pytest.raises(StoreError, match=f"corrupt log line mid-file in {log} at offset {len(good)}$"):
+            RecordStore(root)
+        return
+    with RecordStore(root) as store:
+        assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [60]
+    assert log.read_bytes() == good
+
+
+@pytest.mark.parametrize("message_id", [-1, 2**63])
+def test_a_message_id_outside_int64_is_refused_and_nothing_written(tmp_path, message_id):
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        with pytest.raises(ValidationError) as exc:
+            store.append("clinic/p1/heartbeat", "p1", heartbeat(), message_id=message_id)
+        assert (exc.value.field, exc.value.out_of_range) == ("message_id", True)
+        assert store.read_class("heartbeat") == []
+        assert list(root.glob("heartbeat/*.log")) == []
+        assert store.append("clinic/p1/heartbeat", "p1", heartbeat()) == 1
+
+
 def test_append_after_close_raises(tmp_path):
     store = RecordStore(tmp_path / "telemetry")
     store.close()
