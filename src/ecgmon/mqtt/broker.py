@@ -12,11 +12,11 @@ connection are serialized behind a per-connection lock.
 
 from __future__ import annotations
 
-import hmac
 import logging
 import socket
 import threading
 import time
+from _operator import _compare_digest
 from typing import Optional
 
 from ..ingest import Listener
@@ -52,7 +52,9 @@ def _same(given, expected) -> bool:
     if given is None or expected is None:
         return given is expected
     as_bytes = [v.encode("utf-8") if isinstance(v, str) else v for v in (given, expected)]
-    return hmac.compare_digest(*as_bytes)
+    # the C function hmac.compare_digest is, without hmac's import of hashlib
+    # and OpenSSL
+    return _compare_digest(*as_bytes)
 
 
 class _Connection:

@@ -12,9 +12,12 @@ import os
 import queue
 import resource
 import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,8 @@ from ecgmon.mqtt import broker as broker_mod, codec
 from ecgmon.mqtt.broker import Broker
 from ecgmon.mqtt.client import MqttClient, MqttError
 from ecgmon.store import RecordStore
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -145,6 +150,17 @@ def test_refused_credentials_get_connack_4(broker, broker_password, username, pa
         sock.sendall(codec.encode_packet(codec.Connect("dev", 60, True, username, password)))
         assert read_packet(sock) == codec.Connack(False, broker_mod.CONNACK_BAD_CREDENTIALS)
         assert read_packet(sock, timeout=3.0) is None
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    """The credential compare is the C function itself: hmac's import of
+    hashlib would load OpenSSL into every process that starts the broker."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", "import sys, ecgmon.cli; print(sorted(sys.modules))"],
+                            env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert "'ecgmon.mqtt.broker'" in loaded
+    assert "'hashlib'" not in loaded and "'_hashlib'" not in loaded
 
 
 def test_an_empty_client_id_needs_a_clean_session(broker):

@@ -684,6 +684,29 @@ def test_a_crc_checked_line_that_is_not_one_object_is_damage(tmp_path, head, las
     assert log.read_bytes() == good
 
 
+@pytest.mark.parametrize("head", [
+    b'{"seq":2',
+    b'{"seq":2,"topic":"clinic/p1/heartbeat","patient_id":"p1","received_at":1,"message_id":null',
+], ids=["no-message-id", "no-payload"])
+@pytest.mark.parametrize("last", [True, False], ids=["last", "mid-file"])
+def test_a_crc_checked_line_without_a_key_the_index_cuts_at_is_damage(tmp_path, head, last):
+    """One object, but the index cannot cut its document out of it: as the
+    last line a torn append, truncated; before another line, corruption."""
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        store.append("clinic/p1/heartbeat", "p1", heartbeat(bpm=60))
+    log = next((root / "heartbeat").glob("*.log"))
+    good = log.read_bytes()
+    log.write_bytes(good + crc_checked_line(head) + (b"" if last else good))
+    if not last:
+        with pytest.raises(StoreError, match=f"corrupt log line mid-file in {log} at offset {len(good)}$"):
+            RecordStore(root)
+        return
+    with RecordStore(root) as store:
+        assert [d.payload["bpm"] for d in store.read_class("heartbeat")] == [60]
+    assert log.read_bytes() == good
+
+
 @pytest.mark.parametrize("message_id", [-1, 2**63])
 def test_a_message_id_outside_int64_is_refused_and_nothing_written(tmp_path, message_id):
     root = tmp_path / "telemetry"
@@ -1291,9 +1314,16 @@ def test_class_wide_reads_beside_appends_of_new_patients(store, monkeypatch):
     monkeypatch.setattr(store_mod.os, "fsync", lambda fd: None)
     patients = 3000
     errors, reads = [], []
+    # set by each snapshot the reader takes: the writer waits for a new one at
+    # appends 1,000 and 2,000, so the reads interleave with the appends however
+    # fast these run
+    snapshot = threading.Event()
 
     def write():
         for n in range(patients):
+            if n in (1000, 2000):
+                snapshot.clear()
+                snapshot.wait(60)
             store.append(f"clinic/n{n}/heartbeat", f"n{n}", heartbeat(f"n{n}"))
 
     def read():
@@ -1305,8 +1335,10 @@ def test_class_wide_reads_beside_appends_of_new_patients(store, monkeypatch):
                 store.read_range(None, "heartbeat", 0, 0)
                 if n % 20 == 0:
                     reads.append([d.sequence for d in store.read_class("heartbeat")])
+                    snapshot.set()
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
+                snapshot.set()      # the writer waits for no more snapshots
                 return
 
     writer = threading.Thread(target=write)

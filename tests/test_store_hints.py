@@ -10,6 +10,7 @@ import os
 import shutil
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -18,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ecgmon import store as store_mod
+from ecgmon import gateway, store as store_mod
+from ecgmon.mqtt import codec
 from ecgmon.store import TOPIC_CLASSES, RecordStore, StoreError
 from test_store import heartbeat, pqrst, reference_encode_line, status
 
@@ -85,8 +87,10 @@ def spies(monkeypatch, clock):
 def state(root) -> tuple:
     """An open's index, pqrst matrix bytes and next sequence."""
     with RecordStore(root) as store:
+        fields = ("seq", "received_at", "log", "offset", "length", "message_id", "crc",
+                  "message_id_at", "payload_at", "crc_at")
         index = {key: [(seq, received_at, os.path.relpath(store._logs[log], root), *rest)
-                       for seq, received_at, log, *rest in entries[:n].tolist()]
+                       for seq, received_at, log, *rest in zip(*(entries[:n][f].tolist() for f in fields))]
                  for key, (entries, n) in store._index.items()}
         return index, store.pqrst_matrix().tobytes(), store._next_seq
 
@@ -459,7 +463,7 @@ def test_an_open_indexes_the_logs_glob_lists_whatever_the_root_looks_like(tmp_pa
         log = store._logs.index("telemetry/heartbeat/2026-01-14.log")
         put(store, "heartbeat", "p1", 8, day=-1)
         entries, n = store._index["heartbeat", "p1"]
-        assert store._logs == want and entries[n - 1, 2] == log
+        assert store._logs == want and entries["log"][n - 1] == log
 
 
 # patient numbers either side of 2**8 and 2**16, which decide their dtype
@@ -551,34 +555,43 @@ def test_a_version_1_hint_is_ignored_and_rewritten(tmp_path, spies):
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 6)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 7)
 
 
 def old_hint(log: Path, number: int, version: int) -> bytes:
-    """The hint of log `number` as version 3, 4 or 5 wrote it: each
+    """The hint of log `number` as version 3, 4, 5 or 6 wrote it: each
     patient's line count, the lines' sequence, received_at, log number,
     offset and length rows grouped by patient in file order (version 4 adds
     the message id, -1 for none; version 5 then the line's CRC-32 and the
-    offsets of its message id, payload and crc keys), the patient ids joined
-    by NUL, a pqrst log's rows in the same order, and the CRC-32 of all that."""
+    offsets of its message id, payload and crc keys; version 6 drops the
+    counts, keeps the rows in file order and puts the line's patient, as a
+    place in the ids, where the log number was), the patient ids joined by
+    NUL, a pqrst log's rows in the same order, and the CRC-32 of all that."""
     data, offset = log.read_bytes(), 0
     entries, rows = {}, {}
-    width = {3: 5, 4: 6, 5: 10}[version]
+    in_file_order, file_rows = [], []
+    width = {3: 5, 4: 6, 5: 10, 6: 10}[version]
     for raw in data.splitlines(keepends=True):
         record = json.loads(raw)
         message_id = -1 if record["message_id"] is None else record["message_id"]
         entries.setdefault(record["patient_id"], []).append(
             (record["seq"], record["received_at"], number, offset, len(raw), message_id, zlib.crc32(raw),
              raw.index(b',"message_id":'), raw.index(b',"payload":'), raw.rindex(b',"crc":'))[:width])
+        seq, received_at, _, *rest = entries[record["patient_id"]][-1]
+        in_file_order += (seq, received_at, list(entries).index(record["patient_id"]), *rest)
         if log.parent.name == "pqrst":
             rows.setdefault(record["patient_id"], []).extend(store_mod.device.pqrst_row(record["payload"]))
+            file_rows += store_mod.device.pqrst_row(record["payload"])
         offset += len(raw)
     lines = [value for listed in entries.values() for entry in listed for value in entry]
     values = [value for listed in rows.values() for value in listed]
+    if version == 6:
+        lines, values = in_file_order, file_rows
     ids = "\0".join(entries).encode()
     body = struct.pack("=4sIQIIIII", b"ECGH", version, len(data), zlib.crc32(data), len(lines) // width,
                        len(entries), len(ids), len(values) // 7)
-    body += struct.pack(f"={len(entries)}q", *map(len, entries.values()))
+    if version < 6:
+        body += struct.pack(f"={len(entries)}q", *map(len, entries.values()))
     body += struct.pack(f"={len(lines)}q", *lines) + ids + struct.pack(f"={len(values)}d", *values)
     return body + struct.pack("=I", zlib.crc32(body))
 
@@ -593,7 +606,7 @@ def test_a_version_3_hint_is_ignored_and_rewritten(tmp_path, spies):
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 6)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 7)
 
 
 def served(root) -> list:
@@ -602,7 +615,7 @@ def served(root) -> list:
         return [store.read_range_json(None, klass, 0, 2**62) for klass in TOPIC_CLASSES]
 
 
-@pytest.mark.parametrize("version", [4, 5])
+@pytest.mark.parametrize("version", [4, 5, 6])
 def test_an_older_hint_with_message_ids_is_ignored_and_rewritten(tmp_path, spies, version):
     root = tmp_path / "telemetry"
     # with message ids, so that the old rows hold some
@@ -618,7 +631,7 @@ def test_an_older_hint_with_message_ids_is_ignored_and_rewritten(tmp_path, spies
     spies.reset()
     assert state(root) == want
     assert spies.decoded == 3
-    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 6)
+    assert hint.read_bytes() == good and good[4:8] == struct.pack("=I", 7)
     assert full_scan_state(root, tmp_path) == want
     assert served(root) == served(tmp_path / "full-scan")
 
@@ -728,7 +741,7 @@ def test_entries_of_one_log_share_one_path_str(tmp_path, clock):
         put(store, "heartbeat", "p1", 5, day=-1)
         put(store, "heartbeat", "p1", 6, day=0)
         entries, n = store._index["heartbeat", "p1"]
-        paths = [store._logs[log] for log in entries[:n, 2]]
+        paths = [store._logs[log] for log in entries["log"][:n]]
         assert [p.rsplit("/", 1)[1] for p in paths] == [
             "2026-01-12.log", "2026-01-13.log", "2026-01-14.log", "2026-01-14.log", "2026-01-15.log"]
         assert [d.sequence for d in store.read_class("heartbeat", "p1")] == [1, 13, 25, 37, 38]
@@ -755,3 +768,35 @@ def test_a_log_over_a_mebibyte_opens_from_its_hint(tmp_path, spies):
     spies.reset()
     state(root)                          # a full scan: a damaged last line is cut, not an error
     assert spies.decoded == 2 and log.stat().st_size == offset  # the lines before it
+
+
+def test_a_hinted_open_holds_little_more_than_it_keeps(tmp_path, monkeypatch, clock):
+    """The open copies each hint's columns into one packed index per class
+    and sorts it in place, so its peak stays near what it keeps, and a
+    document's index row and its share of the per-patient arrays stay small.
+    A row's length and offsets into the line are uint32, which every line
+    fits: no door takes a body as long as 2**32 bytes."""
+    assert gateway.MAX_BODY_BYTES < 2**32 and codec.MAX_PACKET_BYTES < 2**32
+    monkeypatch.setattr(store_mod.os, "fsync", lambda fd: None)
+    root = tmp_path / "telemetry"
+    with RecordStore(root) as store:
+        for n in range(3000):       # 2,000 pqrst and 1,000 heartbeats over 50 patients and 5 days
+            pid, received_at = f"p{n % 50}", NOW - n % 5 * DAY_MS + n
+            if n % 3:
+                store.append(TOPICS["pqrst"].format(pid), pid, pqrst(pid, record_no=n + 1),
+                             received_at=received_at)
+            else:
+                store.append(TOPICS["heartbeat"].format(pid), pid, heartbeat(pid), received_at=received_at)
+    RecordStore(root).close()       # leaves the hints, and warms what the open first builds
+    tracemalloc.start()
+    try:
+        store = RecordStore(root)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with store:
+        assert len(store.read_class("pqrst")) == 2000 and len(store.read_class("heartbeat")) == 1000
+        matrix = store._pqrst[0]
+        assert len(matrix) == 2000
+        assert peak <= 1.3 * kept
+        assert (kept - matrix.nbytes) / 3000 <= 68
